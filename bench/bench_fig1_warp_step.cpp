@@ -7,6 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <vector>
 
 #include "programs/corpus.h"
 #include "sem/launch.h"
@@ -27,11 +28,24 @@ mem::Memory mem4k() { return mem::Memory(mem::MemSizes{4096, 0, 256, 0, 1}); }
 
 sem::Warp warp32() {
   sem::Warp w = sem::make_warp(0, 32);
-  for (sem::Thread& t : w.threads()) {
-    t.rho.write(r1, t.tid);
-    t.rho.write(r2, 4 * t.tid);
-    t.phi.write(p1, t.tid % 2 == 0);
+  for (std::uint32_t l = 0; l < 32; ++l) {
+    w.write(l, r1, w.tid(l));
+    w.write(l, r2, 4 * w.tid(l));
+    w.write_pred(l, p1, w.tid(l) % 2 == 0);
   }
+  return w;
+}
+
+/// A 32-thread warp diverged into halves at pcs (left, right).
+sem::Warp halves(std::uint32_t left_pc, std::uint32_t right_pc) {
+  std::vector<std::uint32_t> lo(16), hi(16);
+  for (std::uint32_t i = 0; i < 16; ++i) {
+    lo[i] = i;
+    hi[i] = 16 + i;
+  }
+  sem::Warp w = sem::make_warp(0, 32);
+  w.set_tree(sem::DivTree::div(sem::DivTree::leaf(32, left_pc, lo),
+                               sem::DivTree::leaf(32, right_pc, hi)));
   return w;
 }
 
@@ -114,20 +128,13 @@ void BM_Rule_Div(benchmark::State& state) {
   // The (div) rule: execute the left-most side of a divergent warp.
   const Program prg(
       "t", {IBop{BinOp::Add, UI(32), r3, op_reg(r1), op_imm(1)}, IExit{}});
-  run_rule(state, prg, [] {
-    sem::Warp half1 = sem::make_warp(0, 16);
-    sem::Warp half2 = sem::make_warp(16, 16);
-    half2.set_uni_pc(1);
-    return sem::Warp(std::move(half1), std::move(half2));
-  });
+  run_rule(state, prg, [] { return halves(0, 1); });
 }
 BENCHMARK(BM_Rule_Div);
 
 void BM_Rule_Sync(benchmark::State& state) {
   const Program prg("t", {ISync{}, IExit{}});
-  run_rule(state, prg, [] {
-    return sem::Warp(sem::make_warp(0, 16), sem::make_warp(16, 16));
-  });
+  run_rule(state, prg, [] { return halves(0, 0); });
 }
 BENCHMARK(BM_Rule_Sync);
 

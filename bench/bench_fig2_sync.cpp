@@ -7,6 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <vector>
 
 #include "sem/warp.h"
 #include "support/diag.h"
@@ -21,16 +22,26 @@ using namespace cac;
 /// level's partner waits one Sync further (pc base+i-1), exactly where
 /// the pair below it lands after reconverging.  Such a tree
 /// reconverges in leaves-1 sync() applications.
+std::vector<std::uint32_t> lane_range(std::uint32_t first, std::uint32_t n) {
+  std::vector<std::uint32_t> out(n);
+  for (std::uint32_t i = 0; i < n; ++i) out[i] = first + i;
+  return out;
+}
+
 sem::Warp nested_tree(std::uint32_t leaves, std::uint32_t threads_per_leaf,
                       std::uint32_t base) {
-  sem::Warp acc = sem::make_warp(0, threads_per_leaf);
-  acc.set_uni_pc(base);
+  const std::uint32_t width = leaves * threads_per_leaf;
+  sem::DivTree acc =
+      sem::DivTree::leaf(width, base, lane_range(0, threads_per_leaf));
   for (std::uint32_t i = 1; i < leaves; ++i) {
-    sem::Warp leaf = sem::make_warp(i * threads_per_leaf, threads_per_leaf);
-    leaf.set_uni_pc(base + i - 1);
-    acc = sem::Warp(std::move(acc), std::move(leaf));
+    acc = sem::DivTree::div(
+        acc, sem::DivTree::leaf(width, base + i - 1,
+                                lane_range(i * threads_per_leaf,
+                                           threads_per_leaf)));
   }
-  return acc;
+  sem::Warp w = sem::make_warp(0, width);
+  w.set_tree(std::move(acc));
+  return w;
 }
 
 void BM_SyncUniform(benchmark::State& state) {
@@ -43,7 +54,7 @@ void BM_SyncUniform(benchmark::State& state) {
 BENCHMARK(BM_SyncUniform);
 
 void BM_SyncOneLevelMerge(benchmark::State& state) {
-  const sem::Warp proto(sem::make_warp(0, 16), sem::make_warp(16, 16));
+  const sem::Warp proto = nested_tree(2, 16, 0);
   for (auto _ : state) {
     sem::Warp w = proto;
     benchmark::DoNotOptimize(w = sem::sync_warp(std::move(w)));

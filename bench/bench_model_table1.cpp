@@ -29,13 +29,13 @@ void print_inventory() {
       "  addr : ss x N                     -> mem/memory.h  (space, addr)\n"
       "  mu   : (ss x addr)->(byte x B)    -> mem/memory.h  Memory/Cell\n"
       "  reg  : {UI,SI} x N x N            -> ptx/operand.h Reg\n"
-      "  rho  : reg -> Z                   -> sem/thread.h  RegFile\n"
-      "  phi  : N -> B                     -> sem/thread.h  PredState\n"
+      "  rho  : reg -> Z                   -> sem/warp.h    Warp register rows\n"
+      "  phi  : N -> B                     -> sem/warp.h    Warp predicate rows\n"
       "  dim  : {Dx,Dy,Dz}                 -> ptx/operand.h Dim\n"
       "  sreg : {T,B,NT,NB} x dim          -> ptx/operand.h Sreg\n"
       "  sreg_aux : tid -> sreg -> N       -> sem/config.h  sreg_aux\n"
       "  op   : reg+sreg+Z+reg x Z         -> ptx/operand.h Operand\n"
-      "  theta: N x rho x phi              -> sem/thread.h  Thread\n"
+      "  theta: N x rho x phi              -> sem/warp.h    Warp lane\n"
       "  omega: Uni | Div (tree)           -> sem/warp.h    Warp\n"
       "  beta : set of warps               -> sem/state.h   Block\n"
       "  gamma: set of blocks              -> sem/state.h   Grid\n"
@@ -57,22 +57,22 @@ void BM_SregAuxDecode(benchmark::State& state) {
 BENCHMARK(BM_SregAuxDecode);
 
 void BM_RegFileAccess(benchmark::State& state) {
-  sem::RegFile rf;
+  sem::Warp w = sem::make_warp(0, 32);
   const ptx::Reg r{ptx::TypeClass::UI, 32, 5};
   std::uint64_t v = 0;
   for (auto _ : state) {
-    rf.write(r, v++);
-    benchmark::DoNotOptimize(rf.read(r));
+    w.write(7, r, v++);
+    benchmark::DoNotOptimize(w.read(7, r));
   }
 }
 BENCHMARK(BM_RegFileAccess);
 
 void BM_PredStateAccess(benchmark::State& state) {
-  sem::PredState ps;
+  sem::Warp w = sem::make_warp(0, 32);
   bool b = false;
   for (auto _ : state) {
-    ps.write({1}, b = !b);
-    benchmark::DoNotOptimize(ps.read({1}));
+    w.write_pred(7, {1}, b = !b);
+    benchmark::DoNotOptimize(w.pred(7, {1}));
   }
 }
 BENCHMARK(BM_PredStateAccess);

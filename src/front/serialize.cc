@@ -266,7 +266,13 @@ sem::LaunchSpec parse_launch(const JsonValue* v) {
   if (!v->is_obj()) throw JsonError("json: launch must be an object");
   l.grid = parse_dim3(v->get("grid"), l.grid);
   l.block = parse_dim3(v->get("block"), l.block);
-  l.warp_size = static_cast<std::uint32_t>(v->u64_or("warp", l.warp_size));
+  const std::uint64_t warp = v->u64_or("warp", l.warp_size);
+  if (warp == 0 || warp > UINT32_MAX) {
+    throw JsonError("json: launch.warp must be in 1.." +
+                    std::to_string(UINT32_MAX) + ", got " +
+                    std::to_string(warp));
+  }
+  l.warp_size = static_cast<std::uint32_t>(warp);
   l.global_bytes = v->u64_or("global", l.global_bytes);
   l.shared_bytes = v->u64_or("shared", l.shared_bytes);
   if (const JsonValue* params = v->get("params")) {

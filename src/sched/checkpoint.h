@@ -64,10 +64,12 @@ std::string to_string(CheckpointError::Kind k);
 /// One snapshot of an in-flight exploration.  Engines construct and
 /// consume these; save()/load() move them to and from disk.
 struct Checkpoint {
-  // v3: the embedded store payload carries tier metadata (per-warp-rec
-  // hash/base/depth prefix for delta chains); v2 files are rejected
-  // with VersionMismatch rather than misdecoded.
-  static constexpr std::uint32_t kFormatVersion = 3;
+  // v4: warp fragments are the dense per-warp encoding (sem/warp.h:
+  // register and predicate rows as raw words, the divergence tree as
+  // preorder lane masks); v3 files, whose warps hold per-thread
+  // register maps, are rejected with VersionMismatch rather than
+  // misdecoded.
+  static constexpr std::uint32_t kFormatVersion = 4;
 
   enum class Engine : std::uint8_t { Serial = 0, Parallel = 1 };
   Engine engine = Engine::Serial;

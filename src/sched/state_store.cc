@@ -30,36 +30,13 @@ constexpr std::uint32_t kChainWalkCap = 512;
 // worth the chain hop it costs on every rematerialization.
 constexpr std::size_t kDeltaSlack = 16;
 
-/// Heap footprint estimate of one warp fragment: the divergence tree
-/// plus each thread's register/predicate maps (std::map nodes estimated
-/// at red-black-node granularity).  Used for the resident-vs-full-copy
-/// accounting only — never for dedup decisions.
-std::uint64_t warp_deep_bytes(const sem::Warp& w) {
-  std::uint64_t n = sizeof(sem::Warp);
-  if (w.divergent()) {
-    return n + warp_deep_bytes(w.left()) + warp_deep_bytes(w.right());
-  }
-  constexpr std::uint64_t kMapNode = 48;  // ptr x3 + color + key/value
-  n += w.threads().capacity() * sizeof(sem::Thread);
-  for (const sem::Thread& t : w.threads()) {
-    n += (t.rho.written_count() + t.phi.written_count()) * kMapNode;
-  }
-  return n;
-}
-
-std::uint64_t warp_hash(const sem::Warp& w) {
-  Hasher h;
-  w.mix_hash(h);
-  return h.value();
-}
-
-std::string encode_warp(const sem::Warp& w) {
+std::string encode_frag(const sem::Warp& w) {
   support::BinWriter bw;
   w.encode(bw);
   return bw.take();
 }
 
-std::string encode_bank(const mem::Memory::Bank& b) {
+std::string encode_frag(const mem::Memory::Bank& b) {
   support::BinWriter bw;
   b.encode(bw);
   return bw.take();
@@ -267,7 +244,7 @@ std::string StateStore::warp_canonical_bytes(std::uint32_t id,
     // file has its own mutex, and encoding a hot warp is pure-local.
     std::string payload;
     if (hot) {
-      bytes = encode_warp(*hot);  // canonical full form; chain ends here
+      bytes = encode_frag(*hot);  // canonical full form; chain ends here
       break;
     }
     if (warm) {
@@ -308,11 +285,11 @@ sem::Warp StateStore::warp_value(std::uint32_t id) const {
 
 StateStore::Frag StateStore::intern_warp(const sem::Warp& w,
                                          std::uint32_t base_id) {
-  const std::uint64_t h = warp_hash(w);
+  const std::uint64_t h = w.hash();
   const std::uint64_t masked = h & hash_mask_;
   const std::uint32_t shard_no =
       static_cast<std::uint32_t>(masked) & kFragShardMask;
-  const std::uint64_t deep = warp_deep_bytes(w);
+  const std::uint64_t deep = w.deep_bytes();
   WarpShard& s = warp_shards_[shard_no];
 
   const auto insert_locked = [&](std::shared_ptr<const std::string> payload,
@@ -375,7 +352,7 @@ StateStore::Frag StateStore::intern_warp(const sem::Warp& w,
   // that happens with no shard lock held (resolving a base or candidate
   // takes other locks one at a time), then an optimistic relock/rescan
   // loop closes the race with concurrent inserters.
-  const std::string mine = encode_warp(w);
+  const std::string mine = encode_frag(w);
   std::shared_ptr<const std::string> payload;
   std::uint32_t base = kNoBase;
   std::uint8_t depth = 0;
@@ -440,7 +417,7 @@ StateStore::Frag StateStore::intern_warp(const sem::Warp& w,
 std::string StateStore::bank_canonical_bytes_locked(const BankRec& rec) const {
   if (rec.warm) return *rec.warm;
   if (rec.cold_len > 0) return spill_.read(rec.cold_off, rec.cold_len);
-  if (rec.hot) return encode_bank(*rec.hot);
+  if (rec.hot) return encode_frag(*rec.hot);
   throw KernelError("bank fragment has no payload");
 }
 
@@ -486,7 +463,7 @@ StateStore::Frag StateStore::intern_bank(const mem::Memory::BankRef& b) {
         // Encoding under the shard lock is pure-local; the spill read
         // takes only the leaf spill mutex.  No second shard lock —
         // banks have no delta chains.
-        if (mine.empty()) mine = encode_bank(*b);
+        if (mine.empty()) mine = encode_frag(*b);
         equal = bank_canonical_bytes_locked(rec) == mine;
       }
       if (equal) {
@@ -511,7 +488,8 @@ StateStore::Frag StateStore::intern_bank(const mem::Memory::BankRef& b) {
 
 // --- eviction ---------------------------------------------------------
 
-bool StateStore::step_warp(WarpShard& s, WarpRec& rec) {
+template <typename Rec>
+bool StateStore::step_rec(FragShard<Rec>& s, Rec& rec) {
   if (rec.settled) return false;
   if (rec.ref != 0) {
     // Second chance.  Clearing the bit counts as progress: on a store
@@ -527,10 +505,12 @@ bool StateStore::step_warp(WarpShard& s, WarpRec& rec) {
       // Hot-only record: produce the deferred full encoding now.  This
       // is pure-local work under the shard lock (never resolves another
       // fragment), so eviction cannot deadlock against intern.
-      auto full = std::make_shared<const std::string>(encode_warp(*rec.hot));
+      auto full = std::make_shared<const std::string>(encode_frag(*rec.hot));
       resident_bytes_.fetch_add(full->size(), std::memory_order_relaxed);
       rec.warm = std::move(full);
     }
+    // A bank's bytes are freed only once no live machine shares it; the
+    // accounting is the usual estimate either way.
     rec.hot.reset();
     resident_bytes_.fetch_sub(rec.hot_bytes, std::memory_order_relaxed);
     hot_evictions_.fetch_add(1, std::memory_order_relaxed);
@@ -568,83 +548,26 @@ bool StateStore::step_warp(WarpShard& s, WarpRec& rec) {
   return false;
 }
 
-bool StateStore::step_bank(BankShard& s, BankRec& rec) {
-  if (rec.settled) return false;
-  if (rec.ref != 0) {
-    rec.ref = 0;  // second chance; progress, as in step_warp
-    return true;
-  }
-  if (rec.hot) {
-    if (!rec.warm && rec.cold_len == 0) {
-      auto full = std::make_shared<const std::string>(encode_bank(*rec.hot));
-      resident_bytes_.fetch_add(full->size(), std::memory_order_relaxed);
-      rec.warm = std::move(full);
-    }
-    // Dropping the ref frees the bytes only once no live machine shares
-    // the bank; the accounting is the usual estimate either way.
-    rec.hot.reset();
-    resident_bytes_.fetch_sub(rec.hot_bytes, std::memory_order_relaxed);
-    hot_evictions_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  if (rec.warm && rec.cold_len > 0) {
-    resident_bytes_.fetch_sub(rec.warm->size(), std::memory_order_relaxed);
-    rec.warm.reset();
-    return true;
-  }
-  if (rec.warm && spill_usable()) {
-    try {
-      rec.cold_off = spill_.append(*rec.warm);
-    } catch (const KernelError& e) {
-      degrade_spill(e.what());
-      rec.settled = 1;
-      --s.live;
-      return false;
-    }
-    rec.cold_len = static_cast<std::uint32_t>(rec.warm->size());
-    spilled_bytes_.fetch_add(rec.warm->size(), std::memory_order_relaxed);
-    resident_bytes_.fetch_sub(rec.warm->size(), std::memory_order_relaxed);
-    rec.warm.reset();
-    spills_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  rec.settled = 1;  // as in step_warp
-  --s.live;
-  return false;
-}
-
 std::uint64_t StateStore::evict_pass(std::uint64_t stop_below) {
   std::uint64_t changed = 0;
+  const auto sweep = [&](auto& s) {
+    std::lock_guard<std::mutex> lock(s.mu);
+    const std::size_t n = s.recs.size();
+    for (std::size_t i = 0; i < n && s.live > 0; ++i) {
+      if (resident_bytes_.load(std::memory_order_relaxed) <= stop_below) {
+        break;
+      }
+      if (s.clock_hand >= n) s.clock_hand = 0;
+      if (step_rec(s, s.recs[s.clock_hand])) ++changed;
+      ++s.clock_hand;
+    }
+  };
   for (unsigned sh = 0; sh < (1u << kFragShardBits); ++sh) {
     if (resident_bytes_.load(std::memory_order_relaxed) <= stop_below) {
       return changed;
     }
-    {
-      WarpShard& ws = warp_shards_[sh];
-      std::lock_guard<std::mutex> lock(ws.mu);
-      const std::size_t n = ws.recs.size();
-      for (std::size_t i = 0; i < n && ws.live > 0; ++i) {
-        if (resident_bytes_.load(std::memory_order_relaxed) <= stop_below) {
-          break;
-        }
-        if (ws.clock_hand >= n) ws.clock_hand = 0;
-        if (step_warp(ws, ws.recs[ws.clock_hand])) ++changed;
-        ++ws.clock_hand;
-      }
-    }
-    {
-      BankShard& bs = bank_shards_[sh];
-      std::lock_guard<std::mutex> lock(bs.mu);
-      const std::size_t n = bs.recs.size();
-      for (std::size_t i = 0; i < n && bs.live > 0; ++i) {
-        if (resident_bytes_.load(std::memory_order_relaxed) <= stop_below) {
-          break;
-        }
-        if (bs.clock_hand >= n) bs.clock_hand = 0;
-        if (step_bank(bs, bs.recs[bs.clock_hand])) ++changed;
-        ++bs.clock_hand;
-      }
-    }
+    sweep(warp_shards_[sh]);
+    sweep(bank_shards_[sh]);
   }
   return changed;
 }
@@ -935,7 +858,7 @@ void StateStore::degrade_spill(const char* why) {
   }
 }
 
-// --- checkpoint codec (format v3) -------------------------------------
+// --- checkpoint codec (format v4) -------------------------------------
 
 void StateStore::encode(support::BinWriter& w) const {
   w.u64(hash_mask_);
@@ -964,7 +887,7 @@ void StateStore::encode(support::BinWriter& w) const {
       } else if (rec.cold_len > 0) {
         w.str(spill_.read(rec.cold_off, rec.cold_len));
       } else {
-        w.str(encode_warp(*rec.hot));
+        w.str(encode_frag(*rec.hot));
       }
     }
   }

@@ -13,9 +13,8 @@
 //     block's Shared bank), shared by refcount with the copy-on-write
 //     mem::Memory representation, so interning a bank is a shared_ptr
 //     copy, never a byte copy;
-//   * one fragment per warp (the divergence tree with its threads'
-//     register files and predicate states — the scheduler-visible
-//     execution tree);
+//   * one fragment per warp (its divergence tree and the dense register
+//     and predicate arrays of its lanes, sem/warp.h);
 //
 // deduplicate each fragment by structural hash with full structural
 // equality as the tie-breaker (a hash collision can cost time, never
@@ -220,7 +219,7 @@ class StateStore {
   /// budget-triggered eviction inside intern() instead.
   void evict_all();
 
-  /// Checkpoint codec (sched/checkpoint.h, format v3).  encode
+  /// Checkpoint codec (sched/checkpoint.h, format v4).  encode
   /// preserves the per-shard insertion order of every fragment pool and
   /// state shard, so decode reproduces the exact same fragment and
   /// state ids — the property that lets a resumed exploration keep
@@ -400,8 +399,10 @@ class StateStore {
     }
   }
 
-  bool step_warp(WarpShard& s, WarpRec& rec);
-  bool step_bank(BankShard& s, BankRec& rec);
+  /// One clock step of the sweep on one record: clear its second-chance
+  /// bit or demote it one tier.  False once it is settled.
+  template <typename Rec>
+  bool step_rec(FragShard<Rec>& s, Rec& rec);
   /// True while the cold tier is usable.  A failed spill operation
   /// (ENOSPC/EIO) trips `spill_failed_` via degrade_spill() and the
   /// store runs resident-only from then on: already-spilled payloads

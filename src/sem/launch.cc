@@ -85,6 +85,17 @@ std::uint64_t parse_u64_strict(const std::string& flag,
   return v;
 }
 
+/// A warp size: 1..UINT32_MAX.  Zero would make generate_grid loop,
+/// and wider values would be truncated.
+std::uint32_t parse_warp_strict(const std::string& flag, const std::string& s) {
+  const std::uint64_t v = parse_u64_strict(flag, s);
+  if (v == 0 || v > UINT32_MAX) {
+    throw LaunchArgError(flag + ": warp size must be in 1.." +
+                         std::to_string(UINT32_MAX) + ", got '" + s + "'");
+  }
+  return static_cast<std::uint32_t>(v);
+}
+
 Dim3 parse_dim3_strict(const std::string& flag, const std::string& s) {
   Dim3 d{1, 1, 1};
   std::uint32_t* slots[3] = {&d.x, &d.y, &d.z};
@@ -131,7 +142,7 @@ std::vector<std::string> parse_launch_args(
     } else if (a == "--block") {
       spec.block = parse_dim3_strict(a, next());
     } else if (a == "--warp") {
-      spec.warp_size = static_cast<std::uint32_t>(parse_u64_strict(a, next()));
+      spec.warp_size = parse_warp_strict(a, next());
     } else if (a == "--global") {
       spec.global_bytes = parse_u64_strict(a, next());
     } else if (a == "--shared") {

@@ -1,10 +1,12 @@
 #include "sem/state.h"
 
+#include "support/diag.h"
+
 namespace cac::sem {
 
 void Block::mix_hash(Hasher& h) const {
   h.mix(warps.size());
-  for (const Warp& w : warps) w.mix_hash(h);
+  for (const Warp& w : warps) h.mix(w.hash());
 }
 
 void Grid::mix_hash(Hasher& h) const {
@@ -28,13 +30,15 @@ std::uint64_t Machine::hash() const {
 }
 
 Grid generate_grid(const KernelConfig& kc) {
+  if (kc.warp_size == 0) throw KernelError("warp size must be at least 1");
   Grid g;
   g.blocks.resize(kc.num_blocks());
   const std::uint32_t tpb = kc.threads_per_block();
   for (std::uint32_t b = 0; b < kc.num_blocks(); ++b) {
     Block& blk = g.blocks[b];
-    for (std::uint32_t t = 0; t < tpb; t += kc.warp_size) {
-      const std::uint32_t n = std::min(kc.warp_size, tpb - t);
+    std::uint32_t n = 0;
+    for (std::uint32_t t = 0; t < tpb; t += n) {
+      n = std::min(kc.warp_size, tpb - t);
       blk.warps.push_back(make_warp(linear_tid(kc, b, t), n));
     }
   }

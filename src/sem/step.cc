@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 
 #include "support/bits.h"
 #include "support/diag.h"
@@ -37,39 +38,81 @@ bool StepEvents::empty() const {
 namespace {
 
 // ---------------------------------------------------------------------
-// Operand evaluation within one thread (paper §III-5).
+// Operands (paper §III-5), resolved against the warp once per
+// instruction; evaluating one lane is then an array read.
 // ---------------------------------------------------------------------
 
-struct EvalCtx {
-  const KernelConfig& kc;
-  const Thread& thread;
-  StepEvents* events;
+/// An operand.  A register (or [reg+imm]) operand points at the
+/// register's row, null when no lane has written it; reading an
+/// unwritten lane yields 0 and an uninitialized-read event.
+class Src {
+ public:
+  Src(const Warp& w, const KernelConfig& kc, const Operand& op,
+      StepEvents* events)
+      : w_(w), kc_(kc), events_(events) {
+    if (const auto* r = std::get_if<Reg>(&op)) {
+      set_reg(*r);
+    } else if (const auto* ri = std::get_if<RegImm>(&op)) {
+      set_reg(ri->reg);
+      imm_ = static_cast<std::uint64_t>(ri->offset);
+    } else if (const auto* sr = std::get_if<Sreg>(&op)) {
+      sreg_ = *sr;
+    } else {
+      imm_ = static_cast<std::uint64_t>(std::get<Imm>(op).value);
+    }
+  }
+
+  std::uint64_t operator()(std::uint32_t lane) const {
+    if (reg_) {
+      if (row_ != nullptr && lane_set(row_ + w_.lanes(), lane)) {
+        return row_[lane] + imm_;
+      }
+      if (events_) events_->uninit_reads.push_back({w_.tid(lane), *reg_});
+      return imm_;
+    }
+    if (sreg_) return sreg_aux(kc_, w_.tid(lane), *sreg_);
+    return imm_;
+  }
+
+ private:
+  void set_reg(const Reg& r) {
+    reg_ = r;
+    row_ = w_.find_reg(r);
+  }
+
+  const Warp& w_;
+  const KernelConfig& kc_;
+  StepEvents* events_;
+  std::optional<Reg> reg_;
+  std::optional<Sreg> sreg_;
+  const std::uint64_t* row_ = nullptr;
+  std::uint64_t imm_ = 0;
 };
 
-std::uint64_t read_reg(const EvalCtx& ctx, const Reg& r) {
-  if (auto v = ctx.thread.rho.read_opt(r)) return *v;
-  if (ctx.events) {
-    ctx.events->uninit_reads.push_back({ctx.thread.tid, r});
-  }
-  return 0;
-}
+/// A destination register row: a write truncates to the register's
+/// width and marks the lane written.
+struct RegDst {
+  std::uint64_t* row;
+  std::uint32_t lanes;
+  unsigned width;
 
-std::uint64_t eval_operand(const EvalCtx& ctx, const Operand& op) {
-  struct Visitor {
-    const EvalCtx& ctx;
-    std::uint64_t operator()(const Reg& r) const { return read_reg(ctx, r); }
-    std::uint64_t operator()(const Sreg& s) const {
-      return sreg_aux(ctx.kc, ctx.thread.tid, s);
-    }
-    std::uint64_t operator()(const Imm& i) const {
-      return static_cast<std::uint64_t>(i.value);
-    }
-    std::uint64_t operator()(const RegImm& ri) const {
-      return read_reg(ctx, ri.reg) + static_cast<std::uint64_t>(ri.offset);
-    }
-  };
-  return std::visit(Visitor{ctx}, op);
-}
+  void operator()(std::uint32_t lane, std::uint64_t v) const {
+    row[lane] = truncate(v, width);
+    row[lanes + lane / 64] |= 1ull << (lane % 64);
+  }
+};
+
+/// A destination predicate row (value mask, then written mask).
+struct PredDst {
+  std::uint64_t* row;
+  std::size_t words;
+
+  void operator()(std::uint32_t lane, bool v) const {
+    const std::uint64_t bit = 1ull << (lane % 64);
+    row[lane / 64] = v ? row[lane / 64] | bit : row[lane / 64] & ~bit;
+    row[words + lane / 64] |= bit;
+  }
+};
 
 // ---------------------------------------------------------------------
 // ALU semantics at a fixed width/signedness.
@@ -262,19 +305,22 @@ std::uint64_t extend_for(const DType& t, std::uint64_t v, unsigned dst_w) {
 }
 
 // ---------------------------------------------------------------------
-// Per-rule execution on the left-most uniform leaf.
+// Per-rule execution on the left-most leaf's lanes.
 // ---------------------------------------------------------------------
 
 class LeafExec {
  public:
   LeafExec(const ptx::Program& prg, const KernelConfig& kc,
-           std::uint32_t block, Warp& leaf, bool divergent, mem::Memory& mu,
+           std::uint32_t block, Warp& w, mem::Memory& mu,
            const StepOptions& opts, StepEvents* events)
       : prg_(prg),
         kc_(kc),
         block_(block),
-        leaf_(leaf),
-        divergent_(divergent),
+        w_(w),
+        pc_(w.pc()),
+        active_(w.active_lanes()),
+        any_active_(std::any_of(active_, active_ + w.mask_words(),
+                                [](std::uint64_t m) { return m != 0; })),
         mu_(mu),
         opts_(opts),
         events_(events) {}
@@ -284,42 +330,68 @@ class LeafExec {
   }
 
  private:
-  [[nodiscard]] EvalCtx ctx(const Thread& t) const {
-    return EvalCtx{kc_, t, events_};
+  // Destinations first, then sources: adding a destination row moves
+  // the rows after it.  An empty leaf writes nothing, so it adds no
+  // row (every row in the directory has a written lane).
+  [[nodiscard]] RegDst dst(const Reg& r) {
+    return {any_active_ ? w_.reg_row_for_write(r) : nullptr, w_.lanes(),
+            r.width};
+  }
+  [[nodiscard]] PredDst pred_dst(const ptx::Pred& p) {
+    return {any_active_ ? w_.pred_row_for_write(p) : nullptr,
+            w_.mask_words()};
+  }
+  [[nodiscard]] Src src(const Operand& op) const {
+    return Src(w_, kc_, op, events_);
   }
 
-  void advance() { leaf_.set_uni_pc(leaf_.uni_pc() + 1); }
+  template <typename F>
+  void each_lane(F&& f) const {
+    for_each_lane(active_, w_.mask_words(), f);
+  }
+  /// The leaf's lanes, ascending: the thread order of nd_map.
+  [[nodiscard]] std::vector<std::uint32_t> lane_list() const {
+    std::vector<std::uint32_t> out;
+    each_lane([&](std::uint32_t l) { out.push_back(l); });
+    return out;
+  }
 
-  StepResult exec(const ptx::INop&) {
-    advance();
+  StepResult advance() {
+    w_.set_pc(pc_ + 1);
     return {};
   }
+
+  StepResult exec(const ptx::INop&) { return advance(); }
 
   StepResult exec(const ptx::IBop& i) {
-    for (Thread& t : leaf_.threads()) {
-      const std::uint64_t a = eval_operand(ctx(t), i.a);
-      const std::uint64_t b = eval_operand(ctx(t), i.b);
-      t.rho.write(i.dst, eval_bop(i.op, a, b, i.type));
-    }
-    advance();
-    return {};
+    const RegDst d = dst(i.dst);
+    const Src a = src(i.a), b = src(i.b);
+    each_lane([&](std::uint32_t l) {
+      const std::uint64_t va = a(l);
+      const std::uint64_t vb = b(l);
+      d(l, eval_bop(i.op, va, vb, i.type));
+    });
+    return advance();
   }
 
   StepResult exec(const ptx::ITop& i) {
-    for (Thread& t : leaf_.threads()) {
-      const std::uint64_t a = eval_operand(ctx(t), i.a);
-      const std::uint64_t b = eval_operand(ctx(t), i.b);
-      const std::uint64_t c = eval_operand(ctx(t), i.c);
-      t.rho.write(i.dst, eval_top(i.op, a, b, c, i.type));
-    }
-    advance();
-    return {};
+    const RegDst d = dst(i.dst);
+    const Src a = src(i.a), b = src(i.b), c = src(i.c);
+    each_lane([&](std::uint32_t l) {
+      const std::uint64_t va = a(l);
+      const std::uint64_t vb = b(l);
+      const std::uint64_t vc = c(l);
+      d(l, eval_top(i.op, va, vb, vc, i.type));
+    });
+    return advance();
   }
 
   StepResult exec(const ptx::IUop& i) {
     const unsigned w = i.type.width;
-    for (Thread& t : leaf_.threads()) {
-      const std::uint64_t raw = eval_operand(ctx(t), i.a);
+    const RegDst d = dst(i.dst);
+    const Src src_a = src(i.a);
+    each_lane([&](std::uint32_t l) {
+      const std::uint64_t raw = src_a(l);
       const std::uint64_t a = truncate(raw, w);
       std::uint64_t v = 0;
       switch (i.op) {
@@ -348,56 +420,56 @@ class LeafExec {
           break;
         }
       }
-      t.rho.write(i.dst, v);  // write truncates at the register width
-    }
-    advance();
-    return {};
+      d(l, v);  // the write truncates at the register width
+    });
+    return advance();
   }
 
   StepResult exec(const ptx::IMov& i) {
-    for (Thread& t : leaf_.threads()) {
-      t.rho.write(i.dst, eval_operand(ctx(t), i.src));
-    }
-    advance();
-    return {};
+    const RegDst d = dst(i.dst);
+    const Src s = src(i.src);
+    each_lane([&](std::uint32_t l) { d(l, s(l)); });
+    return advance();
   }
 
   StepResult exec(const ptx::ILd& i) {
     const std::uint32_t len = i.type.bytes();
+    const std::vector<std::uint32_t> lanes = lane_list();
     // Two-phase: resolve and bounds-check every lane, then update.
-    std::vector<Access> acc(leaf_.threads().size());
-    for (std::size_t k = 0; k < leaf_.threads().size(); ++k) {
-      Thread& t = leaf_.threads()[k];
-      const std::uint64_t addr = eval_operand(ctx(t), i.addr);
-      acc[k] = resolve(mu_, i.space, block_, addr, len);
-      if (!acc[k].ok) {
-        return {StepStatus::Fault, oob_message(prg_, leaf_.uni_pc(), t.tid,
-                                               i.space, addr, len)};
+    std::vector<Access> acc(lanes.size());
+    {
+      const Src addr = src(i.addr);
+      for (std::size_t k = 0; k < lanes.size(); ++k) {
+        const std::uint64_t a = addr(lanes[k]);
+        acc[k] = resolve(mu_, i.space, block_, a, len);
+        if (!acc[k].ok) {
+          return {StepStatus::Fault, oob_message(prg_, pc_, w_.tid(lanes[k]),
+                                                 i.space, a, len)};
+        }
       }
     }
-    for (std::size_t k = 0; k < leaf_.threads().size(); ++k) {
-      Thread& t = leaf_.threads()[k];
+    const RegDst d = dst(i.dst);
+    for (std::size_t k = 0; k < lanes.size(); ++k) {
+      const std::uint32_t tid = w_.tid(lanes[k]);
       const std::uint64_t raw = mu_.load(i.space, acc[k].eff_addr, len);
       if (events_ && !mu_.all_valid(i.space, acc[k].eff_addr, len)) {
-        events_->invalid_reads.push_back(
-            {i.space, acc[k].eff_addr, len, t.tid});
+        events_->invalid_reads.push_back({i.space, acc[k].eff_addr, len, tid});
       }
       if (events_ && opts_.log_accesses && i.space != Space::Param &&
           i.space != Space::Const) {
         events_->accesses.push_back(
-            {i.space, acc[k].eff_addr, len, t.tid, false, false});
+            {i.space, acc[k].eff_addr, len, tid, false, false});
       }
-      t.rho.write(i.dst, extend_for(i.type, raw, i.dst.width));
+      d(lanes[k], extend_for(i.type, raw, i.dst.width));
     }
-    advance();
-    return {};
+    return advance();
   }
 
   StepResult exec(const ptx::ISt& i) {
     if (i.space == Space::Const || i.space == Space::Param) {
-      return {StepStatus::Fault,
-              "store to read-only space " + ptx::to_string(i.space) +
-                  " at pc " + std::to_string(leaf_.uni_pc())};
+      return {StepStatus::Fault, "store to read-only space " +
+                                     ptx::to_string(i.space) + " at pc " +
+                                     std::to_string(pc_)};
     }
     const std::uint32_t len = i.type.bytes();
     struct Pending {
@@ -405,17 +477,19 @@ class LeafExec {
       std::uint64_t value;
       std::uint32_t tid;
     };
-    std::vector<Pending> writes(leaf_.threads().size());
-    for (std::size_t k = 0; k < leaf_.threads().size(); ++k) {
-      Thread& t = leaf_.threads()[k];
-      const std::uint64_t addr = eval_operand(ctx(t), i.addr);
-      const Access a = resolve(mu_, i.space, block_, addr, len);
+    const std::vector<std::uint32_t> lanes = lane_list();
+    std::vector<Pending> writes(lanes.size());
+    const Src addr = src(i.addr);
+    const Src value = src(i.src);
+    for (std::size_t k = 0; k < lanes.size(); ++k) {
+      const std::uint32_t tid = w_.tid(lanes[k]);
+      const std::uint64_t a_raw = addr(lanes[k]);
+      const Access a = resolve(mu_, i.space, block_, a_raw, len);
       if (!a.ok) {
-        return {StepStatus::Fault, oob_message(prg_, leaf_.uni_pc(), t.tid,
-                                               i.space, addr, len)};
+        return {StepStatus::Fault,
+                oob_message(prg_, pc_, tid, i.space, a_raw, len)};
       }
-      writes[k] = {a.eff_addr, truncate(read_reg(ctx(t), i.src), i.type.width),
-                   t.tid};
+      writes[k] = {a.eff_addr, truncate(value(lanes[k]), i.type.width), tid};
     }
     // update(mu, v): apply lane effects in the scheduler-chosen order.
     // Plain stores leave the valid bit false (paper §III-2: the
@@ -442,54 +516,51 @@ class LeafExec {
         }
       }
     }
-    advance();
-    return {};
+    return advance();
   }
 
   StepResult exec(const ptx::IBra& i) {
-    leaf_.set_uni_pc(i.target);
+    w_.set_pc(i.target);
     return {};
   }
 
   StepResult exec(const ptx::ISetp& i) {
-    for (Thread& t : leaf_.threads()) {
-      const std::uint64_t a = eval_operand(ctx(t), i.a);
-      const std::uint64_t b = eval_operand(ctx(t), i.b);
-      t.phi.write(i.dst, eval_cmp(i.cmp, a, b, i.type));
-    }
-    advance();
-    return {};
+    const PredDst d = pred_dst(i.dst);
+    const Src a = src(i.a), b = src(i.b);
+    each_lane([&](std::uint32_t l) {
+      const std::uint64_t va = a(l);
+      const std::uint64_t vb = b(l);
+      d(l, eval_cmp(i.cmp, va, vb, i.type));
+    });
+    return advance();
   }
 
   StepResult exec(const ptx::IPBra& i) {
-    // Split threads by predicate value; the fall-through set keeps
-    // executing first (left side of the Div), the taken set waits.
-    ThreadVec taken, fall;
-    for (Thread& t : leaf_.threads()) {
-      const bool p = t.phi.read(i.pred) != i.negated;
-      (p ? taken : fall).push_back(std::move(t));
+    // Split the leaf's lanes by predicate value; the fall-through set
+    // keeps executing first (left side of the Div), the taken set
+    // waits.  An unwritten predicate lane reads false.
+    const std::size_t words = w_.mask_words();
+    const std::uint64_t* p = w_.find_pred(i.pred);
+    std::vector<std::uint64_t> split(2 * words);  // fall, then taken
+    for (std::size_t k = 0; k < words; ++k) {
+      const std::uint64_t v = p != nullptr ? p[k] : 0;
+      split[words + k] = active_[k] & (i.negated ? ~v : v);
+      split[k] = active_[k] & ~split[words + k];
     }
-    const std::uint32_t pc = leaf_.uni_pc();
-    if (taken.empty()) {
-      leaf_ = Warp(pc + 1, std::move(fall));
-    } else if (fall.empty()) {
-      leaf_ = Warp(i.target, std::move(taken));
-    } else {
-      leaf_ = Warp(Warp(pc + 1, std::move(fall)),
-                   Warp(i.target, std::move(taken)));
-    }
+    w_.branch(pc_ + 1, split.data(), i.target, split.data() + words);
     return {};
   }
 
   StepResult exec(const ptx::ISelp& i) {
-    for (Thread& t : leaf_.threads()) {
-      const std::uint64_t a = eval_operand(ctx(t), i.a);
-      const std::uint64_t b = eval_operand(ctx(t), i.b);
-      const std::uint64_t v = t.phi.read(i.pred) ? a : b;
-      t.rho.write(i.dst, truncate(v, i.type.width));
-    }
-    advance();
-    return {};
+    const RegDst d = dst(i.dst);
+    const Src a = src(i.a), b = src(i.b);
+    const std::uint64_t* p = w_.find_pred(i.pred);
+    each_lane([&](std::uint32_t l) {
+      const std::uint64_t va = a(l);
+      const std::uint64_t vb = b(l);
+      d(l, truncate(p != nullptr && lane_set(p, l) ? va : vb, i.type.width));
+    });
+    return advance();
   }
 
   StepResult exec(const ptx::IAtom& i) {
@@ -497,17 +568,19 @@ class LeafExec {
     // Atomics are serialized in the scheduler-chosen lane order; each
     // commits immediately with the valid bit SET — the paper's
     // "excepting atomic instructions" carve-out (§III-2).
-    const auto order = visit_order(leaf_.threads().size(), opts_.order);
-    for (std::uint32_t k : order) {
-      Thread& t = leaf_.threads()[k];
-      const std::uint64_t addr = eval_operand(ctx(t), i.addr);
-      const Access a = resolve(mu_, i.space, block_, addr, len);
+    const std::vector<std::uint32_t> lanes = lane_list();
+    const RegDst d = dst(i.dst);
+    const Src addr = src(i.addr), src_b = src(i.b), src_c = src(i.c);
+    for (std::uint32_t k : visit_order(lanes.size(), opts_.order)) {
+      const std::uint32_t l = lanes[k];
+      const std::uint64_t a_raw = addr(l);
+      const Access a = resolve(mu_, i.space, block_, a_raw, len);
       if (!a.ok) {
-        return {StepStatus::Fault, oob_message(prg_, leaf_.uni_pc(), t.tid,
-                                               i.space, addr, len)};
+        return {StepStatus::Fault,
+                oob_message(prg_, pc_, w_.tid(l), i.space, a_raw, len)};
       }
       const std::uint64_t old = mu_.load(i.space, a.eff_addr, len);
-      const std::uint64_t b = eval_operand(ctx(t), i.b);
+      const std::uint64_t b = src_b(l);
       std::uint64_t nv = 0;
       switch (i.op) {
         case ptx::AtomOp::Add: nv = eval_bop(BinOp::Add, old, b, i.type); break;
@@ -518,7 +591,7 @@ class LeafExec {
         case ptx::AtomOp::Or: nv = eval_bop(BinOp::Or, old, b, i.type); break;
         case ptx::AtomOp::Xor: nv = eval_bop(BinOp::Xor, old, b, i.type); break;
         case ptx::AtomOp::Cas: {
-          const std::uint64_t c = eval_operand(ctx(t), i.c);
+          const std::uint64_t c = src_c(l);
           nv = truncate(old, i.type.width) == truncate(b, i.type.width)
                    ? truncate(c, i.type.width)
                    : truncate(old, i.type.width);
@@ -528,12 +601,11 @@ class LeafExec {
       mu_.store(i.space, a.eff_addr, len, nv, /*valid=*/true);
       if (events_ && opts_.log_accesses) {
         events_->accesses.push_back(
-            {i.space, a.eff_addr, len, t.tid, true, true});
+            {i.space, a.eff_addr, len, w_.tid(l), true, true});
       }
-      t.rho.write(i.dst, extend_for(i.type, old, i.dst.width));
+      d(l, extend_for(i.type, old, i.dst.width));
     }
-    advance();
-    return {};
+    return advance();
   }
 
   StepResult exec(const ptx::IVote& i) {
@@ -541,47 +613,49 @@ class LeafExec {
     // well-defined full lane set, so the model requires reconvergence
     // first (real PTX: inactive lanes contribute identity values —
     // compilers emit votes in uniform regions).
-    if (divergent_) {
+    if (w_.divergent()) {
       return {StepStatus::Fault,
-              "vote in a divergent warp at pc " +
-                  std::to_string(leaf_.uni_pc())};
+              "vote in a divergent warp at pc " + std::to_string(pc_)};
     }
     bool all = true, any = false;
     std::uint32_t ballot = 0;
-    for (std::size_t k = 0; k < leaf_.threads().size(); ++k) {
-      const bool p = leaf_.threads()[k].phi.read(i.src);
+    std::uint32_t k = 0;
+    const std::uint64_t* src_p = w_.find_pred(i.src);
+    each_lane([&](std::uint32_t l) {
+      const bool p = src_p != nullptr && lane_set(src_p, l);
       all &= p;
       any |= p;
       if (p && k < 32) ballot |= 1u << k;
+      ++k;
+    });
+    if (i.mode == ptx::VoteMode::Ballot) {
+      const RegDst d = dst(i.dst_ballot);
+      each_lane([&](std::uint32_t l) { d(l, ballot); });
+    } else {
+      const PredDst d = pred_dst(i.dst);
+      const bool v = i.mode == ptx::VoteMode::All ? all : any;
+      each_lane([&](std::uint32_t l) { d(l, v); });
     }
-    for (Thread& t : leaf_.threads()) {
-      switch (i.mode) {
-        case ptx::VoteMode::All: t.phi.write(i.dst, all); break;
-        case ptx::VoteMode::Any: t.phi.write(i.dst, any); break;
-        case ptx::VoteMode::Ballot: t.rho.write(i.dst_ballot, ballot); break;
-      }
-    }
-    advance();
-    return {};
+    return advance();
   }
 
   StepResult exec(const ptx::IShfl& i) {
-    if (divergent_) {
+    if (w_.divergent()) {
       return {StepStatus::Fault,
-              "shfl in a divergent warp at pc " +
-                  std::to_string(leaf_.uni_pc())};
+              "shfl in a divergent warp at pc " + std::to_string(pc_)};
     }
-    const auto n = static_cast<std::uint32_t>(leaf_.threads().size());
+    const std::vector<std::uint32_t> lanes = lane_list();
+    const auto n = static_cast<std::uint32_t>(lanes.size());
+    const RegDst d = dst(i.dst);
     // Read all source lanes first: shuffles exchange pre-instruction
     // values even when dst == src.
-    std::vector<std::uint64_t> lanes(n);
+    std::vector<std::uint64_t> vals(n);
+    const Src s = src(i.src);
+    for (std::uint32_t k = 0; k < n; ++k) vals[k] = s(lanes[k]);
+    const Src lane_op = src(i.lane);
     for (std::uint32_t k = 0; k < n; ++k) {
-      lanes[k] = read_reg(ctx(leaf_.threads()[k]), i.src);
-    }
-    for (std::uint32_t k = 0; k < n; ++k) {
-      Thread& t = leaf_.threads()[k];
-      const auto lane_arg = static_cast<std::uint32_t>(
-          truncate(eval_operand(ctx(t), i.lane), 32));
+      const auto lane_arg =
+          static_cast<std::uint32_t>(truncate(lane_op(lanes[k]), 32));
       std::uint32_t j = k;
       switch (i.mode) {
         case ptx::ShflMode::Idx: j = lane_arg; break;
@@ -593,11 +667,9 @@ class LeafExec {
           break;
         case ptx::ShflMode::Bfly: j = k ^ lane_arg; break;
       }
-      const std::uint64_t v = j < n ? lanes[j] : lanes[k];
-      t.rho.write(i.dst, truncate(v, i.type.width));
+      d(lanes[k], truncate(j < n ? vals[j] : vals[k], i.type.width));
     }
-    advance();
-    return {};
+    return advance();
   }
 
   StepResult exec(const ptx::ISync&) {
@@ -613,8 +685,11 @@ class LeafExec {
   const ptx::Program& prg_;
   const KernelConfig& kc_;
   std::uint32_t block_;
-  Warp& leaf_;
-  bool divergent_;
+  Warp& w_;
+  std::uint32_t pc_;  // the leaf's pc when the step began
+  const std::uint64_t* active_;  // the leaf's lanes (the tree is stable
+                                 // until PBra, which reads it first)
+  bool any_active_;
   mem::Memory& mu_;
   const StepOptions& opts_;
   StepEvents* events_;
@@ -636,10 +711,7 @@ StepResult step_warp(const ptx::Program& prg, const KernelConfig& kc,
     return {};
   }
   // Fig. 1 rule (div): for i != Sync, the left-most warp executes.
-  const bool divergent = w.divergent();
-  Warp& leaf = w.leftmost_leaf();
-  return LeafExec(prg, kc, block, leaf, divergent, mu, opts, events)
-      .run(instr);
+  return LeafExec(prg, kc, block, w, mu, opts, events).run(instr);
 }
 
 std::vector<Choice> eligible_choices(const ptx::Program& prg, const Grid& g) {

@@ -9,6 +9,7 @@
 // persistent artifact; host byte order must not leak into it).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
@@ -41,7 +42,18 @@ class BinWriter {
 
   /// Raw bytes, no size prefix; pair with a reader that knows the size.
   void bytes(const void* data, std::size_t n) {
+    if (n == 0) return;  // data may be null (an empty vector's data())
     buf_.append(static_cast<const char*>(data), n);
+  }
+
+  /// An array of little-endian words, no size prefix.
+  template <typename T>
+  void words(const T* v, std::size_t n) {
+    if constexpr (std::endian::native == std::endian::little) {
+      bytes(v, n * sizeof(T));
+    } else {
+      for (std::size_t i = 0; i < n; ++i) put_le(v[i]);
+    }
   }
 
   [[nodiscard]] const std::string& buffer() const { return buf_; }
@@ -83,8 +95,19 @@ class BinReader {
 
   void bytes(void* out, std::size_t n) {
     need(n);
+    if (n == 0) return;  // out may be null (an empty vector's data())
     std::memcpy(out, data_.data() + pos_, n);
     pos_ += n;
+  }
+
+  /// The counterpart of BinWriter::words.
+  template <typename T>
+  void words(T* out, std::size_t n) {
+    if constexpr (std::endian::native == std::endian::little) {
+      bytes(out, n * sizeof(T));
+    } else {
+      for (std::size_t i = 0; i < n; ++i) out[i] = get_le<T>();
+    }
   }
 
   /// Read a count prefix for elements of at least `elem_bytes` each,

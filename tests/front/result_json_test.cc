@@ -201,6 +201,23 @@ TEST(RequestRoundTrip, LintAndEquiv) {
   EXPECT_EQ(std::get<EquivRequest>(eback).sym.max_paths, 9u);
 }
 
+TEST(RequestRoundTrip, WarpSizeOutOfRangeThrows) {
+  const std::string good = to_json(Request{vecadd_check()});
+  const std::string key = "\"warp\":2";
+  const std::size_t at = good.find(key);
+  ASSERT_NE(at, std::string::npos);
+  for (const char* bad : {"0", "4294967296"}) {
+    std::string text = good;
+    text.replace(at, key.size(), std::string("\"warp\":") + bad);
+    try {
+      request_from_json(text);
+      FAIL() << "expected JsonError for warp " << bad;
+    } catch (const JsonError& e) {
+      EXPECT_NE(std::string(e.what()).find("launch.warp"), std::string::npos);
+    }
+  }
+}
+
 TEST(RequestRoundTrip, MalformedRequestsThrow) {
   EXPECT_THROW(request_from_json("{}"), JsonError);
   EXPECT_THROW(request_from_json(R"({"command":"bogus"})"), JsonError);

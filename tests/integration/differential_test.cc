@@ -53,9 +53,18 @@ TEST_P(DifferentialTest, ConcreteAndSymbolicAgree) {
   const sched::RunResult run = sched::run(prg, kc, m, s, 10000);
   ASSERT_TRUE(run.terminated()) << run.message << "\n" << to_string(prg);
 
-  sem::ThreadVec finals;
+  struct FinalThread {
+    std::uint32_t tid;
+    const sem::Warp* warp;
+    std::uint32_t lane;
+  };
+  std::vector<FinalThread> finals;
   for (const sem::Block& b : m.grid.blocks) {
-    for (const sem::Warp& w : b.warps) w.collect_threads(finals);
+    for (const sem::Warp& w : b.warps) {
+      for (const std::uint32_t l : w.tree().lanes()) {
+        finals.push_back({w.tid(l), &w, l});
+      }
+    }
   }
   ASSERT_EQ(finals.size(), 4u);
 
@@ -63,7 +72,7 @@ TEST_P(DifferentialTest, ConcreteAndSymbolicAgree) {
   // initial memory.
   sym::TermArena arena;
   const sym::SymEnv env = sym::SymEnv::symbolic(arena, prg);
-  for (const sem::Thread& t : finals) {
+  for (const FinalThread& t : finals) {
     const sym::ThreadSummary summary =
         sym_execute_thread(prg, kc, t.tid, env);
     ASSERT_TRUE(summary.all_ok()) << "tid " << t.tid;
@@ -103,7 +112,7 @@ TEST_P(DifferentialTest, ConcreteAndSymbolicAgree) {
       const auto cls = static_cast<TypeClass>(key >> 24);
       const Reg reg{cls, static_cast<std::uint8_t>((key >> 16) & 0xff),
                     static_cast<std::uint16_t>(key & 0xffff)};
-      EXPECT_EQ(t.rho.read(reg), value)
+      EXPECT_EQ(t.warp->read(t.lane, reg), value)
           << "tid " << t.tid << " reg " << to_string(reg) << "\n"
           << to_string(prg);
     }

@@ -53,9 +53,9 @@ std::set<std::pair<std::uint64_t, std::uint64_t>> outcomes(
   for (const sem::Machine& m : r.finals()) {
     for (const sem::Block& b : m.grid.blocks) {
       for (const sem::Warp& w : b.warps) {
-        for (const sem::Thread& t : w.threads()) {
-          if (t.tid == obs_tid) {
-            out.emplace(t.rho.read(r1), t.rho.read(r2));
+        for (std::uint32_t l = 0; l < w.lanes(); ++l) {
+          if (w.tid(l) == obs_tid) {
+            out.emplace(w.read(l, r1), w.read(l, r2));
           }
         }
       }
@@ -126,7 +126,9 @@ TEST(Litmus, StoreBufferingIsSCInTheModel) {
     std::uint64_t v[2] = {};
     for (const sem::Block& b : m.grid.blocks) {
       for (const sem::Warp& w : b.warps) {
-        for (const sem::Thread& t : w.threads()) v[t.tid] = t.rho.read(r1);
+        for (std::uint32_t l = 0; l < w.lanes(); ++l) {
+          v[w.tid(l)] = w.read(l, r1);
+        }
       }
     }
     got.emplace(v[0], v[1]);
@@ -154,8 +156,8 @@ TEST(Litmus, RacyReadsAreFlaggedOnEverySchedule) {
     bool saw_one = false;
     for (const sem::Block& b : m.grid.blocks) {
       for (const sem::Warp& w : b.warps) {
-        for (const sem::Thread& t : w.threads()) {
-          saw_one |= t.rho.read(r1) == 1;
+        for (std::uint32_t l = 0; l < w.lanes(); ++l) {
+          saw_one |= w.read(l, r1) == 1;
         }
       }
     }

@@ -20,7 +20,7 @@ std::uint64_t run_unop(UnOp op, const DType& t, std::int64_t input) {
   mem::Memory mu;
   sem::step_warp(prg, kc1(), 0, w, mu);
   sem::step_warp(prg, kc1(), 0, w, mu);
-  return w.threads()[0].rho.read(r2);
+  return w.read(0, r2);
 }
 
 TEST(IsaExt, Abs) {
@@ -106,10 +106,9 @@ TEST(IsaExt, VectorStoreRoundTripsThroughMemory) {
   ASSERT_TRUE(sched::run(prg, kc, m, s).terminated());
   EXPECT_EQ(m.memory.load(mem::Space::Global, 8, 4), 11u);
   EXPECT_EQ(m.memory.load(mem::Space::Global, 12, 4), 22u);
-  sem::ThreadVec ts;
-  m.grid.blocks[0].warps[0].collect_threads(ts);
-  EXPECT_EQ(ts[0].rho.read({TypeClass::UI, 32, 3}), 11u);
-  EXPECT_EQ(ts[0].rho.read({TypeClass::UI, 32, 4}), 22u);
+  const sem::Warp& w = m.grid.blocks[0].warps[0];
+  EXPECT_EQ(w.read(0, {TypeClass::UI, 32, 3}), 11u);
+  EXPECT_EQ(w.read(0, {TypeClass::UI, 32, 4}), 22u);
 }
 
 TEST(IsaExt, VectorArityMismatchRejected) {

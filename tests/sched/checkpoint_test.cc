@@ -493,10 +493,30 @@ TEST_F(CorruptionTest, V2FilesRejectedWithVersionMismatch) {
   spit(path_, bad);
   try {
     Checkpoint::load(path_);
-    FAIL() << "v2 file loaded by a v3 reader";
+    FAIL() << "v2 file loaded by a v" << Checkpoint::kFormatVersion
+           << " reader";
   } catch (const CheckpointError& e) {
     EXPECT_EQ(e.kind(), CheckpointError::Kind::VersionMismatch);
     EXPECT_NE(std::string(e.what()).find("version 2"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(CorruptionTest, V3FilesRejectedWithVersionMismatch) {
+  // Format v4 stores warp fragments in the dense per-warp encoding
+  // (register and predicate rows, a preorder lane-mask tree); a v3
+  // file's warps hold per-thread register maps and must be refused,
+  // not misdecoded.
+  std::string bad = good_;
+  bad[8] = 3;  // header version field; the checksum covers payload only
+  spit(path_, bad);
+  try {
+    Checkpoint::load(path_);
+    FAIL() << "v3 file loaded by a v" << Checkpoint::kFormatVersion
+           << " reader";
+  } catch (const CheckpointError& e) {
+    EXPECT_EQ(e.kind(), CheckpointError::Kind::VersionMismatch);
+    EXPECT_NE(std::string(e.what()).find("version 3"), std::string::npos)
         << e.what();
   }
 }

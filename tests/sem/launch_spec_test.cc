@@ -13,6 +13,7 @@
 
 #include "programs/corpus.h"
 #include "sched/scheduler.h"
+#include "support/diag.h"
 
 namespace cac::sem {
 namespace {
@@ -88,6 +89,26 @@ TEST(LaunchSpecTest, RejectsMalformedValues) {
   // A flag at the end with no value.
   EXPECT_THROW(parse({"--block"}, spec), LaunchArgError);
   EXPECT_THROW(parse({"--param"}, spec), LaunchArgError);
+}
+
+TEST(LaunchSpecTest, RejectsZeroAndOversizedWarp) {
+  LaunchSpec spec;
+  for (const char* bad : {"0", "4294967296", "0x100000000"}) {
+    try {
+      parse({"--warp", bad}, spec);
+      FAIL() << "expected LaunchArgError for --warp " << bad;
+    } catch (const LaunchArgError& e) {
+      EXPECT_NE(std::string(e.what()).find("--warp"), std::string::npos);
+    }
+  }
+  parse({"--warp", "4294967295"}, spec);
+  EXPECT_EQ(spec.warp_size, 4294967295u);
+}
+
+TEST(LaunchSpecTest, GenerateGridRejectsZeroWarp) {
+  // The last line of defense behind the front ends: a zero warp size
+  // used to append empty warps until memory ran out.
+  EXPECT_THROW(generate_grid({{1, 1, 1}, {4, 1, 1}, 0}), KernelError);
 }
 
 TEST(LaunchSpecTest, ErrorCarriesUsageExitStatus) {

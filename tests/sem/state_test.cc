@@ -15,7 +15,7 @@ TEST(GenerateGrid, PaperConfig) {
   EXPECT_EQ(w.uni_pc(), 0u);
   ASSERT_EQ(w.thread_count(), 32u);
   for (std::uint32_t i = 0; i < 32; ++i) {
-    EXPECT_EQ(w.threads()[i].tid, i);
+    EXPECT_EQ(w.tids()[i], i);
   }
 }
 
@@ -26,8 +26,8 @@ TEST(GenerateGrid, MultiBlockMultiWarp) {
   EXPECT_EQ(g.blocks[0].warps[0].thread_count(), 4u);
   EXPECT_EQ(g.blocks[0].warps[1].thread_count(), 2u);  // partial warp
   // Thread ids are globally enumerated across blocks (paper §III-7).
-  EXPECT_EQ(g.blocks[1].warps[0].threads()[0].tid, 6u);
-  EXPECT_EQ(g.blocks[1].warps[1].threads()[1].tid, 11u);
+  EXPECT_EQ(g.blocks[1].warps[0].tids()[0], 6u);
+  EXPECT_EQ(g.blocks[1].warps[1].tids()[1], 11u);
 }
 
 TEST(GenerateGrid, ThreeDimensionalCounts) {
@@ -64,8 +64,7 @@ TEST(MachineState, HashSensitiveToRegisters) {
   const KernelConfig kc{{1, 1, 1}, {2, 1, 1}, 2};
   Machine a{generate_grid(kc), mem::Memory{}};
   Machine b = a;
-  b.grid.blocks[0].warps[0].threads()[1].rho.write(
-      {ptx::TypeClass::UI, 32, 1}, 5);
+  b.grid.blocks[0].warps[0].write(1, {ptx::TypeClass::UI, 32, 1}, 5);
   b.invalidate_hash();
   EXPECT_NE(a, b);
   EXPECT_NE(a.hash(), b.hash());

@@ -33,7 +33,18 @@ mem::Memory mem64() {
 /// One uniform 4-thread warp at pc 0, with r1 = tid preloaded.
 Warp warp4() {
   Warp w = make_warp(0, 4);
-  for (Thread& t : w.threads()) t.rho.write(r1, t.tid);
+  for (std::uint32_t l = 0; l < w.lanes(); ++l) w.write(l, r1, w.tid(l));
+  return w;
+}
+
+/// An n-thread warp (tids from 0) diverged into Div(Leaf(pc_l, left),
+/// Leaf(pc_r, right)).
+Warp split_warp(std::uint32_t n, std::uint32_t pc_l,
+                const std::vector<std::uint32_t>& left, std::uint32_t pc_r,
+                const std::vector<std::uint32_t>& right) {
+  Warp w = make_warp(0, n);
+  w.set_tree(DivTree::div(DivTree::leaf(n, pc_l, left),
+                          DivTree::leaf(n, pc_r, right)));
   return w;
 }
 
@@ -46,10 +57,11 @@ TEST(StepRules, NopAdvancesPcOnly) {
   const Program prg("t", {INop{}, IExit{}});
   Warp w = warp4();
   auto mu = mem64();
-  const Warp before = w;
+  Warp before = w;
   ASSERT_TRUE(step1(prg, w, mu).ok());
   EXPECT_EQ(w.uni_pc(), 1u);
-  EXPECT_EQ(w.threads(), before.threads());
+  before.set_uni_pc(1);
+  EXPECT_EQ(w, before);  // registers and predicates untouched
 }
 
 TEST(StepRules, BopPerThread) {
@@ -58,8 +70,8 @@ TEST(StepRules, BopPerThread) {
   Warp w = warp4();
   auto mu = mem64();
   ASSERT_TRUE(step1(prg, w, mu).ok());
-  for (const Thread& t : w.threads()) {
-    EXPECT_EQ(t.rho.read(r2), t.tid + 10);
+  for (std::uint32_t l = 0; l < w.lanes(); ++l) {
+    EXPECT_EQ(w.read(l, r2), w.tid(l) + 10);
   }
 }
 
@@ -71,7 +83,7 @@ TEST(StepRules, BopWidthWraps) {
   auto mu = mem64();
   ASSERT_TRUE(step1(prg, w, mu).ok());
   ASSERT_TRUE(step1(prg, w, mu).ok());
-  EXPECT_EQ(w.threads()[0].rho.read(r2), 0u);
+  EXPECT_EQ(w.read(0, r2), 0u);
 }
 
 TEST(StepRules, MulWideSignedNegative) {
@@ -85,7 +97,7 @@ TEST(StepRules, MulWideSignedNegative) {
   auto mu = mem64();
   ASSERT_TRUE(step1(prg, w, mu).ok());
   ASSERT_TRUE(step1(prg, w, mu).ok());
-  EXPECT_EQ(w.threads()[0].rho.read(rd1), 0xfffffffffffffff8ull);
+  EXPECT_EQ(w.read(0, rd1), 0xfffffffffffffff8ull);
 }
 
 TEST(StepRules, MulWideUnsignedZeroExtends) {
@@ -97,7 +109,7 @@ TEST(StepRules, MulWideUnsignedZeroExtends) {
   auto mu = mem64();
   step1(prg, w, mu);
   step1(prg, w, mu);
-  EXPECT_EQ(w.threads()[0].rho.read(rd1), 0x100000000ull);
+  EXPECT_EQ(w.read(0, rd1), 0x100000000ull);
 }
 
 TEST(StepRules, DivByZeroIsAllOnes) {
@@ -106,7 +118,7 @@ TEST(StepRules, DivByZeroIsAllOnes) {
   Warp w = make_warp(0, 1);
   auto mu = mem64();
   step1(prg, w, mu);
-  EXPECT_EQ(w.threads()[0].rho.read(r2), 0xffffffffu);
+  EXPECT_EQ(w.read(0, r2), 0xffffffffu);
 }
 
 TEST(StepRules, TopMadLo) {
@@ -116,8 +128,8 @@ TEST(StepRules, TopMadLo) {
   Warp w = warp4();
   auto mu = mem64();
   step1(prg, w, mu);
-  for (const Thread& t : w.threads()) {
-    EXPECT_EQ(t.rho.read(r2), t.tid * 3 + 7);
+  for (std::uint32_t l = 0; l < w.lanes(); ++l) {
+    EXPECT_EQ(w.read(l, r2), w.tid(l) * 3 + 7);
   }
 }
 
@@ -126,7 +138,7 @@ TEST(StepRules, MovFromSreg) {
   Warp w = warp4();
   auto mu = mem64();
   step1(prg, w, mu);
-  for (const Thread& t : w.threads()) EXPECT_EQ(t.rho.read(r2), 4u);
+  for (std::uint32_t l = 0; l < w.lanes(); ++l) EXPECT_EQ(w.read(l, r2), 4u);
 }
 
 TEST(StepRules, SetpSignedVsUnsigned) {
@@ -137,7 +149,7 @@ TEST(StepRules, SetpSignedVsUnsigned) {
   auto mu = mem64();
   step1(prg, w, mu);
   step1(prg, w, mu);
-  EXPECT_TRUE(w.threads()[0].phi.read(p1));
+  EXPECT_TRUE(w.pred(0, p1));
 
   const Program prg2(
       "t", {IMov{r1, op_imm(-1)},
@@ -145,7 +157,7 @@ TEST(StepRules, SetpSignedVsUnsigned) {
   Warp w2 = make_warp(0, 1);
   step_warp(prg2, kc4(), 0, w2, mu);
   step_warp(prg2, kc4(), 0, w2, mu);
-  EXPECT_FALSE(w2.threads()[0].phi.read(p1));  // 0xffffffff is large unsigned
+  EXPECT_FALSE(w2.pred(0, p1));  // 0xffffffff is large unsigned
 }
 
 TEST(StepRules, BraJumps) {
@@ -160,21 +172,23 @@ TEST(StepRules, PBraSplitsByPredicate) {
   // Threads 0,1 have p1 set; they take the branch.
   const Program prg("t", {IPBra{p1, false, 3}, INop{}, INop{}, IExit{}});
   Warp w = warp4();
-  for (Thread& t : w.threads()) t.phi.write(p1, t.tid < 2);
+  for (std::uint32_t l = 0; l < w.lanes(); ++l) {
+    w.write_pred(l, p1, w.tid(l) < 2);
+  }
   auto mu = mem64();
   step1(prg, w, mu);
   ASSERT_TRUE(w.divergent());
   // Fall-through side is the left (executes first), taken side right.
   EXPECT_EQ(w.left().uni_pc(), 1u);
-  EXPECT_EQ(w.left().thread_count(), 2u);
+  EXPECT_EQ(w.left().lanes().size(), 2u);
   EXPECT_EQ(w.right().uni_pc(), 3u);
-  EXPECT_EQ(w.right().threads()[0].tid, 0u);
+  EXPECT_EQ(w.tid(w.right().lanes()[0]), 0u);
 }
 
 TEST(StepRules, PBraAllTakenStaysUniform) {
   const Program prg("t", {IPBra{p1, false, 2}, INop{}, IExit{}});
   Warp w = warp4();
-  for (Thread& t : w.threads()) t.phi.write(p1, true);
+  for (std::uint32_t l = 0; l < w.lanes(); ++l) w.write_pred(l, p1, true);
   auto mu = mem64();
   step1(prg, w, mu);
   EXPECT_FALSE(w.divergent());
@@ -184,7 +198,7 @@ TEST(StepRules, PBraAllTakenStaysUniform) {
 TEST(StepRules, PBraNegated) {
   const Program prg("t", {IPBra{p1, true, 2}, INop{}, IExit{}});
   Warp w = warp4();
-  for (Thread& t : w.threads()) t.phi.write(p1, true);
+  for (std::uint32_t l = 0; l < w.lanes(); ++l) w.write_pred(l, p1, true);
   auto mu = mem64();
   step1(prg, w, mu);
   EXPECT_FALSE(w.divergent());
@@ -195,26 +209,24 @@ TEST(StepRules, DivRuleExecutesLeftmostOnly) {
   const Program prg(
       "t", {IBop{BinOp::Add, UI(32), r2, op_reg(r2), op_imm(1)},
             IBop{BinOp::Add, UI(32), r2, op_reg(r2), op_imm(1)}, IExit{}});
-  Warp w(Warp(0, make_warp(0, 2).threads()),
-         Warp(0, make_warp(2, 2).threads()));
+  Warp w = split_warp(4, 0, {0, 1}, 0, {2, 3});
   auto mu = mem64();
   step1(prg, w, mu);
   ASSERT_TRUE(w.divergent());
   EXPECT_EQ(w.left().uni_pc(), 1u);
   EXPECT_EQ(w.right().uni_pc(), 0u);  // untouched
-  EXPECT_EQ(w.left().threads()[0].rho.read(r2), 1u);
-  EXPECT_EQ(w.right().threads()[0].rho.read(r2), 0u);
+  EXPECT_EQ(w.read(w.left().lanes()[0], r2), 1u);
+  EXPECT_EQ(w.read(w.right().lanes()[0], r2), 0u);
 }
 
 TEST(StepRules, SyncInstructionMergesWholeTree) {
   const Program prg("t", {ISync{}, IExit{}});
-  Warp w(Warp(0, make_warp(2, 2).threads()),
-         Warp(0, make_warp(0, 2).threads()));
+  Warp w = split_warp(4, 0, {2, 3}, 0, {0, 1});
   auto mu = mem64();
   step1(prg, w, mu);
   EXPECT_FALSE(w.divergent());
   EXPECT_EQ(w.uni_pc(), 1u);
-  EXPECT_EQ(w.threads()[0].tid, 0u);  // canonical tid order
+  EXPECT_EQ(w.tids()[0], 0u);  // canonical tid order
 }
 
 TEST(StepRules, LdStoresRoundTrip) {
@@ -228,9 +240,9 @@ TEST(StepRules, LdStoresRoundTrip) {
   step1(prg, w, mu);
   step1(prg, w, mu);
   step1(prg, w, mu);
-  for (const Thread& t : w.threads()) {
-    EXPECT_EQ(t.rho.read(r3), t.tid);
-    EXPECT_EQ(mu.load(Space::Global, t.tid * 4, 4), t.tid);
+  for (std::uint32_t l = 0; l < w.lanes(); ++l) {
+    EXPECT_EQ(w.read(l, r3), w.tid(l));
+    EXPECT_EQ(mu.load(Space::Global, w.tid(l) * 4, 4), w.tid(l));
   }
 }
 
@@ -262,7 +274,7 @@ TEST(StepRules, LdOfInitializedDataIsClean) {
   StepEvents ev;
   step1(prg, w, mu, &ev);
   EXPECT_TRUE(ev.invalid_reads.empty());
-  EXPECT_EQ(w.threads()[0].rho.read(r2), 77u);
+  EXPECT_EQ(w.read(0, r2), 77u);
 }
 
 TEST(StepRules, LdSignExtendsSignedLoads) {
@@ -272,7 +284,7 @@ TEST(StepRules, LdSignExtendsSignedLoads) {
   std::uint8_t b = 0x80;
   mu.write_init(Space::Global, 0, &b, 1);
   step1(prg, w, mu);
-  EXPECT_EQ(w.threads()[0].rho.read(r2), 0xffffff80u);
+  EXPECT_EQ(w.read(0, r2), 0xffffff80u);
 }
 
 TEST(StepRules, OutOfBoundsLoadFaults) {
@@ -362,7 +374,7 @@ TEST(StepRules, AtomAddSerializesAndCommitsValid) {
   EXPECT_TRUE(mu.all_valid(Space::Global, 0, 4));
   // Old values observed in sequence: 100,101,102,103 in ascending order.
   std::vector<std::uint64_t> olds;
-  for (const Thread& t : w.threads()) olds.push_back(t.rho.read(r2));
+  for (std::uint32_t l = 0; l < w.lanes(); ++l) olds.push_back(w.read(l, r2));
   std::sort(olds.begin(), olds.end());
   EXPECT_EQ(olds, (std::vector<std::uint64_t>{100, 101, 102, 103}));
 }
@@ -374,7 +386,7 @@ TEST(StepRules, AtomCas) {
             IExit{}});
   // All lanes CAS(0 -> tid); only the first lane in order succeeds.
   Warp w = warp4();
-  for (Thread& t : w.threads()) t.rho.write(r1, t.tid + 10);
+  for (std::uint32_t l = 0; l < w.lanes(); ++l) w.write(l, r1, w.tid(l) + 10);
   auto mu = mem64();
   mu.init_u32(Space::Global, 0, 0);
   step1(prg, w, mu);
@@ -385,11 +397,13 @@ TEST(StepRules, SelpPicksByPredicate) {
   const Program prg(
       "t", {ISelp{UI(32), r2, op_imm(7), op_imm(9), p1}, IExit{}});
   Warp w = warp4();
-  for (Thread& t : w.threads()) t.phi.write(p1, t.tid % 2 == 0);
+  for (std::uint32_t l = 0; l < w.lanes(); ++l) {
+    w.write_pred(l, p1, w.tid(l) % 2 == 0);
+  }
   auto mu = mem64();
   step1(prg, w, mu);
-  EXPECT_EQ(w.threads()[0].rho.read(r2), 7u);
-  EXPECT_EQ(w.threads()[1].rho.read(r2), 9u);
+  EXPECT_EQ(w.read(0, r2), 7u);
+  EXPECT_EQ(w.read(1, r2), 9u);
 }
 
 TEST(StepRules, SharedAccessesUseBlockBank) {
@@ -400,9 +414,9 @@ TEST(StepRules, SharedAccessesUseBlockBank) {
   s.shared_banks = 2;
   mem::Memory mu(s);
   Warp w0 = make_warp(0, 1);
-  w0.threads()[0].rho.write(r1, 11);
+  w0.write(0, r1, 11);
   Warp w1 = make_warp(4, 1);
-  w1.threads()[0].rho.write(r1, 22);
+  w1.write(0, r1, 22);
   // Same block-local address 0, different blocks.
   ASSERT_TRUE(step_warp(prg, kc4(), 0, w0, mu).ok());
   ASSERT_TRUE(step_warp(prg, kc4(), 1, w1, mu).ok());
@@ -434,8 +448,7 @@ TEST(StepRules, StepAtBarOrExitThrows) {
 TEST(BlockRules, EligibilityExcludesBarAndExit) {
   const Program prg("t", {IBar{}, INop{}, IExit{}});
   Grid g;
-  g.blocks.push_back(Block{{Warp(0, make_warp(0, 2).threads()),
-                            Warp(1, make_warp(2, 2).threads())}});
+  g.blocks.push_back(Block{{Warp(0, 2, 0), Warp(2, 2, 1)}});
   const auto choices = eligible_choices(prg, g);
   ASSERT_EQ(choices.size(), 1u);
   EXPECT_EQ(choices[0].kind, Choice::Kind::ExecWarp);
@@ -445,8 +458,7 @@ TEST(BlockRules, EligibilityExcludesBarAndExit) {
 TEST(BlockRules, LiftBarWhenAllWarpsAtBar) {
   const Program prg("t", {IBar{}, IExit{}});
   Machine m;
-  m.grid.blocks.push_back(Block{{Warp(0, make_warp(0, 2).threads()),
-                                 Warp(0, make_warp(2, 2).threads())}});
+  m.grid.blocks.push_back(Block{{Warp(0, 2, 0), Warp(2, 2, 0)}});
   mem::MemSizes s;
   s.shared = 16;
   m.memory = mem::Memory(s);
@@ -466,9 +478,7 @@ TEST(BlockRules, LiftBarWhenAllWarpsAtBar) {
 TEST(BlockRules, DivergentWarpAtBarIsStuck) {
   const Program prg("t", {IBar{}, IBar{}, IExit{}});
   Grid g;
-  g.blocks.push_back(
-      Block{{Warp(Warp(0, make_warp(0, 1).threads()),
-                  Warp(1, make_warp(1, 1).threads()))}});
+  g.blocks.push_back(Block{{split_warp(2, 0, {0}, 1, {1})}});
   EXPECT_TRUE(is_stuck(prg, g));
   EXPECT_NE(stuck_reason(prg, g).find("barrier-divergence"),
             std::string::npos);
@@ -477,9 +487,7 @@ TEST(BlockRules, DivergentWarpAtBarIsStuck) {
 TEST(BlockRules, DivergentWarpAtExitIsStuck) {
   const Program prg("t", {IExit{}, IExit{}});
   Grid g;
-  g.blocks.push_back(
-      Block{{Warp(Warp(0, make_warp(0, 1).threads()),
-                  Warp(1, make_warp(1, 1).threads()))}});
+  g.blocks.push_back(Block{{split_warp(2, 0, {0}, 1, {1})}});
   EXPECT_TRUE(is_stuck(prg, g));
   EXPECT_NE(stuck_reason(prg, g).find("reconvergence"), std::string::npos);
 }
@@ -487,8 +495,7 @@ TEST(BlockRules, DivergentWarpAtExitIsStuck) {
 TEST(BlockRules, MixedBarExitIsStuck) {
   const Program prg("t", {IBar{}, IExit{}});
   Grid g;
-  g.blocks.push_back(Block{{Warp(0, make_warp(0, 2).threads()),
-                            Warp(1, make_warp(2, 2).threads())}});
+  g.blocks.push_back(Block{{Warp(0, 2, 0), Warp(2, 2, 1)}});
   EXPECT_TRUE(is_stuck(prg, g));
   EXPECT_NE(stuck_reason(prg, g).find("never lift"), std::string::npos);
 }
