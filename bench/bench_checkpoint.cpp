@@ -124,7 +124,7 @@ void BM_CheckpointSaveLoad(benchmark::State& state) {
   for (auto _ : state) {
     const sched::Checkpoint ck = sched::Checkpoint::load(path);
     ck.save(path2);
-    benchmark::DoNotOptimize(ck.states_visited);
+    benchmark::DoNotOptimize(ck.verdict.states_visited);
     ++round_trips;
   }
   std::remove(path.c_str());

@@ -17,7 +17,7 @@
 
 #include "programs/corpus.h"
 #include "ptx/lower.h"
-#include "sched/explore_parallel.h"
+#include "sched/explore.h"
 #include "sem/launch.h"
 
 namespace {

@@ -11,13 +11,13 @@
 #include <deque>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "dist/transport.h"
 #include "dist/worker.h"
 #include "sched/checkpoint.h"
-#include "sched/checkpoint_codec.h"
+#include "sched/dfs.h"
+#include "sched/explore_internal.h"
 #include "support/binio.h"
 
 namespace cac::dist {
@@ -47,49 +47,22 @@ struct WorkerDiedSignal {
   std::uint32_t worker = kNoWorker;
 };
 
-/// Structural-options equality via the codec: two option sets resume-
-/// compatible iff their canonical encodings agree byte-for-byte.
-std::string structural_bytes(const sched::ExploreOptions& o) {
-  BinWriter w;
-  sched::codec::encode_options(w, o);
-  return w.take();
-}
+// --- merged graph ----------------------------------------------------
 
-// --- merged-graph replay ---------------------------------------------
-
-struct RNode {
-  std::uint32_t worker = 0;
-  sched::StateId id;
-  bool processed = false;
-  bool terminal = false;
-  bool stuck = false;
-  std::string stuck_reason;
-  struct REdge {
-    sem::Choice choice;
-    bool faulted = false;
-    bool overflow = false;
-    std::string fault;
-    RNode* child = nullptr;
-  };
-  std::vector<REdge> edges;
-  enum class Color : std::uint8_t { White, OnStack, Done };
-  Color color = Color::White;
-};
-
-/// The merged distributed graph plus the per-worker stores finals are
-/// materialized from.
+/// The workers' graph parts linked into one graph (node owner = worker),
+/// plus the per-worker stores finals are materialized from.
 struct MergedGraph {
   std::vector<std::unique_ptr<sched::StateStore>> stores;  // per worker
-  std::deque<RNode> arena;                                 // stable addrs
-  std::vector<std::unordered_map<std::uint32_t, RNode*>> by_local;
-  RNode* root = nullptr;
+  std::deque<sched::GraphNode> nodes;                      // stable addrs
+  sched::GraphNode* root = nullptr;
 };
 
-MergedGraph merge_parts(std::vector<GraphPartMsg>& parts, Gid root) {
+MergedGraph merge_parts(const std::vector<GraphPartMsg>& parts, Gid root) {
   MergedGraph g;
   const std::size_t n = parts.size();
+  std::vector<std::unordered_map<std::uint32_t, sched::GraphNode*>> by_local(
+      n);
   g.stores.resize(n);
-  g.by_local.resize(n);
   for (std::size_t w = 0; w < n; ++w) {
     g.stores[w] = std::make_unique<sched::StateStore>();
     try {
@@ -100,183 +73,50 @@ MergedGraph merge_parts(std::vector<GraphPartMsg>& parts, Gid root) {
       throw DistError(DistError::Kind::Corrupt,
                       std::string("graph part store: ") + e.what());
     }
-    for (const GraphPartMsg::Node& rec : parts[w].nodes) {
-      g.arena.push_back(RNode{});
-      RNode* nd = &g.arena.back();
-      nd->worker = static_cast<std::uint32_t>(w);
-      nd->id = sched::StateId{rec.local};
-      nd->processed = rec.processed != 0;
-      nd->terminal = rec.terminal != 0;
-      nd->stuck = rec.stuck != 0;
-      nd->stuck_reason = rec.stuck_reason;
-      g.by_local[w].emplace(rec.local, nd);
+    for (const sched::NodeRecord& rec : parts[w].nodes) {
+      sched::GraphNode& nd = g.nodes.emplace_back();
+      nd.id = rec.id;
+      nd.owner = static_cast<std::uint32_t>(w);
+      by_local[w].emplace(rec.id.v, &nd);
     }
   }
-  const auto lookup = [&](Gid gid) -> RNode* {
+  const auto lookup = [&](Gid gid) -> sched::GraphNode* {
     if (gid.worker() >= n) {
       throw DistError(DistError::Kind::Corrupt,
                       "edge references an unknown worker");
     }
-    const auto it = g.by_local[gid.worker()].find(gid.local());
-    if (it == g.by_local[gid.worker()].end()) {
+    const auto it = by_local[gid.worker()].find(gid.local());
+    if (it == by_local[gid.worker()].end()) {
       throw DistError(DistError::Kind::Corrupt,
                       "edge references an unknown node");
     }
     return it->second;
   };
   for (std::size_t w = 0; w < n; ++w) {
-    for (const GraphPartMsg::Node& rec : parts[w].nodes) {
-      RNode* nd = g.by_local[w].at(rec.local);
-      nd->edges.reserve(rec.edges.size());
-      for (const GraphPartMsg::Edge& er : rec.edges) {
-        RNode::REdge e;
-        e.choice = er.choice;
-        e.faulted = er.faulted != 0;
-        e.overflow = er.overflow != 0;
-        e.fault = er.fault;
-        if (!e.faulted && !e.overflow) e.child = lookup(er.child);
-        nd->edges.push_back(std::move(e));
-      }
+    for (const sched::NodeRecord& rec : parts[w].nodes) {
+      by_local[w].at(rec.id.v)->link(rec, lookup);
     }
   }
   if (root.valid()) g.root = lookup(root);
   return g;
 }
 
-/// Serial DFS over the merged graph — a mirror of the in-process
-/// parallel engine's replay() (explore_parallel.cc), with Gid-keyed
-/// finals dedup and finals re-interned into a fresh result store.
-/// Keeping the enter() checks in the same order is what makes the
-/// distributed verdict byte-identical to the serial engine's.
+/// The verdict DFS over the merged graph, with the finals re-interned
+/// into a fresh result store in first-visit order, so result.final_ids
+/// materialize to exactly the machines (and order) the serial engine
+/// reports.
 sched::ExploreResult replay(MergedGraph& g, const sched::ExploreOptions& opts,
-                            Limit stop_reason) {
-  sched::ExploreResult result;
-  result.min_steps_to_termination = ~0ull;
-
-  std::unordered_set<std::uint64_t> finals_seen;
-  std::vector<Gid> finals_order;
-  struct Frame {
-    RNode* node;
-    std::size_t next = 0;
-  };
-  std::vector<Frame> stack;
-  std::vector<sem::Choice> path;
-  std::uint64_t entered = 0;
-  bool limits_hit = false;
-
-  auto hit_limit = [&](Limit l) {
-    limits_hit = true;
-    if (result.limit_hit == Limit::None) result.limit_hit = l;
-  };
-
-  auto add_violation = [&](sched::Violation::Kind kind, std::string msg) {
-    result.violations.push_back({kind, std::move(msg), path});
-  };
-
-  auto enter = [&](RNode* nd) -> bool {
-    if (nd == nullptr) {  // overflow edge: a partition was at the cap
-      hit_limit(Limit::MaxStates);
-      return false;
-    }
-    if (nd->color == RNode::Color::OnStack) {
-      add_violation(sched::Violation::Kind::Cycle,
-                    "schedule revisits an earlier state: a scheduler can "
-                    "loop forever");
-      return false;
-    }
-    if (nd->color == RNode::Color::Done) return false;
-    if (entered >= opts.max_states) {
-      hit_limit(Limit::MaxStates);
-      return false;
-    }
-    ++entered;
-    ++result.states_visited;
-
-    if (nd->terminal) {
-      nd->color = RNode::Color::Done;
-      result.min_steps_to_termination =
-          std::min<std::uint64_t>(result.min_steps_to_termination,
-                                  path.size());
-      result.max_steps_to_termination =
-          std::max<std::uint64_t>(result.max_steps_to_termination,
-                                  path.size());
-      const Gid gid = Gid::make(nd->worker, nd->id.v);
-      if (finals_seen.insert(gid.v).second) finals_order.push_back(gid);
-      return false;
-    }
-    if (nd->stuck) {
-      nd->color = RNode::Color::Done;
-      add_violation(sched::Violation::Kind::Stuck, nd->stuck_reason);
-      return false;
-    }
-    if (!nd->processed) {
-      nd->color = RNode::Color::Done;
-      if (stop_reason != Limit::None) {
-        // Budget-stopped run: this node sits on the unexpanded
-        // frontier, not past the depth bound.
-        hit_limit(stop_reason);
-        return false;
-      }
-      hit_limit(Limit::MaxDepth);
-      if (path.size() >= opts.max_depth) {
-        add_violation(sched::Violation::Kind::DepthExceeded,
-                      "path exceeded the exploration depth bound");
-      }
-      return false;
-    }
-    if (path.size() >= opts.max_depth) {
-      nd->color = RNode::Color::Done;
-      hit_limit(Limit::MaxDepth);
-      add_violation(sched::Violation::Kind::DepthExceeded,
-                    "path exceeded the exploration depth bound");
-      return false;
-    }
-    nd->color = RNode::Color::OnStack;
-    stack.push_back(Frame{nd, 0});
-    return true;
-  };
-
-  enter(g.root);
-
-  auto should_stop = [&] {
-    return opts.stop_at_first_violation && !result.violations.empty();
-  };
-
-  while (!stack.empty() && !should_stop()) {
-    Frame& top = stack.back();
-    if (top.next >= top.node->edges.size()) {
-      top.node->color = RNode::Color::Done;
-      stack.pop_back();
-      if (!path.empty()) path.pop_back();
-      continue;
-    }
-    const RNode::REdge& e = top.node->edges[top.next++];
-    ++result.transitions;
-    path.push_back(e.choice);
-    if (e.faulted) {
-      add_violation(sched::Violation::Kind::Fault, e.fault);
-      path.pop_back();
-      continue;
-    }
-    if (!enter(e.overflow ? nullptr : e.child)) path.pop_back();
-  }
-
-  if (result.min_steps_to_termination == ~0ull) {
-    result.min_steps_to_termination = 0;
-  }
-  // Re-intern the finals into a fresh store in first-visit order, so
-  // result.final_ids materialize to exactly the machines (and order)
-  // the serial engine reports.
+                            Limit stopped) {
+  std::vector<const sched::GraphNode*> finals;
+  sched::ExploreResult result =
+      sched::internal::replay_graph(g.root, opts, stopped, finals);
   auto result_store = std::make_shared<sched::StateStore>();
-  result.final_ids.reserve(finals_order.size());
-  for (const Gid gid : finals_order) {
-    const sem::Machine m =
-        g.stores[gid.worker()]->materialize(sched::StateId{gid.local()});
-    const auto r = result_store->intern(m);
-    result.final_ids.push_back(r.id);
+  result.final_ids.reserve(finals.size());
+  for (const sched::GraphNode* nd : finals) {
+    result.final_ids.push_back(
+        result_store->intern(g.stores[nd->owner]->materialize(nd->id)).id);
   }
   result.store = std::move(result_store);
-  result.exhaustive = !limits_hit && stack.empty();
   return result;
 }
 
@@ -305,7 +145,8 @@ class Coordinator {
         opts_(opts),
         dopts_(dopts),
         program_fp_(sched::program_fingerprint(prg)),
-        config_fp_(sched::config_fingerprint(kc)) {
+        config_fp_(sched::config_fingerprint(kc)),
+        budget_(opts) {
     if (dopts_.n_workers == 0) {
       throw DistError(DistError::Kind::Protocol,
                       "need at least one worker");
@@ -316,7 +157,6 @@ class Coordinator {
   ~Coordinator() { cleanup_peers(); }
 
   DistResult run() {
-    t_start_ = std::chrono::steady_clock::now();
     for (;;) {
       try {
         return run_once();
@@ -377,22 +217,13 @@ class Coordinator {
           sched::CheckpointError::Kind::Corrupt,
           std::string(e.what()) + " in " + dopts_.resume_manifest);
     }
-    const auto fail = [](const std::string& msg) {
-      throw sched::CheckpointError(sched::CheckpointError::Kind::Mismatch,
-                                   msg);
-    };
-    if (m.program_fp != program_fp_) {
-      fail("program differs from the checkpointed run");
-    }
-    if (m.config_fp != config_fp_) {
-      fail("kernel configuration differs from the checkpointed run");
-    }
-    if (structural_bytes(m.options) != structural_bytes(opts_)) {
-      fail("exploration options differ from the checkpointed run");
-    }
+    sched::verify_resume(m.program_fp, m.config_fp, m.options, prg_, kc_,
+                         opts_);
     if (m.n_workers != dopts_.n_workers) {
-      fail("distributed resume requires the original --dist-workers (" +
-           std::to_string(m.n_workers) + ")");
+      throw sched::CheckpointError(
+          sched::CheckpointError::Kind::Mismatch,
+          "distributed resume requires the original --dist-workers (" +
+              std::to_string(m.n_workers) + ")");
     }
     resume_ = true;
     resume_base_ = dopts_.resume_manifest;
@@ -451,11 +282,8 @@ class Coordinator {
     s.config_fp = config_fp_;
     s.options = opts_;  // codec strips transient fields
     s.checkpoint_base = opts_.checkpoint_path;
-    s.store_spill_dir = opts_.store_spill_dir;
-    s.store_resident_budget_bytes =
-        opts_.store_resident_budget_bytes / dopts_.n_workers;
-    s.store_bloom_bits = opts_.store_bloom_bits;
-    s.store_delta_depth = opts_.store_delta_depth;
+    s.store = sched::store_options(opts_);
+    s.store.resident_budget_bytes /= dopts_.n_workers;
     return s;
   }
 
@@ -597,12 +425,7 @@ class Coordinator {
           throw DistError(DistError::Kind::Corrupt,
                           "routed frame too short");
         }
-        std::uint32_t target = 0;
-        for (int i = 0; i < 4; ++i) {
-          target |= static_cast<std::uint32_t>(
-                        static_cast<unsigned char>(f.payload[i]))
-                    << (8 * i);
-        }
+        const std::uint32_t target = BinReader(f.payload).u32();
         if (target >= peers_.size()) {
           throw DistError(DistError::Kind::Corrupt,
                           "routed frame targets an unknown worker");
@@ -755,25 +578,13 @@ class Coordinator {
   }
 
   [[nodiscard]] Limit budget_tripped() const {
-    if (opts_.stop_flag != nullptr &&
-        opts_.stop_flag->load(std::memory_order_relaxed)) {
-      return Limit::Interrupted;
-    }
-    if (opts_.stop_after_states != 0 &&
-        total_owned() >= opts_.stop_after_states) {
-      return Limit::Interrupted;
-    }
-    if (opts_.deadline_ms != 0 &&
-        std::chrono::steady_clock::now() - t_start_ >=
-            std::chrono::milliseconds(opts_.deadline_ms)) {
-      return Limit::Deadline;
-    }
-    if (opts_.mem_limit_bytes != 0) {
+    // The fleet's working set: ours plus what each worker last reported
+    // (workers already exclude their spilled bytes).
+    return budget_.tripped(total_owned(), /*poll_slow=*/true, [&] {
       std::uint64_t rss = sched::current_rss_bytes();
       for (const Peer& p : peers_) rss += p.last_ack.rss_bytes;
-      if (rss >= opts_.mem_limit_bytes) return Limit::MemLimit;
-    }
-    return Limit::None;
+      return rss;
+    });
   }
 
   // --- checkpointing -------------------------------------------------
@@ -816,7 +627,6 @@ class Coordinator {
     gen_ = gen;
     committed_gen_ = gen;
     stats_.generations = gen;
-    checkpointed_ = true;
   }
 
   // --- piecemeal recovery --------------------------------------------
@@ -827,12 +637,17 @@ class Coordinator {
   /// discarded as stale), the dead partition is re-forked with a
   /// resume setup, and the whole fleet re-enters the same cut a full
   /// relaunch would — at the cost of one fork instead of n.
-  /// Preconditions (checked by the caller): fork mode, a committed
-  /// generation to roll back to, and the death surfaced in the main
-  /// expansion loop or its checkpoint barrier (deaths elsewhere —
-  /// dump, drain — unwind to the full relaunch path, whose simpler
-  /// invariants cover them).
-  void piecemeal_recover(std::uint32_t dead) {
+  /// Called for a death surfaced in the main expansion loop or its
+  /// checkpoint barrier (deaths elsewhere — dump, drain — unwind to the
+  /// full relaunch path, whose simpler invariants cover them).  Without
+  /// fork mode, a committed generation to roll back to, or restarts
+  /// left, `signal` is rethrown to that path too.
+  void piecemeal_recover(const WorkerDiedSignal& signal) {
+    if (!fork_mode() || committed_gen_ == 0 ||
+        stats_.restarts >= dopts_.max_restarts) {
+      throw signal;
+    }
+    const std::uint32_t dead = signal.worker;
     if (dopts_.verbose) {
       std::fprintf(stderr,
                    "dist: worker %u died; piecemeal restart from "
@@ -906,13 +721,13 @@ class Coordinator {
     launch();
 
     if (!resume_) {
-      // Seed the root with its owner.
-      const sem::Machine root_copy(initial_);
-      const std::uint64_t h = root_copy.hash();
+      // Seed the root with its owner, in the store's state record.
+      sched::StateStore seed;
+      const sched::StateId root = seed.intern(initial_).id;
       BinWriter sw;
-      encode_machine_as_state(root_copy, sw);
+      seed.encode_state(root, sw);
       StateMsg sm;
-      sm.target = owner_of(h, dopts_.n_workers);
+      sm.target = owner_of(seed.machine_hash(root), dopts_.n_workers);
       sm.parent = Gid{};
       sm.depth = 0;
       sm.state = sw.take();
@@ -931,15 +746,7 @@ class Coordinator {
       try {
         pump(2);
       } catch (const WorkerDiedSignal& s) {
-        // A death in the main expansion loop with a committed
-        // generation recovers piecemeal; anything else (no generation
-        // yet, TCP mode, restart budget exhausted) unwinds to the
-        // full-relaunch handler in run().
-        if (!fork_mode() || committed_gen_ == 0 ||
-            stats_.restarts >= dopts_.max_restarts) {
-          throw;
-        }
-        piecemeal_recover(s.worker);
+        piecemeal_recover(s);
         continue;
       }
       stop_reason = budget_tripped();
@@ -952,29 +759,20 @@ class Coordinator {
       if (stop_reason != Limit::None) break;
       if (periodic && !ckpt_disabled_ && total_owned() >= next_ckpt_at) {
         try {
-          write_generation();
+          // A failed barrier (a worker's full disk, or the manifest's)
+          // drops checkpointing for the rest of the run; the paused
+          // fleet resumes below and explores on.
+          if (!tally_.attempt([&] { write_generation(); })) {
+            ckpt_disabled_ = true;
+          }
         } catch (const WorkerDiedSignal& s) {
           // A death caught mid-barrier abandons the partial
           // generation (its files are overwritten on the retry, the
           // barrier's stale acks are dropped by the rollback guard in
           // dispatch()); survivors roll back to the last committed
           // generation exactly as for a death in the expansion loop.
-          if (!fork_mode() || committed_gen_ == 0 ||
-              stats_.restarts >= dopts_.max_restarts) {
-            throw;
-          }
-          piecemeal_recover(s.worker);
+          piecemeal_recover(s);
           continue;
-        } catch (const sched::CheckpointError& e) {
-          // A full/failing disk on any worker (or under the manifest)
-          // must not end the run: drop checkpointing, resume the
-          // paused fleet, and explore on.  Only resumability is lost.
-          ++ckpt_write_failures_;
-          ckpt_disabled_ = true;
-          std::fprintf(stderr,
-                       "cacval: warning: distributed checkpoint failed; "
-                       "periodic checkpointing disabled: %s\n",
-                       e.what());
         }
         next_ckpt_at = total_owned() + opts_.checkpoint_every_states;
         broadcast_control(FrameType::kResume);
@@ -986,19 +784,10 @@ class Coordinator {
 
     if (stop_reason != Limit::None && !opts_.checkpoint_path.empty() &&
         !ckpt_disabled_) {
-      try {
-        write_generation();  // graceful stop: persist the frontier
-      } catch (const sched::CheckpointError& e) {
-        // The verdict never depends on persistence: report the loss
-        // and carry on to the dump (workers are already paused and
-        // quiescent at the barrier's cut, which is all kDump needs).
-        ++ckpt_write_failures_;
-        ckpt_disabled_ = true;
-        std::fprintf(stderr,
-                     "cacval: warning: final distributed checkpoint "
-                     "failed; resuming will not be possible: %s\n",
-                     e.what());
-      }
+      // Graceful stop: persist the frontier.  Should that fail, the
+      // workers are still paused and quiescent at the barrier's cut,
+      // which is all kDump needs.
+      if (!tally_.attempt([&] { write_generation(); })) ckpt_disabled_ = true;
     } else if (stop_reason != Limit::None) {
       // Still need a consistent cut before dumping the graph.
       broadcast_control(FrameType::kPause);
@@ -1020,8 +809,7 @@ class Coordinator {
     MergedGraph g = merge_parts(parts_, root_);
     DistResult out;
     out.result = replay(g, opts_, stop_reason);
-    out.result.checkpointed = checkpointed_;
-    out.result.checkpoint_write_failures = ckpt_write_failures_;
+    tally_.report(out.result);
     out.stats = stats_;
     out.stats.send_retries = transport_counters().send_retries;
     out.stats.connect_retries = transport_counters().connect_retries;
@@ -1035,21 +823,9 @@ class Coordinator {
       w.bytes_received = parts_[i].bytes_received;
       out.stats.frontier_msgs += parts_[i].frontier_sent;
       // The run's memory story is the sum of the partition stores.
-      const sched::StateStore::Stats& ss = parts_[i].store_stats;
-      sched::StateStore::Stats& t = out.result.store_stats;
-      t.states += ss.states;
-      t.warp_fragments += ss.warp_fragments;
-      t.bank_fragments += ss.bank_fragments;
-      t.resident_bytes += ss.resident_bytes;
-      t.materialized_bytes += ss.materialized_bytes;
-      t.spilled_bytes += ss.spilled_bytes;
-      t.hot_evictions += ss.hot_evictions;
-      t.spills += ss.spills;
-      t.rematerializations += ss.rematerializations;
-      t.delta_fragments += ss.delta_fragments;
-      t.bloom_negatives += ss.bloom_negatives;
-      t.bloom_false_positives += ss.bloom_false_positives;
-      t.degraded_spill += ss.degraded_spill;
+      for (const auto counter : sched::kStoreCounters) {
+        out.result.store_stats.*counter += parts_[i].store_stats.*counter;
+      }
     }
     return out;
   }
@@ -1077,18 +853,17 @@ class Coordinator {
   std::vector<Peer> peers_;
   std::vector<GraphPartMsg> parts_;
   DistStats stats_;
-  std::chrono::steady_clock::time_point t_start_;
+  const sched::internal::Budget budget_;
 
   Gid root_;
   bool root_acked_ = false;
   bool stopping_ = false;
   bool die_cleared_ = false;
-  bool checkpointed_ = false;
+  sched::internal::CheckpointTally tally_;
   /// A checkpoint barrier failed (worker ENOSPC or manifest write):
   /// checkpointing is off for the rest of the run and stale barrier
   /// acks are discarded.  The exploration itself continues.
   bool ckpt_disabled_ = false;
-  std::uint64_t ckpt_write_failures_ = 0;
   std::uint64_t coord_sent_work_ = 0;
 
   // resume / generations

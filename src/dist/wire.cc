@@ -1,12 +1,8 @@
 #include "dist/wire.h"
 
-#include <unistd.h>
-
-#include <cstdio>
 #include <cstring>
 
 #include "sched/checkpoint_codec.h"
-#include "sem/state.h"
 #include "support/binio.h"
 #include "support/hash.h"
 #include "support/io.h"
@@ -34,42 +30,6 @@ namespace {
 
 constexpr char kMagic[4] = {'C', 'A', 'C', 'F'};
 
-void put_u16(std::string& s, std::uint16_t v) {
-  s.push_back(static_cast<char>(v & 0xff));
-  s.push_back(static_cast<char>((v >> 8) & 0xff));
-}
-void put_u32(std::string& s, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    s.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-void put_u64(std::string& s, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    s.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-std::uint16_t get_u16(const char* p) {
-  return static_cast<std::uint16_t>(
-      static_cast<unsigned char>(p[0]) |
-      (static_cast<unsigned char>(p[1]) << 8));
-}
-std::uint32_t get_u32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(p[i]))
-         << (8 * i);
-  }
-  return v;
-}
-std::uint64_t get_u64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
-         << (8 * i);
-  }
-  return v;
-}
-
 [[noreturn]] void corrupt(const std::string& what) {
   throw DistError(DistError::Kind::Corrupt, what);
 }
@@ -77,81 +37,27 @@ std::uint64_t get_u64(const char* p) {
 void encode_gid(BinWriter& w, Gid g) { w.u64(g.v); }
 Gid decode_gid(BinReader& r) { return Gid{r.u64()}; }
 
-void encode_node(BinWriter& w, const GraphPartMsg::Node& n) {
-  w.u32(n.local);
-  const std::uint8_t flags = static_cast<std::uint8_t>(
-      (n.processed ? 1 : 0) | (n.terminal ? 2 : 0) | (n.stuck ? 4 : 0));
-  w.u8(flags);
-  w.str(n.stuck_reason);
-  w.u64(n.edges.size());
-  for (const GraphPartMsg::Edge& e : n.edges) {
-    sched::codec::encode_choice(w, e.choice);
-    w.u8(static_cast<std::uint8_t>((e.faulted ? 1 : 0) |
-                                   (e.overflow ? 2 : 0)));
-    encode_gid(w, e.child);
-    w.str(e.fault);
-  }
-}
-
-GraphPartMsg::Node decode_node(BinReader& r) {
-  GraphPartMsg::Node n;
-  n.local = r.u32();
-  const std::uint8_t flags = r.u8();
-  if (flags > 7) throw BinError("bad node flags");
-  n.processed = (flags & 1) != 0 ? 1 : 0;
-  n.terminal = (flags & 2) != 0 ? 1 : 0;
-  n.stuck = (flags & 4) != 0 ? 1 : 0;
-  n.stuck_reason = r.str();
-  const std::uint64_t ne = r.count();
-  n.edges.reserve(ne);
-  for (std::uint64_t i = 0; i < ne; ++i) {
-    GraphPartMsg::Edge e;
-    e.choice = sched::codec::decode_choice(r);
-    const std::uint8_t eflags = r.u8();
-    if (eflags > 3) throw BinError("bad edge flags");
-    e.faulted = (eflags & 1) != 0 ? 1 : 0;
-    e.overflow = (eflags & 2) != 0 ? 1 : 0;
-    e.child = decode_gid(r);
-    e.fault = r.str();
-    n.edges.push_back(std::move(e));
-  }
-  return n;
-}
-
-void encode_nodes(BinWriter& w, const std::vector<GraphPartMsg::Node>& ns) {
-  w.u64(ns.size());
-  for (const GraphPartMsg::Node& n : ns) encode_node(w, n);
-}
-
-std::vector<GraphPartMsg::Node> decode_nodes(BinReader& r) {
-  const std::uint64_t n = r.count();
-  std::vector<GraphPartMsg::Node> out;
-  out.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) out.push_back(decode_node(r));
-  return out;
-}
-
 }  // namespace
 
 std::string encode_frame(FrameType type, std::string_view payload) {
   if (payload.size() > kMaxFramePayload) {
     throw DistError(DistError::Kind::Protocol, "frame payload over cap");
   }
-  std::string out;
-  out.reserve(kFrameHeaderSize + payload.size());
-  out.append(kMagic, sizeof(kMagic));
-  out.push_back(static_cast<char>(kProtoVersion));
-  out.push_back(static_cast<char>(type));
-  put_u16(out, 0);  // reserved
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
+  BinWriter w;
+  w.bytes(kMagic, sizeof(kMagic));
+  w.u8(kProtoVersion);
+  w.u8(static_cast<std::uint8_t>(type));
+  w.u8(0);  // reserved u16
+  w.u8(0);
+  w.u32(static_cast<std::uint32_t>(payload.size()));
   // The checksum covers the header prefix (magic through length) as
   // well as the payload, so a flipped frame-type or length byte cannot
   // masquerade as a valid frame of another shape.
-  const std::uint64_t sum =
-      fnv1a(payload.data(), payload.size(), fnv1a(out.data(), out.size()));
-  put_u64(out, sum);
-  out.append(payload.data(), payload.size());
-  return out;
+  const std::string& prefix = w.buffer();
+  w.u64(fnv1a(payload.data(), payload.size(),
+              fnv1a(prefix.data(), prefix.size())));
+  w.bytes(payload.data(), payload.size());
+  return w.take();
 }
 
 void FrameReader::feed(const char* data, std::size_t n) {
@@ -169,25 +75,26 @@ std::optional<Frame> FrameReader::next() {
   if (std::memcmp(h, kMagic, sizeof(kMagic)) != 0) {
     corrupt("bad frame magic");
   }
-  const auto version = static_cast<std::uint8_t>(h[4]);
+  BinReader r(std::string_view(h, kFrameHeaderSize).substr(sizeof(kMagic)));
+  const std::uint8_t version = r.u8();
   if (version != kProtoVersion) {
     corrupt("frame protocol version " + std::to_string(version) +
             ", this build speaks " + std::to_string(kProtoVersion));
   }
-  const auto type = static_cast<std::uint8_t>(h[5]);
+  const std::uint8_t type = r.u8();
   if (type < static_cast<std::uint8_t>(FrameType::kSetup) ||
       type > static_cast<std::uint8_t>(FrameType::kServeEvent)) {
     corrupt("unknown frame type " + std::to_string(type));
   }
-  if (get_u16(h + 6) != 0) corrupt("nonzero reserved frame field");
-  const std::uint64_t len = get_u32(h + 8);
+  if (r.u8() != 0 || r.u8() != 0) corrupt("nonzero reserved frame field");
+  const std::uint64_t len = r.u32();
   if (len > kMaxFramePayload) corrupt("frame payload length over cap");
   if (buf_.size() - pos_ - kFrameHeaderSize < len) return std::nullopt;
   const std::string_view payload(buf_.data() + pos_ + kFrameHeaderSize,
                                  len);
-  const std::uint64_t want =
-      fnv1a(payload.data(), payload.size(), fnv1a(h, 12));
-  if (want != get_u64(h + 12)) corrupt("frame checksum mismatch");
+  if (fnv1a(payload.data(), payload.size(), fnv1a(h, 12)) != r.u64()) {
+    corrupt("frame checksum mismatch");
+  }
   Frame f;
   f.type = static_cast<FrameType>(type);
   f.payload.assign(payload);
@@ -210,10 +117,10 @@ void SetupMsg::encode(BinWriter& w) const {
   w.u32(die_worker);
   w.u64(die_after_states);
   w.u64(die_after_generation);
-  w.str(store_spill_dir);
-  w.u64(store_resident_budget_bytes);
-  w.u64(store_bloom_bits);
-  w.u32(store_delta_depth);
+  w.str(store.spill_dir);
+  w.u64(store.resident_budget_bytes);
+  w.u64(store.bloom_bits_per_shard);
+  w.u32(store.delta_max_depth);
 }
 
 SetupMsg SetupMsg::decode(BinReader& r) {
@@ -234,10 +141,10 @@ SetupMsg SetupMsg::decode(BinReader& r) {
   m.die_worker = r.u32();
   m.die_after_states = r.u64();
   m.die_after_generation = r.u64();
-  m.store_spill_dir = r.str();
-  m.store_resident_budget_bytes = r.u64();
-  m.store_bloom_bits = r.u64();
-  m.store_delta_depth = r.u32();
+  m.store.spill_dir = r.str();
+  m.store.resident_budget_bytes = r.u64();
+  m.store.bloom_bits_per_shard = r.u64();
+  m.store.delta_max_depth = r.u32();
   return m;
 }
 
@@ -378,25 +285,13 @@ void GraphPartMsg::encode(BinWriter& w) const {
   w.u8(has_root);
   w.u32(root_local);
   w.str(store);
-  encode_nodes(w, nodes);
+  sched::codec::encode_nodes(w, nodes);
   w.u64(owned);
   w.u64(frontier_sent);
   w.u64(resolves_sent);
   w.u64(bytes_sent);
   w.u64(bytes_received);
-  w.u64(store_stats.states);
-  w.u64(store_stats.warp_fragments);
-  w.u64(store_stats.bank_fragments);
-  w.u64(store_stats.resident_bytes);
-  w.u64(store_stats.materialized_bytes);
-  w.u64(store_stats.spilled_bytes);
-  w.u64(store_stats.hot_evictions);
-  w.u64(store_stats.spills);
-  w.u64(store_stats.rematerializations);
-  w.u64(store_stats.delta_fragments);
-  w.u64(store_stats.bloom_negatives);
-  w.u64(store_stats.bloom_false_positives);
-  w.u64(store_stats.degraded_spill);
+  for (const auto c : sched::kStoreCounters) w.u64(store_stats.*c);
 }
 
 GraphPartMsg GraphPartMsg::decode(BinReader& r) {
@@ -406,25 +301,13 @@ GraphPartMsg GraphPartMsg::decode(BinReader& r) {
   if (m.has_root > 1) throw BinError("bad root flag in graph part");
   m.root_local = r.u32();
   m.store = r.str();
-  m.nodes = decode_nodes(r);
+  m.nodes = sched::codec::decode_nodes(r);
   m.owned = r.u64();
   m.frontier_sent = r.u64();
   m.resolves_sent = r.u64();
   m.bytes_sent = r.u64();
   m.bytes_received = r.u64();
-  m.store_stats.states = r.u64();
-  m.store_stats.warp_fragments = r.u64();
-  m.store_stats.bank_fragments = r.u64();
-  m.store_stats.resident_bytes = r.u64();
-  m.store_stats.materialized_bytes = r.u64();
-  m.store_stats.spilled_bytes = r.u64();
-  m.store_stats.hot_evictions = r.u64();
-  m.store_stats.spills = r.u64();
-  m.store_stats.rematerializations = r.u64();
-  m.store_stats.delta_fragments = r.u64();
-  m.store_stats.bloom_negatives = r.u64();
-  m.store_stats.bloom_false_positives = r.u64();
-  m.store_stats.degraded_spill = r.u64();
+  for (const auto c : sched::kStoreCounters) m.store_stats.*c = r.u64();
   return m;
 }
 
@@ -438,7 +321,7 @@ void WorkerCheckpointMsg::encode(BinWriter& w) const {
   w.u8(has_root);
   w.u32(root_local);
   w.str(store);
-  encode_nodes(w, nodes);
+  sched::codec::encode_nodes(w, nodes);
   w.u64(frontier.size());
   for (const auto& [local, depth] : frontier) {
     w.u32(local);
@@ -461,7 +344,7 @@ WorkerCheckpointMsg WorkerCheckpointMsg::decode(BinReader& r) {
   if (m.has_root > 1) throw BinError("bad root flag in checkpoint");
   m.root_local = r.u32();
   m.store = r.str();
-  m.nodes = decode_nodes(r);
+  m.nodes = sched::codec::decode_nodes(r);
   const std::uint64_t nf = r.count(12);  // u32 local + u64 depth
   m.frontier.reserve(nf);
   for (std::uint64_t i = 0; i < nf; ++i) {
@@ -495,24 +378,6 @@ ManifestMsg ManifestMsg::decode(BinReader& r) {
 
 // --- helpers ---------------------------------------------------------
 
-void encode_machine_as_state(const sem::Machine& m, BinWriter& w) {
-  // Must stay byte-identical to StateStore::encode_state for the same
-  // machine: the receiver decodes both through decode_state.
-  w.u64(m.hash());
-  w.u64(m.grid.blocks.size());
-  for (const sem::Block& b : m.grid.blocks) {
-    w.u64(b.warps.size());
-    for (const sem::Warp& warp : b.warps) warp.encode(w);
-  }
-  const auto& shared = m.memory.shared_bank_refs();
-  w.u64(shared.size());
-  for (const mem::Memory::BankRef& b : shared) b->encode(w);
-  m.memory.bank_ref(mem::Space::Global)->encode(w);
-  m.memory.bank_ref(mem::Space::Const)->encode(w);
-  m.memory.bank_ref(mem::Space::Param)->encode(w);
-  w.u64(m.memory.shared_size());
-}
-
 void write_frame_file(const std::string& path, FrameType type,
                       std::string_view payload) {
   try {
@@ -523,23 +388,7 @@ void write_frame_file(const std::string& path, FrameType type,
 }
 
 Frame load_frame_file(const std::string& path, FrameType want) {
-  std::string bytes;
-  {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) {
-      throw sched::CheckpointError(sched::CheckpointError::Kind::Io,
-                                   "cannot open " + path);
-    }
-    char buf[1 << 16];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) bytes.append(buf, n);
-    const bool err = std::ferror(f) != 0;
-    std::fclose(f);
-    if (err) {
-      throw sched::CheckpointError(sched::CheckpointError::Kind::Io,
-                                   "read error on " + path);
-    }
-  }
+  const std::string bytes = sched::read_checkpoint_file(path);
   try {
     FrameReader fr;
     fr.feed(bytes.data(), bytes.size());

@@ -30,6 +30,7 @@
 
 #include "sched/checkpoint.h"
 #include "sched/explore.h"
+#include "sched/graph.h"
 
 namespace cac::dist {
 
@@ -55,26 +56,10 @@ class DistError : public std::runtime_error {
 
 std::string to_string(DistError::Kind k);
 
-/// Global state id: (owning worker, that worker's StateId.v).  The
-/// distributed analogue of StateId — edges in the distributed state
+/// Global state id (sched/graph.h): edges in the distributed state
 /// graph name children by Gid, so a graph part is meaningful outside
 /// the process that built it.
-struct Gid {
-  static constexpr std::uint64_t kInvalid = ~0ull;
-  std::uint64_t v = kInvalid;
-
-  static Gid make(std::uint32_t worker, std::uint32_t local) {
-    return Gid{(static_cast<std::uint64_t>(worker) << 32) | local};
-  }
-  [[nodiscard]] std::uint32_t worker() const {
-    return static_cast<std::uint32_t>(v >> 32);
-  }
-  [[nodiscard]] std::uint32_t local() const {
-    return static_cast<std::uint32_t>(v);
-  }
-  [[nodiscard]] bool valid() const { return v != kInvalid; }
-  friend bool operator==(const Gid&, const Gid&) = default;
-};
+using sched::Gid;
 
 /// Which worker owns a state, by its memoized machine hash.  Same
 /// splitmix-finalized top bits as the in-process 64-way VisitedShards
@@ -196,14 +181,11 @@ struct SetupMsg {
   /// written by this worker and the coordinator resumed it (0 = no
   /// gate); see DistOptions::die_after_generation.
   std::uint64_t die_after_generation = 0;
-  /// Transient store-tier knobs (sched::ExploreOptions::store_*).  Set
-  /// explicitly because codec::encode_options persists structural
-  /// fields only; the coordinator divides the run's resident budget by
-  /// n_workers so the fleet's total matches the configured bound.
-  std::string store_spill_dir;
-  std::uint64_t store_resident_budget_bytes = 0;
-  std::uint64_t store_bloom_bits = 0;
-  std::uint32_t store_delta_depth = 8;
+  /// Transient store-tier knobs (sched::store_options), sent apart
+  /// because codec::encode_options persists structural fields only.
+  /// The coordinator divides the run's resident budget by n_workers so
+  /// the fleet's total matches the configured bound.
+  sched::StoreOptions store;
 
   void encode(support::BinWriter& w) const;
   static SetupMsg decode(support::BinReader& r);
@@ -311,32 +293,16 @@ struct CheckpointAckMsg {
   static CheckpointAckMsg decode(support::BinReader& r);
 };
 
-/// One worker's slice of the distributed state graph: node flags and
-/// Gid-valued edges (in eligible-choice order, exactly as the serial
-/// engine would enumerate them), the encoded partition StateStore the
-/// coordinator materializes finals from, and the worker's stats.
+/// One worker's slice of the distributed state graph: its node records
+/// (edges in eligible-choice order, exactly as the serial engine would
+/// enumerate them), the encoded partition StateStore the coordinator
+/// materializes finals from, and the worker's stats.
 struct GraphPartMsg {
-  struct Edge {
-    sem::Choice choice;
-    std::uint8_t faulted = 0;
-    std::uint8_t overflow = 0;
-    Gid child;  // invalid iff faulted or overflow
-    std::string fault;
-  };
-  struct Node {
-    std::uint32_t local = 0;  // StateId.v in the owner's store
-    std::uint8_t processed = 0;
-    std::uint8_t terminal = 0;
-    std::uint8_t stuck = 0;
-    std::string stuck_reason;
-    std::vector<Edge> edges;
-  };
-
   std::uint32_t worker = 0;
   std::uint8_t has_root = 0;
   std::uint32_t root_local = 0;
   std::string store;  // StateStore::encode bytes
-  std::vector<Node> nodes;
+  std::vector<sched::NodeRecord> nodes;
   // stats
   std::uint64_t owned = 0;
   std::uint64_t frontier_sent = 0;   // kState frames sent
@@ -365,7 +331,7 @@ struct WorkerCheckpointMsg {
   std::uint8_t has_root = 0;
   std::uint32_t root_local = 0;
   std::string store;  // StateStore::encode bytes
-  std::vector<GraphPartMsg::Node> nodes;
+  std::vector<sched::NodeRecord> nodes;
   /// Discovered-but-unexpanded (StateId.v, depth) pairs.
   std::vector<std::pair<std::uint32_t, std::uint64_t>> frontier;
 
@@ -391,10 +357,6 @@ struct ManifestMsg {
 };
 
 // --- helpers ---------------------------------------------------------
-
-/// Encode a raw machine in the StateStore::encode_state record layout
-/// (the coordinator seeds the root without owning a store).
-void encode_machine_as_state(const sem::Machine& m, support::BinWriter& w);
 
 /// Atomic write of a single on-disk frame (tmp + fsync + rename) and
 /// its fully-validating load.  Errors surface as sched::CheckpointError

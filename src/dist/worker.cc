@@ -21,6 +21,8 @@ namespace cac::dist {
 
 namespace {
 
+using sched::EdgeRecord;
+using sched::NodeRecord;
 using support::BinError;
 using support::BinReader;
 using support::BinWriter;
@@ -55,27 +57,12 @@ class Worker {
   }
 
  private:
-  /// One outgoing transition.  `pending` marks a remote child whose
-  /// kResolve has not arrived yet; quiescence guarantees none remain
-  /// by the time a checkpoint or graph part is serialized.
-  struct Edge {
-    sem::Choice choice;
-    bool faulted = false;
-    bool overflow = false;
-    bool pending = false;
-    std::string fault;
-    Gid child;
-  };
-  struct Node {
-    sched::StateId id;
-    bool processed = false;
-    bool terminal = false;
-    bool stuck = false;
-    std::string stuck_reason;
-    std::vector<Edge> edges;
-  };
+  // The partition's graph is held as the sched::NodeRecords it is
+  // shipped as.  A remote child whose kResolve has not arrived yet is a
+  // pending edge (EdgeRecord::pending); quiescence guarantees none
+  // remain by the time a checkpoint or graph part is serialized.
   struct Task {
-    Node* node = nullptr;
+    NodeRecord* node = nullptr;
     std::uint64_t depth = 0;
   };
   /// Dedup record for one distinct remote state: resolved owner
@@ -84,7 +71,7 @@ class Worker {
     bool resolved = false;
     bool overflow = false;
     Gid child;
-    std::vector<std::pair<Node*, std::uint32_t>> waiters;
+    std::vector<std::pair<NodeRecord*, std::uint32_t>> waiters;
   };
 
   template <typename Msg>
@@ -149,15 +136,6 @@ class Worker {
     }
   }
 
-  [[nodiscard]] sched::StoreOptions store_options() const {
-    sched::StoreOptions so;
-    so.spill_dir = setup_.store_spill_dir;
-    so.resident_budget_bytes = setup_.store_resident_budget_bytes;
-    so.bloom_bits_per_shard = setup_.store_bloom_bits;
-    so.delta_max_depth = setup_.store_delta_depth;
-    return so;
-  }
-
   void on_setup(SetupMsg m) {
     if (m.program_fp != sched::program_fingerprint(prg_) ||
         m.config_fp != sched::config_fingerprint(kc_)) {
@@ -167,8 +145,8 @@ class Worker {
     have_setup_ = true;
     // The mirror shares the tier knobs: a reduce-like kernel's foreign
     // children dominate a worker's footprint just like its owned ones.
-    store_ = std::make_unique<sched::StateStore>(store_options());
-    mirror_ = std::make_unique<sched::StateStore>(store_options());
+    store_ = std::make_unique<sched::StateStore>(setup_.store);
+    mirror_ = std::make_unique<sched::StateStore>(setup_.store);
     if (setup_.resume != 0) restore();
   }
 
@@ -181,8 +159,8 @@ class Worker {
     ack.worker = setup_.worker_index;
     ack.epoch = m.epoch;
     try {
-      store_ = std::make_unique<sched::StateStore>(store_options());
-      mirror_ = std::make_unique<sched::StateStore>(store_options());
+      store_ = std::make_unique<sched::StateStore>(setup_.store);
+      mirror_ = std::make_unique<sched::StateStore>(setup_.store);
       nodes_.clear();
       node_of_.clear();
       tasks_.clear();
@@ -206,9 +184,9 @@ class Worker {
     send_msg(FrameType::kRollbackAck, ack);
   }
 
-  Node* add_node(sched::StateId id) {
-    nodes_.push_back(Node{});
-    Node* n = &nodes_.back();
+  NodeRecord* add_node(sched::StateId id) {
+    nodes_.push_back(NodeRecord{});
+    NodeRecord* n = &nodes_.back();
     n->id = id;
     node_of_.emplace(id.v, n);
     return n;
@@ -242,7 +220,7 @@ class Worker {
     ++processed_;
     const bool overflow = !wi.result.id.valid();
     if (!overflow && wi.result.inserted) {
-      Node* n = add_node(wi.result.id);
+      NodeRecord* n = add_node(wi.result.id);
       tasks_.push_back(Task{n, m.depth});
       die_check();
     }
@@ -270,10 +248,9 @@ class Worker {
     ++resolves_sent_;
   }
 
-  static void patch(Edge& e, const MirrorEntry& entry) {
-    e.pending = false;
+  static void patch(EdgeRecord& e, const MirrorEntry& entry) {
     if (entry.overflow) {
-      e.overflow = true;
+      e.kind = sched::EdgeKind::Overflow;
     } else {
       e.child = entry.child;
     }
@@ -304,145 +281,78 @@ class Worker {
     ack.idle = tasks_.empty() ? 1 : 0;
     ack.paused = paused_ ? 1 : 0;
     ack.owned = store_->size();
-    // Report working-set memory: spilled segments are reclaimable page
+    // Report the working set: spilled segments are reclaimable page
     // cache, so the coordinator's fleet-RSS budget must not see them.
-    std::uint64_t rss = sched::current_rss_bytes();
-    const std::uint64_t spilled = store_->stats().spilled_bytes +
-                                  mirror_->stats().spilled_bytes;
-    rss = rss > spilled ? rss - spilled : 0;
-    ack.rss_bytes = rss;
+    ack.rss_bytes = sched::internal::working_set_bytes(
+        store_->stats().spilled_bytes + mirror_->stats().spilled_bytes);
     send_msg(FrameType::kProbeAck, ack);
   }
 
-  /// Mirror of the in-process engine's expand()
-  /// (explore_parallel.cc): same classification, same eligible-choice
-  /// edge order, so the merged graph is the one the serial DFS would
-  /// build — with the single difference that a child hashing to a
-  /// foreign partition is interned remotely via kState/kResolve.
+  /// Expand one owned state as every graph-building engine does
+  /// (sched::internal::expand), so the merged graph is the one the
+  /// serial DFS would build.  A child hashing to a foreign partition is
+  /// interned remotely via kState/kResolve.
   void expand(const Task& t) {
-    Node* node = t.node;
-    const sem::Machine state = store_->materialize(node->id);
-
-    if (sem::terminated(prg_, state.grid)) {
-      node->terminal = true;
-      node->processed = true;
-      return;
-    }
-    auto eligible = sem::eligible_choices(prg_, state.grid);
-    if (setup_.options.partial_order_reduction) {
-      sched::internal::reduce_choices(
-          prg_, state.grid, setup_.options.por_independent_pcs, eligible);
-    }
-    if (eligible.empty()) {
-      node->stuck = true;
-      node->stuck_reason = sem::stuck_reason(prg_, state.grid);
-      node->processed = true;
-      return;
-    }
-    if (t.depth >= setup_.options.max_depth) {
-      // Depth-gated: the coordinator's replay reports DepthExceeded
-      // when it reaches this unprocessed node, as the serial engine
-      // would.
-      return;
-    }
-
-    node->edges.reserve(eligible.size());
-    for (const sem::Choice& c : eligible) {
-      Edge e;
-      e.choice = c;
-      sem::Machine child(state);
-      const sem::StepResult sr = sem::apply_choice(
-          prg_, kc_, child, c, setup_.options.step_opts, nullptr);
-      if (!sr.ok()) {
-        e.faulted = true;
-        e.fault = sr.fault;
-        node->edges.push_back(std::move(e));
-        continue;
-      }
-      const std::uint64_t h = child.hash();  // memoized pre-intern
-      const std::uint32_t owner = owner_of(h, setup_.n_workers);
-      if (owner == setup_.worker_index) {
-        // The expanding node seeds delta encoding, as in the
-        // in-process engines.
-        const auto r =
-            store_->intern(child, setup_.options.max_states, node->id);
-        if (!r.id.valid()) {
-          e.overflow = true;
-          node->edges.push_back(std::move(e));
-          continue;
-        }
-        e.child = Gid::make(setup_.worker_index, r.id.v);
-        node->edges.push_back(std::move(e));
-        if (r.inserted) {
-          Node* cn = add_node(r.id);
-          tasks_.push_back(Task{cn, t.depth + 1});
-          die_check();
-        }
-        continue;
-      }
-      // Foreign child: dedup through the mirror store so each distinct
-      // remote state is shipped (and resolved) exactly once.
-      const auto mr = mirror_->intern(child);
-      const auto edge_index =
-          static_cast<std::uint32_t>(node->edges.size());
-      if (mr.inserted) {
-        e.pending = true;
-        node->edges.push_back(std::move(e));
-        mirror_entries_[mr.id.v].waiters.emplace_back(node, edge_index);
-        BinWriter sw;
-        mirror_->encode_state(mr.id, sw);
-        StateMsg sm;
-        sm.target = owner;
-        sm.parent = Gid::make(setup_.worker_index, node->id.v);
-        sm.edge_index = edge_index;
-        sm.mirror_id = mr.id.v;
-        sm.depth = t.depth + 1;
-        sm.state = sw.take();
-        send_msg(FrameType::kState, sm);
-        ++sent_;
-        ++frontier_sent_;
-      } else {
-        MirrorEntry& entry = mirror_entries_[mr.id.v];
-        if (entry.resolved) {
-          patch(e, entry);
-          node->edges.push_back(std::move(e));
-        } else {
-          e.pending = true;
-          node->edges.push_back(std::move(e));
-          entry.waiters.emplace_back(node, edge_index);
-        }
-      }
-    }
-    node->processed = true;
+    NodeRecord* node = t.node;
+    sched::internal::expand(
+        prg_, kc_, setup_.options, store_->materialize(node->id), t.depth,
+        *node, [&](EdgeRecord& e, const sem::Machine& child) {
+          const std::uint64_t h = child.hash();  // memoized pre-intern
+          const std::uint32_t owner = owner_of(h, setup_.n_workers);
+          if (owner == setup_.worker_index) {
+            // The expanding node seeds delta encoding, as in the
+            // in-process engines.
+            const auto r =
+                store_->intern(child, setup_.options.max_states, node->id);
+            if (!r.id.valid()) {
+              e.kind = sched::EdgeKind::Overflow;
+              return;
+            }
+            e.child = Gid::make(setup_.worker_index, r.id.v);
+            if (r.inserted) {
+              tasks_.push_back(Task{add_node(r.id), t.depth + 1});
+              die_check();
+            }
+            return;
+          }
+          // Foreign child: dedup through the mirror store so each
+          // distinct remote state is shipped (and resolved) exactly once.
+          const auto mr = mirror_->intern(child);
+          const auto edge_index =
+              static_cast<std::uint32_t>(node->edges.size() - 1);
+          MirrorEntry& entry = mirror_entries_[mr.id.v];
+          if (entry.resolved) {
+            patch(e, entry);
+          } else {
+            entry.waiters.emplace_back(node, edge_index);
+          }
+          if (mr.inserted) {
+            BinWriter sw;
+            mirror_->encode_state(mr.id, sw);
+            StateMsg sm;
+            sm.target = owner;
+            sm.parent = Gid::make(setup_.worker_index, node->id.v);
+            sm.edge_index = edge_index;
+            sm.mirror_id = mr.id.v;
+            sm.depth = t.depth + 1;
+            sm.state = sw.take();
+            send_msg(FrameType::kState, sm);
+            ++sent_;
+            ++frontier_sent_;
+          }
+        });
   }
 
-  std::vector<GraphPartMsg::Node> snapshot_nodes() const {
-    std::vector<GraphPartMsg::Node> out;
-    out.reserve(nodes_.size());
-    for (const Node& n : nodes_) {
-      GraphPartMsg::Node rec;
-      rec.local = n.id.v;
-      rec.processed = n.processed ? 1 : 0;
-      rec.terminal = n.terminal ? 1 : 0;
-      rec.stuck = n.stuck ? 1 : 0;
-      rec.stuck_reason = n.stuck_reason;
-      rec.edges.reserve(n.edges.size());
-      for (const Edge& e : n.edges) {
-        if (e.pending) {
+  std::vector<NodeRecord> snapshot_nodes() const {
+    for (const NodeRecord& n : nodes_) {
+      for (const EdgeRecord& e : n.edges) {
+        if (e.pending()) {
           protocol("serializing a graph with unresolved edges (the "
                    "coordinator skipped quiescence)");
         }
-        GraphPartMsg::Edge er;
-        er.choice = e.choice;
-        er.faulted = e.faulted ? 1 : 0;
-        er.overflow = e.overflow ? 1 : 0;
-        er.child = e.child;
-        er.fault = e.fault;
-        rec.edges.push_back(std::move(er));
       }
-      out.push_back(std::move(rec));
     }
-    return out;
+    return {nodes_.begin(), nodes_.end()};
   }
 
   void on_write_checkpoint(const WriteCheckpointMsg& m) {
@@ -537,22 +447,9 @@ class Worker {
       throw sched::CheckpointError(sched::CheckpointError::Kind::Corrupt,
                                    std::string(e.what()) + " in " + path);
     }
-    for (const GraphPartMsg::Node& rec : ck.nodes) {
-      Node* n = add_node(sched::StateId{rec.local});
-      n->processed = rec.processed != 0;
-      n->terminal = rec.terminal != 0;
-      n->stuck = rec.stuck != 0;
-      n->stuck_reason = rec.stuck_reason;
-      n->edges.reserve(rec.edges.size());
-      for (const GraphPartMsg::Edge& er : rec.edges) {
-        Edge e;
-        e.choice = er.choice;
-        e.faulted = er.faulted != 0;
-        e.overflow = er.overflow != 0;
-        e.child = er.child;
-        e.fault = er.fault;
-        n->edges.push_back(std::move(e));
-      }
+    for (NodeRecord& rec : ck.nodes) {
+      nodes_.push_back(std::move(rec));
+      node_of_.emplace(nodes_.back().id.v, &nodes_.back());
     }
     has_root_ = ck.has_root != 0;
     root_local_ = ck.root_local;
@@ -583,8 +480,8 @@ class Worker {
   // (StateStore is not movable — it owns mutexes and a spill file).
   std::unique_ptr<sched::StateStore> store_;   // owned partition
   std::unique_ptr<sched::StateStore> mirror_;  // foreign-child dedup cache
-  std::deque<Node> nodes_;    // stable addresses, insertion order
-  std::unordered_map<std::uint32_t, Node*> node_of_;  // StateId.v -> node
+  std::deque<NodeRecord> nodes_;  // stable addresses, insertion order
+  std::unordered_map<std::uint32_t, NodeRecord*> node_of_;  // by StateId.v
   std::deque<Task> tasks_;
   std::unordered_map<std::uint32_t, MirrorEntry> mirror_entries_;
   bool has_root_ = false;

@@ -284,7 +284,7 @@ CexSearch search_counterexample(
           ex.final_ids.size() != 1) {
         return std::nullopt;
       }
-      return ex.finals().front();
+      return ex.store->materialize(ex.final_ids.front());
     };
     const auto fa = run(a);
     const auto fb = run(b);

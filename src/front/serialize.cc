@@ -305,7 +305,13 @@ sched::ExploreOptions parse_explore(const JsonValue* v) {
   e.stop_at_first_violation =
       v->bool_or("stop_at_first_violation", e.stop_at_first_violation);
   e.partial_order_reduction = v->bool_or("por", e.partial_order_reduction);
-  e.num_threads = static_cast<std::uint32_t>(v->u64_or("threads", 0));
+  const std::uint64_t threads = v->u64_or("threads", 0);
+  if (threads > sched::kMaxThreads) {
+    throw JsonError("json: options.threads must be at most " +
+                    std::to_string(sched::kMaxThreads) + ", got " +
+                    std::to_string(threads));
+  }
+  e.num_threads = static_cast<std::uint32_t>(threads);
   e.deadline_ms = v->u64_or("deadline_ms", 0);
   e.mem_limit_bytes = v->u64_or("mem_limit_bytes", 0);
   return e;

@@ -586,9 +586,9 @@ void Server::execute(const JobPtr& job) {
           std::lock_guard<std::mutex> lock(mu_);
           ++stats_.jobs_resumed;
         } catch (const std::exception&) {
-          // Torn or incompatible checkpoint: run from scratch.  The
-          // format-v3 guarantee makes either path produce the same
-          // verdict bytes.
+          // Torn or incompatible checkpoint: run from scratch.  A
+          // resumed run reaches the verdict bytes of an uninterrupted
+          // one, so either path produces the same reply.
           resume.reset();
         }
       }

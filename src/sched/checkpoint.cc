@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -13,13 +14,11 @@
 
 namespace cac::sched {
 
-// The choice/options codec lives in sched::codec (checkpoint_codec.h)
-// so the distributed explorer's frames and per-worker checkpoint files
-// stay byte-compatible with this format.
-namespace codec {
-
+using support::BinError;
 using support::BinReader;
 using support::BinWriter;
+
+namespace {
 
 void encode_choice(BinWriter& w, const sem::Choice& c) {
   w.u8(static_cast<std::uint8_t>(c.kind));
@@ -31,7 +30,7 @@ sem::Choice decode_choice(BinReader& r) {
   sem::Choice c;
   const std::uint8_t kind = r.u8();
   if (kind > static_cast<std::uint8_t>(sem::Choice::Kind::LiftBar)) {
-    throw support::BinError("bad choice kind");
+    throw BinError("bad choice kind");
   }
   c.kind = static_cast<sem::Choice::Kind>(kind);
   c.block = r.u32();
@@ -51,6 +50,13 @@ std::vector<sem::Choice> decode_choices(BinReader& r) {
   for (std::uint64_t i = 0; i < n; ++i) cs.push_back(decode_choice(r));
   return cs;
 }
+
+}  // namespace
+
+// The options and graph-node codecs live in sched::codec
+// (checkpoint_codec.h) so the distributed explorer's frames and
+// per-worker checkpoint files stay byte-compatible with this format.
+namespace codec {
 
 void encode_options(BinWriter& w, const ExploreOptions& o) {
   w.u64(o.max_depth);
@@ -90,18 +96,69 @@ ExploreOptions decode_options(BinReader& r) {
   return o;
 }
 
+namespace {
+
+// Node flags: bit 0 expanded or classified, bit 1 terminal, bit 2 stuck.
+constexpr std::uint8_t kNodeFlags[] = {0, 1, 3, 5};  // by NodeKind
+
+}  // namespace
+
+void encode_nodes(BinWriter& w, const std::vector<NodeRecord>& ns) {
+  w.u64(ns.size());
+  for (const NodeRecord& n : ns) {
+    w.u32(n.id.v);
+    w.u8(kNodeFlags[static_cast<std::uint8_t>(n.kind)]);
+    w.str(n.stuck_reason);
+    w.u64(n.edges.size());
+    for (const EdgeRecord& e : n.edges) {
+      encode_choice(w, e.choice);
+      w.u8(static_cast<std::uint8_t>(e.kind == EdgeKind::Fault      ? 1
+                                     : e.kind == EdgeKind::Overflow ? 2
+                                                                    : 0));
+      w.u64(e.child.v);
+      w.str(e.fault);
+    }
+  }
+}
+
+std::vector<NodeRecord> decode_nodes(BinReader& r) {
+  const std::uint64_t nn = r.count();
+  std::vector<NodeRecord> ns;
+  ns.reserve(nn);
+  for (std::uint64_t i = 0; i < nn; ++i) {
+    NodeRecord n;
+    n.id = {r.u32()};
+    const std::uint8_t flags = r.u8();
+    const auto* kind = std::find(std::begin(kNodeFlags),
+                                 std::end(kNodeFlags), flags);
+    if (kind == std::end(kNodeFlags)) throw BinError("bad node flags");
+    n.kind = static_cast<NodeKind>(kind - std::begin(kNodeFlags));
+    n.stuck_reason = r.str();
+    const std::uint64_t ne = r.count();
+    n.edges.reserve(ne);
+    for (std::uint64_t j = 0; j < ne; ++j) {
+      EdgeRecord e;
+      e.choice = decode_choice(r);
+      const std::uint8_t eflags = r.u8();
+      if (eflags > 2) throw BinError("bad edge flags");
+      e.kind = eflags == 1   ? EdgeKind::Fault
+               : eflags == 2 ? EdgeKind::Overflow
+                             : EdgeKind::Child;
+      e.child = Gid{r.u64()};
+      e.fault = r.str();
+      n.edges.push_back(std::move(e));
+    }
+    ns.push_back(std::move(n));
+  }
+  return ns;
+}
+
 }  // namespace codec
 
 namespace {
 
-using codec::decode_choice;
-using codec::decode_choices;
 using codec::decode_options;
-using codec::encode_choice;
-using codec::encode_choices;
 using codec::encode_options;
-using support::BinReader;
-using support::BinWriter;
 
 // "CACCKPT" + format family byte.  A change to the payload layout bumps
 // kFormatVersion, not the magic.
@@ -121,24 +178,20 @@ void encode_payload(BinWriter& w, const Checkpoint& ck) {
   ck.store->encode(w);
 
   if (ck.engine == Checkpoint::Engine::Serial) {
-    w.u64(ck.states_visited);
-    w.u64(ck.transitions);
-    w.u64(ck.min_steps);
-    w.u64(ck.max_steps);
-    w.u8(static_cast<std::uint8_t>(ck.limit_hit));
+    const ExploreResult& r = ck.verdict;
+    w.u64(r.states_visited);
+    w.u64(r.transitions);
+    w.u64(r.min_steps_to_termination);
+    w.u64(r.max_steps_to_termination);
+    w.u8(static_cast<std::uint8_t>(r.limit_hit));
     w.u8(ck.limits_hit ? 1 : 0);
-    w.u64(ck.final_ids.size());
-    for (const StateId id : ck.final_ids) w.u32(id.v);
-    w.u64(ck.violations.size());
-    for (const Violation& v : ck.violations) {
+    w.u64(r.final_ids.size());
+    for (const StateId id : r.final_ids) w.u32(id.v);
+    w.u64(r.violations.size());
+    for (const Violation& v : r.violations) {
       w.u8(static_cast<std::uint8_t>(v.kind));
       w.str(v.message);
       encode_choices(w, v.trace);
-    }
-    w.u64(ck.colors.size());
-    for (const auto& [id, color] : ck.colors) {
-      w.u32(id);
-      w.u8(color);
     }
     w.u64(ck.stack.size());
     for (const Checkpoint::SerialFrame& f : ck.stack) {
@@ -150,22 +203,7 @@ void encode_payload(BinWriter& w, const Checkpoint& ck) {
   }
 
   w.u32(ck.root.v);
-  w.u64(ck.nodes.size());
-  for (const Checkpoint::NodeRec& n : ck.nodes) {
-    w.u32(n.id.v);
-    w.u8(static_cast<std::uint8_t>((n.processed ? 1 : 0) |
-                                   (n.terminal ? 2 : 0) |
-                                   (n.stuck ? 4 : 0)));
-    w.str(n.stuck_reason);
-    w.u64(n.edges.size());
-    for (const Checkpoint::EdgeRec& e : n.edges) {
-      encode_choice(w, e.choice);
-      w.u8(static_cast<std::uint8_t>((e.faulted ? 1 : 0) |
-                                     (e.overflow ? 2 : 0)));
-      w.u32(e.child.v);
-      w.str(e.fault);
-    }
-  }
+  codec::encode_nodes(w, ck.nodes);
   w.u64(ck.frontier.size());
   for (const auto& [id, depth] : ck.frontier) {
     w.u32(id.v);
@@ -188,39 +226,32 @@ Checkpoint decode_payload(BinReader& r) {
   ck.store->decode(r);
 
   if (ck.engine == Checkpoint::Engine::Serial) {
-    ck.states_visited = r.u64();
-    ck.transitions = r.u64();
-    ck.min_steps = r.u64();
-    ck.max_steps = r.u64();
+    ExploreResult& v = ck.verdict;
+    v.states_visited = r.u64();
+    v.transitions = r.u64();
+    v.min_steps_to_termination = r.u64();
+    v.max_steps_to_termination = r.u64();
     const std::uint8_t limit = r.u8();
     if (limit > static_cast<std::uint8_t>(ExploreResult::Limit::Interrupted)) {
       throw support::BinError("bad limit tag");
     }
-    ck.limit_hit = static_cast<ExploreResult::Limit>(limit);
+    v.limit_hit = static_cast<ExploreResult::Limit>(limit);
     ck.limits_hit = r.u8() != 0;
     const std::uint64_t nf = r.count(sizeof(std::uint32_t));
-    ck.final_ids.reserve(nf);
-    for (std::uint64_t i = 0; i < nf; ++i) ck.final_ids.push_back({r.u32()});
+    v.final_ids.reserve(nf);
+    for (std::uint64_t i = 0; i < nf; ++i) v.final_ids.push_back({r.u32()});
     const std::uint64_t nv = r.count();
-    ck.violations.reserve(nv);
+    v.violations.reserve(nv);
     for (std::uint64_t i = 0; i < nv; ++i) {
-      Violation v;
+      Violation vi;
       const std::uint8_t kind = r.u8();
       if (kind > static_cast<std::uint8_t>(Violation::Kind::DepthExceeded)) {
         throw support::BinError("bad violation kind");
       }
-      v.kind = static_cast<Violation::Kind>(kind);
-      v.message = r.str();
-      v.trace = decode_choices(r);
-      ck.violations.push_back(std::move(v));
-    }
-    const std::uint64_t nc = r.count(5);  // u32 id + u8 color
-    ck.colors.reserve(nc);
-    for (std::uint64_t i = 0; i < nc; ++i) {
-      const std::uint32_t id = r.u32();
-      const std::uint8_t color = r.u8();
-      if (color > 1) throw support::BinError("bad color tag");
-      ck.colors.emplace_back(id, color);
+      vi.kind = static_cast<Violation::Kind>(kind);
+      vi.message = r.str();
+      vi.trace = decode_choices(r);
+      v.violations.push_back(std::move(vi));
     }
     const std::uint64_t ns = r.count(12);  // u32 id + u64 next
     ck.stack.reserve(ns);
@@ -235,32 +266,7 @@ Checkpoint decode_payload(BinReader& r) {
   }
 
   ck.root = {r.u32()};
-  const std::uint64_t nn = r.count();
-  ck.nodes.reserve(nn);
-  for (std::uint64_t i = 0; i < nn; ++i) {
-    Checkpoint::NodeRec n;
-    n.id = {r.u32()};
-    const std::uint8_t flags = r.u8();
-    if (flags > 7) throw support::BinError("bad node flags");
-    n.processed = (flags & 1) != 0;
-    n.terminal = (flags & 2) != 0;
-    n.stuck = (flags & 4) != 0;
-    n.stuck_reason = r.str();
-    const std::uint64_t ne = r.count();
-    n.edges.reserve(ne);
-    for (std::uint64_t j = 0; j < ne; ++j) {
-      Checkpoint::EdgeRec e;
-      e.choice = decode_choice(r);
-      const std::uint8_t eflags = r.u8();
-      if (eflags > 3) throw support::BinError("bad edge flags");
-      e.faulted = (eflags & 1) != 0;
-      e.overflow = (eflags & 2) != 0;
-      e.child = {r.u32()};
-      e.fault = r.str();
-      n.edges.push_back(std::move(e));
-    }
-    ck.nodes.push_back(std::move(n));
-  }
+  ck.nodes = codec::decode_nodes(r);
   const std::uint64_t nq = r.count(12);  // u32 id + u64 depth
   ck.frontier.reserve(nq);
   for (std::uint64_t i = 0; i < nq; ++i) {
@@ -271,27 +277,6 @@ Checkpoint decode_payload(BinReader& r) {
   return ck;
 }
 
-void put_u32(std::string& s, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) s.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-void put_u64(std::string& s, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) s.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-std::uint32_t get_u32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return v;
-}
-std::uint64_t get_u64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
 }  // namespace
 
 void Checkpoint::save(const std::string& path) const {
@@ -299,44 +284,43 @@ void Checkpoint::save(const std::string& path) const {
   encode_payload(w, *this);
   const std::string& payload = w.buffer();
 
-  std::string file;
-  file.reserve(kHeaderSize + payload.size());
-  file.append(kMagic, sizeof(kMagic));
-  put_u32(file, kFormatVersion);
-  put_u32(file, 0);  // reserved
-  put_u64(file, payload.size());
-  put_u64(file, fnv1a(payload));
-  file += payload;
+  BinWriter file;
+  file.bytes(kMagic, sizeof(kMagic));
+  file.u32(kFormatVersion);
+  file.u32(0);  // reserved
+  file.u64(payload.size());
+  file.u64(fnv1a(payload));
+  file.bytes(payload.data(), payload.size());
 
   // Atomic write-then-rename (support::io, which also hosts the fault
   // seam): the previous checkpoint at `path` stays intact until the
   // new one is fully on disk.
   try {
-    support::write_file_atomic(path, file);
+    support::write_file_atomic(path, file.buffer());
   } catch (const support::IoError& e) {
     throw CheckpointError(CheckpointError::Kind::Io, e.what());
   }
 }
 
-Checkpoint Checkpoint::load(const std::string& path) {
-  std::string file;
-  {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) {
-      throw CheckpointError(CheckpointError::Kind::Io,
-                            "cannot open " + path);
-    }
-    char buf[1 << 16];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) file.append(buf, n);
-    const bool err = std::ferror(f) != 0;
-    std::fclose(f);
-    if (err) {
-      throw CheckpointError(CheckpointError::Kind::Io,
-                            "read error on " + path);
-    }
+std::string read_checkpoint_file(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    throw CheckpointError(CheckpointError::Kind::Io, "cannot open " + path);
   }
+  std::string bytes;
+  char buf[1 << 16];
+  std::size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) bytes.append(buf, n);
+  const bool err = std::ferror(f) != 0;
+  std::fclose(f);
+  if (err) {
+    throw CheckpointError(CheckpointError::Kind::Io, "read error on " + path);
+  }
+  return bytes;
+}
 
+Checkpoint Checkpoint::load(const std::string& path) {
+  const std::string file = read_checkpoint_file(path);
   if (file.size() < kHeaderSize) {
     throw CheckpointError(CheckpointError::Kind::Corrupt,
                           "truncated header in " + path);
@@ -345,7 +329,9 @@ Checkpoint Checkpoint::load(const std::string& path) {
     throw CheckpointError(CheckpointError::Kind::Corrupt,
                           path + " is not a checkpoint file");
   }
-  const std::uint32_t version = get_u32(file.data() + 8);
+  BinReader header(std::string_view(file).substr(
+      sizeof(kMagic), kHeaderSize - sizeof(kMagic)));
+  const std::uint32_t version = header.u32();
   if (version != kFormatVersion) {
     throw CheckpointError(
         CheckpointError::Kind::VersionMismatch,
@@ -355,17 +341,17 @@ Checkpoint Checkpoint::load(const std::string& path) {
   // The reserved word must be zero until a format revision assigns it
   // meaning — validating it keeps every header byte covered, so any
   // single-byte damage to the header is rejected structurally.
-  if (get_u32(file.data() + 12) != 0) {
+  if (header.u32() != 0) {
     throw CheckpointError(CheckpointError::Kind::Corrupt,
                           "nonzero reserved header field in " + path);
   }
-  const std::uint64_t payload_size = get_u64(file.data() + 16);
+  const std::uint64_t payload_size = header.u64();
   if (payload_size != file.size() - kHeaderSize) {
     throw CheckpointError(CheckpointError::Kind::Corrupt,
                           "truncated payload in " + path);
   }
   const std::string_view payload(file.data() + kHeaderSize, payload_size);
-  if (fnv1a(payload) != get_u64(file.data() + 24)) {
+  if (fnv1a(payload) != header.u64()) {
     throw CheckpointError(CheckpointError::Kind::Corrupt,
                           "checksum mismatch in " + path);
   }
@@ -398,40 +384,25 @@ std::uint64_t config_fingerprint(const sem::KernelConfig& kc) {
   return h.value();
 }
 
-void verify_resume(const Checkpoint& ck, Checkpoint::Engine want,
-                   const ptx::Program& prg, const sem::KernelConfig& kc,
-                   const ExploreOptions& opts) {
+void verify_resume(std::uint64_t program_fp, std::uint64_t config_fp,
+                   const ExploreOptions& recorded, const ptx::Program& prg,
+                   const sem::KernelConfig& kc, const ExploreOptions& opts) {
   const auto fail = [](const std::string& msg) {
     throw CheckpointError(CheckpointError::Kind::Mismatch, msg);
   };
-  if (ck.engine != want) {
-    fail(ck.engine == Checkpoint::Engine::Serial
-             ? "checkpoint was written by the serial engine; resume "
-               "without --threads"
-             : "checkpoint was written by the parallel engine; resume "
-               "with --threads");
-  }
-  if (ck.program_fp != program_fingerprint(prg)) {
+  if (program_fp != program_fingerprint(prg)) {
     fail("program differs from the checkpointed run");
   }
-  if (ck.config_fp != config_fingerprint(kc)) {
+  if (config_fp != config_fingerprint(kc)) {
     fail("kernel configuration differs from the checkpointed run");
   }
-  const ExploreOptions& co = ck.options;
-  if (co.max_depth != opts.max_depth || co.max_states != opts.max_states) {
-    fail("exploration bounds differ from the checkpointed run");
+  // encode_options writes exactly the structural fields.
+  BinWriter a, b;
+  encode_options(a, recorded);
+  encode_options(b, opts);
+  if (a.buffer() != b.buffer()) {
+    fail("exploration options differ from the checkpointed run");
   }
-  if (co.stop_at_first_violation != opts.stop_at_first_violation ||
-      co.partial_order_reduction != opts.partial_order_reduction ||
-      co.por_independent_pcs != opts.por_independent_pcs) {
-    fail("exploration policy differs from the checkpointed run");
-  }
-  if (co.step_opts.order.kind != opts.step_opts.order.kind ||
-      co.step_opts.order.perm != opts.step_opts.order.perm ||
-      co.step_opts.log_accesses != opts.step_opts.log_accesses) {
-    fail("step options differ from the checkpointed run");
-  }
-  if (!ck.store) fail("checkpoint carries no state store");
 }
 
 std::uint64_t current_rss_bytes() {

@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "sched/explore.h"
+#include "sched/graph.h"
 
 namespace cac::sched {
 
@@ -64,13 +65,15 @@ std::string to_string(CheckpointError::Kind k);
 /// One snapshot of an in-flight exploration.  Engines construct and
 /// consume these; save()/load() move them to and from disk.
 struct Checkpoint {
-  // v4: warp fragments are the dense per-warp encoding (sem/warp.h:
-  // register and predicate rows as raw words, the divergence tree as
-  // preorder lane masks); v3 files, whose warps hold per-thread
-  // register maps, are rejected with VersionMismatch rather than
-  // misdecoded.
-  static constexpr std::uint32_t kFormatVersion = 4;
+  // v5: the parallel section's nodes are sched::NodeRecord in the graph
+  // codec (graph.h) the distributed frames use, whose edges name their
+  // child by a 64-bit Gid.  v4: warp fragments are the dense per-warp
+  // encoding (sem/warp.h).  Older files are rejected with
+  // VersionMismatch rather than misdecoded.
+  static constexpr std::uint32_t kFormatVersion = 5;
 
+  /// The engine that wrote the checkpoint.  explore() resumes on it
+  /// whatever num_threads asks for: the thread count is not structural.
   enum class Engine : std::uint8_t { Serial = 0, Parallel = 1 };
   Engine engine = Engine::Serial;
 
@@ -95,37 +98,17 @@ struct Checkpoint {
   };
   std::vector<SerialFrame> stack;  // bottom to top
   std::vector<sem::Choice> path;   // choices reaching the top frame
-  /// DFS colors: 0 = on-stack, 1 = done.
-  std::vector<std::pair<std::uint32_t, std::uint8_t>> colors;
-
-  std::uint64_t states_visited = 0;
-  std::uint64_t transitions = 0;
-  std::uint64_t min_steps = ~0ull;
-  std::uint64_t max_steps = 0;
-  ExploreResult::Limit limit_hit = ExploreResult::Limit::None;
+  /// The verdict so far: counters, min/max steps, limit_hit,
+  /// violations, and final_ids in first-visit order.  DFS colours are
+  /// not stored: a stacked state is on the stack, every other interned
+  /// state is done.
+  ExploreResult verdict;
   bool limits_hit = false;
-  std::vector<StateId> final_ids;
-  std::vector<Violation> violations;
 
   // --- parallel graph section (engine == Parallel) -------------------
 
-  struct EdgeRec {
-    sem::Choice choice;
-    StateId child;  // invalid iff faulted or overflow
-    bool faulted = false;
-    bool overflow = false;
-    std::string fault;
-  };
-  struct NodeRec {
-    StateId id;
-    bool processed = false;
-    bool terminal = false;
-    bool stuck = false;
-    std::string stuck_reason;
-    std::vector<EdgeRec> edges;
-  };
   StateId root;
-  std::vector<NodeRec> nodes;
+  std::vector<NodeRecord> nodes;  // children named Gid(0, StateId.v)
   /// Discovered but not yet expanded (id, depth) pairs.
   std::vector<std::pair<StateId, std::uint64_t>> frontier;
 
@@ -143,11 +126,17 @@ struct Checkpoint {
 std::uint64_t program_fingerprint(const ptx::Program& prg);
 std::uint64_t config_fingerprint(const sem::KernelConfig& kc);
 
-/// Throws CheckpointError(Mismatch) unless `ck` was written by `want`
-/// for this program/config under the same structural options.
-void verify_resume(const Checkpoint& ck, Checkpoint::Engine want,
-                   const ptx::Program& prg, const sem::KernelConfig& kc,
-                   const ExploreOptions& opts);
+/// Throws CheckpointError(Mismatch) unless a run recorded with these
+/// fingerprints and structural options (a checkpoint's, or a
+/// distributed manifest's) can be continued as this one.  The engine
+/// is not checked: explore() resumes on the engine a checkpoint records.
+void verify_resume(std::uint64_t program_fp, std::uint64_t config_fp,
+                   const ExploreOptions& recorded, const ptx::Program& prg,
+                   const sem::KernelConfig& kc, const ExploreOptions& opts);
+
+/// The bytes of a checkpoint file, or of a distributed run's frame
+/// file.  Throws CheckpointError(Io).
+std::string read_checkpoint_file(const std::string& path);
 
 /// Current resident set size in bytes (the RSS-watermark budget's
 /// measurement; /proc-based).  Returns 0 where unavailable, which

@@ -1,19 +1,24 @@
 #include "sched/explore.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <memory>
-#include <unordered_map>
+#include <stdexcept>
+#include <thread>
 
 #include "sched/checkpoint.h"
+#include "sched/dfs.h"
 #include "sched/explore_internal.h"
-#include "sched/explore_parallel.h"
 
 namespace cac::sched {
 
 namespace internal {
 
+namespace {
+
+/// Is the instruction register-local (touches only its own warp's
+/// state)?  Such steps commute with every other warp's steps and never
+/// disable them, so {that step} is a persistent set.
 bool register_local(const ptx::Instr& i) {
   return std::holds_alternative<ptx::INop>(i) ||
          std::holds_alternative<ptx::IBop>(i) ||
@@ -27,6 +32,12 @@ bool register_local(const ptx::Instr& i) {
          std::holds_alternative<ptx::ISync>(i);
 }
 
+/// Persistent-set reduction: pick one register-local choice if any;
+/// failing that, one ExecWarp choice whose pc is in `independent_pcs`
+/// (ExploreOptions::por_independent_pcs, sorted — accesses proven
+/// disjoint from every same-space site by the static analyzer).
+/// Deterministic in the state, so the reduced state graph is the same
+/// no matter which engine (or thread) expands a state.
 void reduce_choices(const ptx::Program& prg, const sem::Grid& g,
                     const std::vector<std::uint32_t>& independent_pcs,
                     std::vector<sem::Choice>& eligible) {
@@ -52,309 +63,296 @@ void reduce_choices(const ptx::Program& prg, const sem::Grid& g,
   }
 }
 
+}  // namespace
+
+NodeKind classify(const ptx::Program& prg, const ExploreOptions& opts,
+                  const sem::Grid& g, std::uint64_t depth,
+                  std::vector<sem::Choice>& eligible,
+                  std::string& stuck_reason) {
+  if (sem::terminated(prg, g)) return NodeKind::Terminal;
+  eligible = sem::eligible_choices(prg, g);
+  if (opts.partial_order_reduction) {
+    reduce_choices(prg, g, opts.por_independent_pcs, eligible);
+  }
+  if (eligible.empty()) {
+    stuck_reason = sem::stuck_reason(prg, g);
+    return NodeKind::Stuck;
+  }
+  return depth >= opts.max_depth ? NodeKind::Unexpanded : NodeKind::Expanded;
+}
+
+std::uint64_t working_set_bytes(std::uint64_t spilled_bytes) {
+  const std::uint64_t rss = current_rss_bytes();
+  return rss > spilled_bytes ? rss - spilled_bytes : 0;
+}
+
+void CheckpointTally::warn(const CheckpointError& e) {
+  std::fprintf(stderr,
+               "cacval: warning: checkpoint write failed, exploring on: %s\n",
+               e.what());
+}
+
 }  // namespace internal
 
 namespace {
 
-enum class Color : std::uint8_t { OnStack, Done };
+using internal::Arrival;
+using Limit = ExploreResult::Limit;
+
+/// The serial engine's walk.  Frames own their machine; a transition
+/// steps a copy of it and interns the child on the fly, so only the
+/// states on the DFS stack are ever held as full machines.  Interning
+/// compares structurally, so a revisit is detected across paths and a
+/// hash collision cannot fake one.
+class SerialWalk {
+ public:
+  using Key = StateId;
+  struct Frame {
+    StateId key;
+    sem::Machine state;
+    std::vector<sem::Choice> eligible;
+    std::size_t next = 0;
+  };
+
+  SerialWalk(const ptx::Program& prg, const sem::KernelConfig& kc,
+             const ExploreOptions& opts, StateStore& store)
+      : prg_(prg), kc_(kc), opts_(opts), store_(store) {}
+
+  /// DFS colours by StateId.v.  A state the store held before this
+  /// transition was entered when it was interned, so it is Done unless
+  /// it is on the stack; that is also how a resumed run's colours come
+  /// back without being stored.
+  Color& color(StateId id) {
+    if (id.v >= colors_.size()) colors_.resize(id.v + 1, Color::Done);
+    return colors_[id.v];
+  }
+
+  bool next(Frame& top, Arrival<StateId>& a) {
+    if (top.next >= top.eligible.size()) return false;
+    a.choice = top.eligible[top.next++];
+    child_ = top.state;
+    const sem::StepResult sr = sem::apply_choice(prg_, kc_, child_, a.choice,
+                                                 opts_.step_opts, nullptr);
+    if (!sr.ok()) {
+      fault_ = sr.fault;
+      a.kind = EdgeKind::Fault;
+      a.fault = &fault_;
+      return true;
+    }
+    intern(top.key, a);
+    return true;
+  }
+
+  NodeKind classify(StateId, std::uint64_t depth, std::string& stuck) {
+    return internal::classify(prg_, opts_, child_.grid, depth, eligible_,
+                              stuck);
+  }
+
+  Frame open(StateId id) {
+    return Frame{id, std::move(child_), std::move(eligible_), 0};
+  }
+
+  Arrival<StateId> root(const sem::Machine& initial) {
+    child_ = initial;
+    Arrival<StateId> a;
+    intern(StateId{}, a);
+    return a;
+  }
+
+ private:
+  /// The parent seeds delta encoding: the child's warp fragments are
+  /// stored as deltas against the parent's where that pays.
+  void intern(StateId parent, Arrival<StateId>& a) {
+    const auto r = store_.intern(child_, opts_.max_states, parent);
+    if (!r.id.valid()) {
+      a.kind = EdgeKind::Overflow;
+      return;
+    }
+    if (r.inserted) color(r.id) = Color::White;
+    a.child = r.id;
+  }
+
+  const ptx::Program& prg_;
+  const sem::KernelConfig& kc_;
+  const ExploreOptions& opts_;
+  StateStore& store_;
+  sem::Machine child_;  // the state the last transition reached
+  std::vector<sem::Choice> eligible_;
+  std::string fault_;
+  std::vector<Color> colors_;
+};
+
+using SerialDfs = internal::VerdictDfs<SerialWalk>;
+
+Checkpoint snapshot(const ptx::Program& prg, const sem::KernelConfig& kc,
+                    const ExploreOptions& opts,
+                    const std::shared_ptr<StateStore>& store,
+                    const SerialDfs& dfs) {
+  Checkpoint ck;
+  ck.engine = Checkpoint::Engine::Serial;
+  ck.program_fp = program_fingerprint(prg);
+  ck.config_fp = config_fingerprint(kc);
+  ck.options = opts;  // only structural fields are persisted
+  ck.store = store;
+  ck.verdict = dfs.result;
+  ck.verdict.final_ids = dfs.finals;
+  ck.limits_hit = dfs.limits_hit;
+  ck.stack.reserve(dfs.stack.size());
+  for (const SerialWalk::Frame& f : dfs.stack) {
+    ck.stack.push_back({f.key, static_cast<std::uint64_t>(f.next)});
+  }
+  ck.path = dfs.path;
+  return ck;
+}
+
+/// Continue a Serial checkpoint: the store comes back with every id
+/// intact, frames rematerialize their machines from it, and the
+/// eligible-choice lists are recomputed (a deterministic function of
+/// the state, so frame.next indexes the same choice it did before).
+void restore(const ptx::Program& prg, const ExploreOptions& opts,
+             const Checkpoint& ck, const StateStore& store, SerialWalk& walk,
+             SerialDfs& dfs) {
+  dfs.result = ck.verdict;
+  dfs.result.final_ids.swap(dfs.finals);
+  dfs.limits_hit = ck.limits_hit;
+  dfs.path = ck.path;
+  try {
+    dfs.stack.reserve(ck.stack.size());
+    for (const Checkpoint::SerialFrame& f : ck.stack) {
+      SerialWalk::Frame frame{f.id, store.materialize(f.id), {}, 0};
+      std::string unused;
+      // A stacked state was Expanded when it was pushed.
+      (void)internal::classify(prg, opts, frame.state.grid, 0,
+                               frame.eligible, unused);
+      if (f.next > frame.eligible.size()) {
+        throw CheckpointError(CheckpointError::Kind::Corrupt,
+                              "stack frame choice index out of range");
+      }
+      frame.next = static_cast<std::size_t>(f.next);
+      walk.color(f.id) = Color::OnStack;
+      dfs.stack.push_back(std::move(frame));
+    }
+  } catch (const KernelError& e) {
+    throw CheckpointError(CheckpointError::Kind::Corrupt, e.what());
+  }
+}
+
+ExploreResult explore_serial(const ptx::Program& prg,
+                             const sem::KernelConfig& kc,
+                             const sem::Machine& initial,
+                             const ExploreOptions& opts,
+                             const Checkpoint* resume,
+                             const std::shared_ptr<StateStore>& store) {
+  SerialWalk walk(prg, kc, opts, *store);
+  SerialDfs dfs(walk, opts);
+  if (resume != nullptr) {
+    restore(prg, opts, *resume, *store, walk, dfs);
+  } else {
+    dfs.arrive(walk.root(initial));
+  }
+
+  // The top of the DFS loop is a clean cut point: stack, path, colours,
+  // finals and counters are mutually consistent, so that is where
+  // budgets are enforced, checkpoints written and progress reported.
+  const internal::Budget budget(opts);
+  const bool budgeted = budget.any();
+  internal::CheckpointTally tally;
+  const auto checkpoint = [&] {
+    tally.attempt([&] {
+      snapshot(prg, kc, opts, store, dfs).save(opts.checkpoint_path);
+    });
+  };
+  std::uint64_t next_checkpoint_at =
+      (!opts.checkpoint_path.empty() && opts.checkpoint_every_states != 0)
+          ? dfs.result.states_visited + opts.checkpoint_every_states
+          : ~0ull;
+  std::uint64_t next_progress_at =
+      (opts.progress_fn && opts.progress_every_states != 0)
+          ? dfs.result.states_visited + opts.progress_every_states
+          : ~0ull;
+  std::uint64_t iter = 0;
+
+  while (dfs.active()) {
+    ++iter;
+    if (budgeted) {
+      // The cheap flags are polled every iteration (the fault harness
+      // relies on stop_after_states being exact); the clock and the
+      // /proc RSS read only every 64.
+      const Limit stop = budget.tripped(
+          dfs.result.states_visited, (iter & 0x3f) == 0, [&] {
+            return internal::working_set_bytes(store->stats().spilled_bytes);
+          });
+      if (stop != Limit::None) {
+        // Checkpoint first: the transient stop reason must not leak
+        // into the file, or the resumed run could never report itself
+        // exhaustive.
+        if (!opts.checkpoint_path.empty()) checkpoint();
+        dfs.hit_limit(stop);
+        break;
+      }
+    }
+    if (dfs.result.states_visited >= next_checkpoint_at) {
+      checkpoint();
+      next_checkpoint_at =
+          dfs.result.states_visited + opts.checkpoint_every_states;
+    }
+    if (dfs.result.states_visited >= next_progress_at) {
+      opts.progress_fn({dfs.result.states_visited, dfs.result.transitions,
+                        static_cast<std::uint64_t>(dfs.stack.size())});
+      next_progress_at =
+          dfs.result.states_visited + opts.progress_every_states;
+    }
+    dfs.step();
+  }
+
+  dfs.finish();
+  ExploreResult result = std::move(dfs.result);
+  result.final_ids = std::move(dfs.finals);
+  tally.report(result);
+  return result;
+}
 
 }  // namespace
 
 ExploreResult explore(const ptx::Program& prg, const sem::KernelConfig& kc,
                       const sem::Machine& initial,
                       const ExploreOptions& opts, const Checkpoint* resume) {
-  if (opts.num_threads > 0) {
-    return explore_parallel(prg, kc, initial, opts, resume);
+  if (opts.num_threads > kMaxThreads) {
+    throw std::invalid_argument("num_threads " +
+                                std::to_string(opts.num_threads) +
+                                " is over the limit of " +
+                                std::to_string(kMaxThreads));
   }
-
-  ExploreResult result;
-  result.min_steps_to_termination = ~0ull;
-
-  // Node ownership: every visited state is interned into the store and
-  // referenced by StateId from here on; only the states currently on
-  // the DFS stack are held as full machines (their children are built
-  // by copying, which the copy-on-write memory makes cheap).
-  // Interning compares structurally, so a revisit is detected even
-  // across different paths and a hash collision cannot fake a visit.
-  auto store = std::make_shared<StateStore>(store_options(opts));
-  std::unordered_map<std::uint32_t, Color> colors;
-  internal::FinalsSet finals;
-
-  struct Frame {
-    StateId id;
-    sem::Machine state;
-    std::vector<sem::Choice> eligible;
-    std::size_t next = 0;
-  };
-  std::vector<Frame> stack;
-  std::vector<sem::Choice> path;
-
-  bool limits_hit = false;
-
-  auto hit_limit = [&](ExploreResult::Limit l) {
-    limits_hit = true;
-    if (result.limit_hit == ExploreResult::Limit::None) result.limit_hit = l;
-  };
-
-  auto add_violation = [&](Violation::Kind kind, std::string msg) {
-    result.violations.push_back({kind, std::move(msg), path});
-  };
-
-  auto enter = [&](sem::Machine&& m) -> bool {
-    // Returns true if a new frame was pushed.  The parent (the frame
-    // being expanded) seeds delta encoding: a child's warp fragments
-    // are stored as deltas against the parent's where that pays.
-    const StateId parent = stack.empty() ? StateId{} : stack.back().id;
-    const auto r = store->intern(m, opts.max_states, parent);
-    if (!r.id.valid()) {
-      hit_limit(ExploreResult::Limit::MaxStates);
-      return false;
-    }
-    if (!r.inserted) {
-      const auto it = colors.find(r.id.v);
-      if (it != colors.end() && it->second == Color::OnStack) {
-        add_violation(Violation::Kind::Cycle,
-                      "schedule revisits an earlier state: a scheduler can "
-                      "loop forever");
-      }
-      return false;
-    }
-    ++result.states_visited;
-
-    if (sem::terminated(prg, m.grid)) {
-      colors.emplace(r.id.v, Color::Done);
-      result.min_steps_to_termination =
-          std::min<std::uint64_t>(result.min_steps_to_termination,
-                                  path.size());
-      result.max_steps_to_termination =
-          std::max<std::uint64_t>(result.max_steps_to_termination,
-                                  path.size());
-      finals.insert(r.id);
-      return false;
-    }
-    auto eligible = sem::eligible_choices(prg, m.grid);
-    if (opts.partial_order_reduction) {
-      internal::reduce_choices(prg, m.grid, opts.por_independent_pcs,
-                               eligible);
-    }
-    if (eligible.empty()) {
-      colors.emplace(r.id.v, Color::Done);
-      add_violation(Violation::Kind::Stuck,
-                    sem::stuck_reason(prg, m.grid));
-      return false;
-    }
-    if (path.size() >= opts.max_depth) {
-      colors.emplace(r.id.v, Color::Done);
-      hit_limit(ExploreResult::Limit::MaxDepth);
-      add_violation(Violation::Kind::DepthExceeded,
-                    "path exceeded the exploration depth bound");
-      return false;
-    }
-    colors.emplace(r.id.v, Color::OnStack);
-    stack.push_back(Frame{r.id, std::move(m), std::move(eligible), 0});
-    return true;
-  };
-
+  std::shared_ptr<StateStore> store;
   if (resume != nullptr) {
-    // Continue the checkpointed run: the store comes back with every
-    // id intact, frames rematerialize their machines from it, and the
-    // eligible-choice lists are recomputed (they are a deterministic
-    // function of the state, so frame.next indexes the same choice it
-    // did before the cut).
-    verify_resume(*resume, Checkpoint::Engine::Serial, prg, kc, opts);
-    store = resume->store;
+    verify_resume(resume->program_fp, resume->config_fp, resume->options,
+                  prg, kc, opts);
+    if (!resume->store) {
+      throw CheckpointError(CheckpointError::Kind::Mismatch,
+                            "checkpoint carries no state store");
+    }
     // Tier knobs are transient: the resumed run's own budget/spill
     // settings apply, whatever the checkpointing run used.
+    store = resume->store;
     store->configure(store_options(opts));
-    result.states_visited = resume->states_visited;
-    result.transitions = resume->transitions;
-    result.min_steps_to_termination = resume->min_steps;
-    result.max_steps_to_termination = resume->max_steps;
-    result.limit_hit = resume->limit_hit;
-    limits_hit = resume->limits_hit;
-    result.violations = resume->violations;
-    for (const StateId id : resume->final_ids) finals.insert(id);
-    colors.reserve(resume->colors.size());
-    for (const auto& [id, color] : resume->colors) {
-      colors.emplace(id, color == 0 ? Color::OnStack : Color::Done);
-    }
-    path = resume->path;
-    stack.reserve(resume->stack.size());
-    for (const Checkpoint::SerialFrame& f : resume->stack) {
-      sem::Machine m = store->materialize(f.id);
-      auto eligible = sem::eligible_choices(prg, m.grid);
-      if (opts.partial_order_reduction) {
-        internal::reduce_choices(prg, m.grid, opts.por_independent_pcs,
-                                 eligible);
-      }
-      if (f.next > eligible.size()) {
-        throw CheckpointError(CheckpointError::Kind::Corrupt,
-                              "stack frame choice index out of range");
-      }
-      stack.push_back(Frame{f.id, std::move(m), std::move(eligible),
-                            static_cast<std::size_t>(f.next)});
-    }
   } else {
-    enter(sem::Machine(initial));
+    store = std::make_shared<StateStore>(store_options(opts));
   }
-
-  auto should_stop = [&] {
-    return opts.stop_at_first_violation && !result.violations.empty();
-  };
-
-  // --- crash-safety & budget machinery -------------------------------
-  // The top of the DFS loop is a clean cut point: every structure
-  // (stack, path, colors, finals, counters) is mutually consistent, so
-  // that is where budgets are enforced and checkpoints written.
-  const auto t_start = std::chrono::steady_clock::now();
-  const bool budgeted = opts.stop_flag != nullptr ||
-                        opts.stop_after_states != 0 ||
-                        opts.deadline_ms != 0 || opts.mem_limit_bytes != 0;
-  std::uint64_t next_checkpoint_at =
-      (!opts.checkpoint_path.empty() && opts.checkpoint_every_states != 0)
-          ? result.states_visited + opts.checkpoint_every_states
-          : ~0ull;
-  std::uint64_t next_progress_at =
-      (opts.progress_fn && opts.progress_every_states != 0)
-          ? result.states_visited + opts.progress_every_states
-          : ~0ull;
-  std::uint64_t iter = 0;
-
-  auto write_checkpoint = [&] {
-    Checkpoint ck;
-    ck.engine = Checkpoint::Engine::Serial;
-    ck.program_fp = program_fingerprint(prg);
-    ck.config_fp = config_fingerprint(kc);
-    ck.options = opts;  // only structural fields are persisted
-    ck.store = store;
-    ck.states_visited = result.states_visited;
-    ck.transitions = result.transitions;
-    ck.min_steps = result.min_steps_to_termination;
-    ck.max_steps = result.max_steps_to_termination;
-    ck.limit_hit = result.limit_hit;
-    ck.limits_hit = limits_hit;
-    ck.final_ids = finals.ids();
-    ck.violations = result.violations;
-    ck.colors.reserve(colors.size());
-    for (const auto& [id, color] : colors) {
-      ck.colors.emplace_back(
-          id, static_cast<std::uint8_t>(color == Color::OnStack ? 0 : 1));
-    }
-    ck.stack.reserve(stack.size());
-    for (const Frame& f : stack) {
-      ck.stack.push_back({f.id, static_cast<std::uint64_t>(f.next)});
-    }
-    ck.path = path;
-    try {
-      ck.save(opts.checkpoint_path);
-      result.checkpointed = true;
-    } catch (const CheckpointError& e) {
-      // A full or failing disk must not kill the exploration: log it,
-      // keep going, and let the next cadence retry.  Only resumability
-      // is at stake, never the verdict.
-      ++result.checkpoint_write_failures;
-      std::fprintf(stderr,
-                   "cacval: warning: checkpoint write failed (will retry "
-                   "next cadence): %s\n",
-                   e.what());
-    }
-  };
-
-  // The cheap flags are polled every iteration (the fault harness
-  // relies on stop_after_states being exact); the clock and the /proc
-  // RSS read only every 64 states.
-  auto budget_tripped = [&]() -> ExploreResult::Limit {
-    if (opts.stop_flag != nullptr &&
-        opts.stop_flag->load(std::memory_order_relaxed)) {
-      return ExploreResult::Limit::Interrupted;
-    }
-    if (opts.stop_after_states != 0 &&
-        result.states_visited >= opts.stop_after_states) {
-      return ExploreResult::Limit::Interrupted;
-    }
-    if ((iter & 0x3f) == 0) {
-      if (opts.deadline_ms != 0 &&
-          std::chrono::steady_clock::now() - t_start >=
-              std::chrono::milliseconds(opts.deadline_ms)) {
-        return ExploreResult::Limit::Deadline;
-      }
-      if (opts.mem_limit_bytes != 0) {
-        std::uint64_t rss = current_rss_bytes();
-        // Spilled segments are mmap'd page cache the kernel reclaims
-        // under pressure — they must not count against the budget, or
-        // spilling could never relieve a tripped limit.
-        const std::uint64_t spilled = store->stats().spilled_bytes;
-        rss = rss > spilled ? rss - spilled : 0;
-        if (rss != 0 && rss >= opts.mem_limit_bytes) {
-          return ExploreResult::Limit::MemLimit;
-        }
-      }
-    }
-    return ExploreResult::Limit::None;
-  };
-
-  while (!stack.empty() && !should_stop()) {
-    ++iter;
-    if (budgeted) {
-      const ExploreResult::Limit stop = budget_tripped();
-      if (stop != ExploreResult::Limit::None) {
-        // Checkpoint first: the transient stop reason must not leak
-        // into the file, or the resumed run could never report itself
-        // exhaustive.
-        if (!opts.checkpoint_path.empty()) write_checkpoint();
-        hit_limit(stop);
-        break;
-      }
-    }
-    if (result.states_visited >= next_checkpoint_at) {
-      write_checkpoint();
-      next_checkpoint_at =
-          result.states_visited + opts.checkpoint_every_states;
-    }
-    if (result.states_visited >= next_progress_at) {
-      opts.progress_fn({result.states_visited, result.transitions,
-                        static_cast<std::uint64_t>(stack.size())});
-      next_progress_at =
-          result.states_visited + opts.progress_every_states;
-    }
-
-    Frame& top = stack.back();
-    if (top.next >= top.eligible.size()) {
-      colors[top.id.v] = Color::Done;
-      stack.pop_back();
-      if (!path.empty()) path.pop_back();
-      continue;
-    }
-    const sem::Choice c = top.eligible[top.next++];
-    sem::Machine child(top.state);
-    const sem::StepResult sr =
-        sem::apply_choice(prg, kc, child, c, opts.step_opts, nullptr);
-    ++result.transitions;
-    path.push_back(c);
-    if (!sr.ok()) {
-      add_violation(Violation::Kind::Fault, sr.fault);
-      path.pop_back();
-      continue;
-    }
-    if (!enter(std::move(child))) path.pop_back();
+  // A resumed run continues on the engine that wrote the checkpoint.
+  const bool parallel = resume != nullptr
+                            ? resume->engine == Checkpoint::Engine::Parallel
+                            : opts.num_threads > 0;
+  unsigned threads = opts.num_threads;
+  if (parallel && threads == 0) {
+    threads = std::clamp(std::thread::hardware_concurrency(), 1u, kMaxThreads);
   }
-
-  if (result.min_steps_to_termination == ~0ull) {
-    result.min_steps_to_termination = 0;
-  }
-  result.final_ids = finals.take();
+  ExploreResult result =
+      parallel ? internal::build_and_replay(prg, kc, initial, opts, threads,
+                                            resume, store)
+               : explore_serial(prg, kc, initial, opts, resume, store);
   result.store_stats = store->stats();
   result.store = std::move(store);
-  result.exhaustive = !limits_hit && stack.empty();
   return result;
-}
-
-std::vector<sem::Machine> ExploreResult::finals() const {
-  std::vector<sem::Machine> out;
-  if (!store) return out;
-  out.reserve(final_ids.size());
-  for (const StateId id : final_ids) out.push_back(store->materialize(id));
-  return out;
 }
 
 std::string to_string(Violation::Kind k) {

@@ -57,12 +57,13 @@ struct ExploreOptions {
   /// only consulted when partial_order_reduction is on.  Structural:
   /// checkpoints persist it and resume requires an identical list.
   std::vector<std::uint32_t> por_independent_pcs;
-  /// Worker threads for state expansion.  0 keeps the classic serial
-  /// DFS; any positive value routes explore() through the parallel
-  /// engine (explore_parallel.h) with that many workers.  Verdicts are
+  /// Worker threads for state expansion, at most kMaxThreads.  0 keeps
+  /// the classic serial DFS; any positive value routes explore()
+  /// through the parallel engine with that many workers.  Verdicts are
   /// identical to serial for runs that finish within the state/depth
   /// limits (see docs/explorer.md for the limit-case caveats).
-  /// Composes with partial_order_reduction.
+  /// Composes with partial_order_reduction.  Transient: a resumed run
+  /// continues on the engine that wrote its checkpoint.
   std::uint32_t num_threads = 0;
 
   // --- resource budgets & crash safety (docs/explorer.md) ------------
@@ -134,6 +135,9 @@ struct ExploreOptions {
   std::uint32_t store_delta_depth = 8;
 };
 
+/// Upper bound on ExploreOptions::num_threads; explore() rejects more.
+inline constexpr std::uint32_t kMaxThreads = 256;
+
 /// The StoreOptions an engine derives from ExploreOptions (all engines
 /// — serial, parallel, distributed workers — map the knobs the same
 /// way, so tiering behaves identically whichever engine runs).
@@ -201,16 +205,10 @@ struct ExploreResult {
   /// so it reflects where the exploration's memory actually went.
   StateStore::Stats store_stats;
 
-  /// Distinct terminated machine states (deduplicated, DFS first-visit
-  /// order).  A singleton means the computation is
-  /// schedule-independent.  Materialize one with
-  /// `store->materialize(id)`, or all of them with finals().
+  /// Distinct terminated machine states (DFS first-visit order).  A
+  /// singleton means the computation is schedule-independent.
+  /// Materialize one with `store->materialize(id)`.
   std::vector<StateId> final_ids;
-
-  /// Compatibility accessor: materialize every final state.  Prefer
-  /// `final_ids` + `store` when only counts or one state are needed —
-  /// this copies each final out in full.
-  [[nodiscard]] std::vector<sem::Machine> finals() const;
 
   /// Shortest / longest schedule reaching termination (path lengths).
   std::uint64_t min_steps_to_termination = 0;
@@ -229,10 +227,12 @@ struct ExploreResult {
 /// Explore from `initial`, or — when `resume` is non-null — continue
 /// the checkpointed run (the initial machine is then ignored; the
 /// checkpoint carries the full frontier).  Resume requires matching
-/// program/config fingerprints and structural options and the engine
-/// that wrote the checkpoint (serial here, parallel when
-/// opts.num_threads > 0); mismatches throw CheckpointError.  A resumed
-/// run continues to a verdict byte-identical to an uninterrupted one.
+/// program/config fingerprints and structural options; mismatches
+/// throw CheckpointError.  The run continues on the engine that wrote
+/// the checkpoint (a Parallel one with num_threads 0 uses one worker
+/// per hardware thread) to a verdict byte-identical to an
+/// uninterrupted one.  Throws std::invalid_argument when
+/// opts.num_threads exceeds kMaxThreads.
 ExploreResult explore(const ptx::Program& prg, const sem::KernelConfig& kc,
                       const sem::Machine& initial,
                       const ExploreOptions& opts = {},

@@ -1,64 +1,50 @@
-#include "sched/explore_parallel.h"
-
-#include <algorithm>
+// The parallel engine: a work-stealing graph builder, then the verdict
+// DFS (dfs.h) over the built graph.
+//
+//  1. Graph construction (parallel).  Workers with per-worker task
+//     deques and work stealing expand each distinct reachable state
+//     exactly once — copy, step, hash — into an explicit state graph.
+//     The visited set is sharded by state hash; structural equality
+//     within a shard means a hash collision can never fake a visit.
+//     This phase carries all of the expensive per-state work.
+//
+//  2. Verdict replay (serial, integer-only).  The DFS the serial engine
+//     runs — the same template, so the same choice order, colouring and
+//     bookkeeping — walks the graph without touching machine states.
+//     State expansion is deterministic in the state, so phase 1 builds
+//     the graph the serial DFS walks and the verdict is byte-identical
+//     to the serial engine's for runs within the state/depth limits.
+//
+// Partial-order reduction composes: the persistent-set filter is a
+// deterministic function of the state, so the reduced graph is also
+// thread-count independent.  When a run trips max_states or max_depth,
+// phase 1 may cut a different part of the graph than the serial DFS
+// would (docs/explorer.md); both engines report exhaustive == false.
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
-#include <cstdio>
 #include <deque>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "sched/checkpoint.h"
+#include "sched/dfs.h"
 #include "sched/explore_internal.h"
 #include "support/diag.h"
 
-namespace cac::sched {
+namespace cac::sched::internal {
 
 namespace {
 
-// ---------------------------------------------------------------------
-// Phase-1 state graph.
-//
-// Machine states live interned in the shared StateStore; nodes hold
-// only the StateId handle and live in per-shard deques (stable
-// addresses; grown only under the shard mutex).  After a node is
-// registered, its fields are written exclusively by the single worker
-// expanding it; the work-queue mutexes order that hand-off, and the
-// thread join orders the final reads by the replay.
-
-struct Node;
-
-/// One outgoing transition.  Exactly one of the three outcomes holds:
-/// a child node (ok), a fault message (the child state is discarded,
-/// as in the serial engine), or `overflow` (the child was dropped
-/// because phase 1 reached the state cap).
-struct Edge {
-  sem::Choice choice;
-  Node* child = nullptr;
-  std::string fault;
-  bool faulted = false;
-  bool overflow = false;
-};
-
-struct Node {
-  StateId id;
-  /// Phase-1 expansion ran (terminal/stuck classified, edges built).
-  /// False for nodes discovered at depth >= max_depth, and for
-  /// frontier nodes of a budget-stopped (checkpointed) run.
-  bool processed = false;
-  bool terminal = false;
-  bool stuck = false;
-  std::string stuck_reason;
-  std::vector<Edge> edges;
-
-  // Replay-only scratch (single-threaded phase 2).
-  enum class Color : std::uint8_t { White, OnStack, Done };
-  Color color = Color::White;
-};
+// Machine states live interned in the shared StateStore; graph nodes
+// hold only the StateId and live in per-shard deques (stable addresses;
+// grown only under the shard mutex).  After a node is registered, its
+// fields are written exclusively by the single worker expanding it; the
+// work-queue mutexes order that hand-off, and the thread join orders the
+// final reads by the replay.
 
 /// Sharded concurrent visited set over the interning StateStore.
 /// Shards are keyed by the memoized structural machine hash, so
@@ -72,7 +58,8 @@ class VisitedShards {
       : store_(store), max_states_(max_states) {}
 
   struct InsertResult {
-    Node* node = nullptr;  // nullptr: dropped at the state cap
+    GraphNode* node = nullptr;  // nullptr: dropped at the state cap
+    StateId id;  // node->id, without touching a node another worker owns
     bool inserted = false;
   };
 
@@ -85,27 +72,17 @@ class VisitedShards {
     Shard& s = shards_[shard_of(hash)];
     std::lock_guard<std::mutex> lock(s.mu);
     const auto r = store_.intern(m, max_states_, parent);
-    if (!r.id.valid()) {
-      cap_hit_.store(true, std::memory_order_relaxed);
-      return {nullptr, false};
-    }
+    if (!r.id.valid()) return {};
     const auto [it, fresh] = s.node_of.try_emplace(r.id.v, nullptr);
-    if (fresh) {
-      s.nodes.push_back(Node{});
-      Node* n = &s.nodes.back();
-      n->id = r.id;
-      it->second = n;
-    }
-    return {it->second, fresh};
+    if (fresh) it->second = &s.add(r.id);
+    return {it->second, r.id, fresh};
   }
 
   /// Resume path (single-threaded, before workers start): register a
   /// node for a state that is already interned in the store.
-  Node* seed(StateId id, std::uint64_t hash) {
+  GraphNode* seed(StateId id, std::uint64_t hash) {
     Shard& s = shards_[shard_of(hash)];
-    s.nodes.push_back(Node{});
-    Node* n = &s.nodes.back();
-    n->id = id;
+    GraphNode* n = &s.add(id);
     s.node_of[id.v] = n;
     return n;
   }
@@ -115,12 +92,8 @@ class VisitedShards {
   template <typename Fn>
   void for_each(Fn&& fn) const {
     for (const Shard& s : shards_) {
-      for (const Node& n : s.nodes) fn(n);
+      for (const GraphNode& n : s.nodes) fn(n);
     }
-  }
-
-  [[nodiscard]] bool cap_hit() const {
-    return cap_hit_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -134,18 +107,23 @@ class VisitedShards {
 
   struct Shard {
     std::mutex mu;
-    std::unordered_map<std::uint32_t, Node*> node_of;  // StateId.v -> node
-    std::deque<Node> nodes;  // stable addresses
+    std::unordered_map<std::uint32_t, GraphNode*> node_of;  // StateId.v
+    std::deque<GraphNode> nodes;  // stable addresses
+
+    GraphNode& add(StateId id) {
+      nodes.emplace_back();
+      nodes.back().id = id;
+      return nodes.back();
+    }
   };
 
   StateStore& store_;
   Shard shards_[kShardCount];
-  std::atomic<bool> cap_hit_{false};
   const std::uint64_t max_states_;
 };
 
 struct Task {
-  Node* node = nullptr;
+  GraphNode* node = nullptr;
   std::uint64_t depth = 0;
 };
 
@@ -208,101 +186,89 @@ class GraphBuilder {
         visited_(opts.max_states, store_),
         queues_(n_workers) {}
 
-  struct Outcome {
-    Node* root = nullptr;
-    /// Transient budget/signal reason this run stopped early, or None
-    /// when phase 1 ran to completion.
-    ExploreResult::Limit stopped = ExploreResult::Limit::None;
-    bool checkpointed = false;
-    std::uint64_t checkpoint_write_failures = 0;
-  };
-
   /// Build (or, with `resume`, finish building) the state graph.
-  /// A null root in the outcome means even the initial state was
-  /// dropped (max_states == 0 — the serial engine reports the same as
-  /// a limits-hit non-visit).
-  Outcome build(const sem::Machine& initial, const Checkpoint* resume) {
+  /// Returns the root, null when even the initial state was dropped
+  /// (max_states == 0 — the replay reports that as a state-cap hit).
+  GraphNode* build(const sem::Machine& initial, const Checkpoint* resume) {
     if (resume != nullptr) {
       root_ = restore(*resume);
     } else {
       const sem::Machine root_copy(initial);
-      const std::uint64_t h = root_copy.hash();
-      const auto r = visited_.find_or_insert(root_copy, h);
+      const auto r = visited_.find_or_insert(root_copy, root_copy.hash());
       root_ = r.node;
-      if (!r.inserted) return {r.node, ExploreResult::Limit::None, false};
+      if (!r.inserted) return root_;
       pending_.store(1, std::memory_order_relaxed);
       queues_[0].push(Task{r.node, 0});
     }
 
     std::vector<std::thread> workers;
     workers.reserve(queues_.size());
-    for (unsigned i = 0; i < queues_.size(); ++i) {
-      workers.emplace_back([this, i] { worker_loop(i); });
+    try {
+      for (unsigned i = 0; i < queues_.size(); ++i) {
+        workers.emplace_back([this, i] { worker_loop(i); });
+      }
+    } catch (const std::exception& e) {
+      // Out of threads (or memory for their stacks): stop and join the
+      // workers already running, then fail the run cleanly.
+      {
+        std::lock_guard<std::mutex> lk(ctl_mu_);
+        mode_ = Mode::kStop;
+      }
+      ctl_cv_.notify_all();
+      for (std::thread& t : workers) t.join();
+      throw std::runtime_error("cannot start " +
+                               std::to_string(queues_.size()) +
+                               " exploration threads: " + e.what());
     }
-
-    Outcome out;
-    out.root = root_;
-    monitor(out);
+    monitor();
     for (std::thread& t : workers) t.join();
 
     if (!error_.empty()) throw KernelError(error_);
 
-    if (out.stopped != ExploreResult::Limit::None &&
+    if (stopped != ExploreResult::Limit::None &&
         !opts_.checkpoint_path.empty()) {
       // Final checkpoint after the join: fully quiescent by
       // construction.
       save_checkpoint();
     }
-    out.checkpointed = checkpointed_;
-    out.checkpoint_write_failures = checkpoint_write_failures_;
-    return out;
+    return root_;
   }
 
-  [[nodiscard]] bool cap_hit() const { return visited_.cap_hit(); }
+  /// The budget that stopped the build early, or None.
+  ExploreResult::Limit stopped = ExploreResult::Limit::None;
+  CheckpointTally tally;
 
  private:
   enum class Mode : std::uint8_t { kRun, kPause, kStop };
 
   /// Rebuild graph + frontier from a checkpoint (single-threaded; the
   /// store has already been decoded into store_).
-  Node* restore(const Checkpoint& ck) {
-    std::unordered_map<std::uint32_t, Node*> by_id;
+  GraphNode* restore(const Checkpoint& ck) {
+    std::unordered_map<std::uint32_t, GraphNode*> by_id;
     by_id.reserve(ck.nodes.size());
-    for (const Checkpoint::NodeRec& nr : ck.nodes) {
-      Node* n = visited_.seed(nr.id, store_.machine_hash(nr.id));
-      n->processed = nr.processed;
-      n->terminal = nr.terminal;
-      n->stuck = nr.stuck;
-      n->stuck_reason = nr.stuck_reason;
-      by_id.emplace(nr.id.v, n);
+    for (const NodeRecord& rec : ck.nodes) {
+      by_id.emplace(rec.id.v,
+                    visited_.seed(rec.id, store_.machine_hash(rec.id)));
     }
-    const auto lookup = [&](StateId id) -> Node* {
-      const auto it = by_id.find(id.v);
+    const auto lookup = [&](Gid gid) -> GraphNode* {
+      const auto it = gid.worker() == 0 ? by_id.find(gid.local())
+                                        : by_id.end();
       if (it == by_id.end()) {
         throw CheckpointError(CheckpointError::Kind::Corrupt,
                               "graph references unknown node");
       }
       return it->second;
     };
-    for (const Checkpoint::NodeRec& nr : ck.nodes) {
-      Node* n = by_id.at(nr.id.v);
-      n->edges.reserve(nr.edges.size());
-      for (const Checkpoint::EdgeRec& er : nr.edges) {
-        Edge e;
-        e.choice = er.choice;
-        e.faulted = er.faulted;
-        e.overflow = er.overflow;
-        e.fault = er.fault;
-        if (er.child.valid()) e.child = lookup(er.child);
-        n->edges.push_back(std::move(e));
-      }
+    for (const NodeRecord& rec : ck.nodes) {
+      by_id.at(rec.id.v)->link(rec, lookup);
     }
     std::uint64_t k = 0;
     for (const auto& [id, depth] : ck.frontier) {
-      queues_[k++ % queues_.size()].push(Task{lookup(id), depth});
+      queues_[k++ % queues_.size()].push(
+          Task{lookup(Gid::make(0, id.v)), depth});
     }
     pending_.store(ck.frontier.size(), std::memory_order_relaxed);
-    return lookup(ck.root);
+    return lookup(Gid::make(0, ck.root.v));
   }
 
   void worker_loop(unsigned id) {
@@ -349,79 +315,39 @@ class GraphBuilder {
   void expand(unsigned id, const Task& t) {
     // Poisoned run: stop growing the graph so workers drain quickly.
     if (failed_.load(std::memory_order_relaxed)) return;
-    Node* node = t.node;
-    const sem::Machine state = store_.materialize(node->id);
-
-    if (sem::terminated(prg_, state.grid)) {
-      node->terminal = true;
-      node->processed = true;
-      return;
-    }
-    auto eligible = sem::eligible_choices(prg_, state.grid);
-    if (opts_.partial_order_reduction) {
-      internal::reduce_choices(prg_, state.grid, opts_.por_independent_pcs,
-                               eligible);
-    }
-    if (eligible.empty()) {
-      node->stuck = true;
-      node->stuck_reason = sem::stuck_reason(prg_, state.grid);
-      node->processed = true;
-      return;
-    }
-    if (t.depth >= opts_.max_depth) {
-      // Depth-gated: the replay reports DepthExceeded / limits-hit
-      // when it reaches this node, mirroring the serial engine.
-      return;
-    }
-
-    node->edges.reserve(eligible.size());
-    for (const sem::Choice& c : eligible) {
-      Edge e;
-      e.choice = c;
-      sem::Machine child(state);
-      const sem::StepResult sr =
-          sem::apply_choice(prg_, kc_, child, c, opts_.step_opts, nullptr);
-      if (!sr.ok()) {
-        e.faulted = true;
-        e.fault = sr.fault;
-        node->edges.push_back(std::move(e));
-        continue;
-      }
-      const std::uint64_t h = child.hash();  // memoized pre-intern
-      const auto r = visited_.find_or_insert(child, h, node->id);
-      if (r.node == nullptr) {
-        e.overflow = true;
-        node->edges.push_back(std::move(e));
-        continue;
-      }
-      e.child = r.node;
-      node->edges.push_back(std::move(e));
-      if (r.inserted) {
-        pending_.fetch_add(1, std::memory_order_relaxed);
-        queues_[id].push(Task{r.node, t.depth + 1});
-      }
-    }
-    node->processed = true;
+    GraphNode* node = t.node;
+    internal::expand(
+        prg_, kc_, opts_, store_.materialize(node->id), t.depth, *node,
+        [&](GraphNode::Edge& e, const sem::Machine& child) {
+          const std::uint64_t h = child.hash();  // memoized pre-intern
+          const auto r = visited_.find_or_insert(child, h, node->id);
+          if (r.node == nullptr) {
+            e.kind = EdgeKind::Overflow;
+            return;
+          }
+          e.child = Gid::make(0, r.id.v);
+          e.node = r.node;
+          if (r.inserted) {
+            pending_.fetch_add(1, std::memory_order_relaxed);
+            queues_[id].push(Task{r.node, t.depth + 1});
+          }
+        });
   }
 
   /// Main-thread loop while workers run: waits for completion, and
   /// enforces budgets / periodic checkpoints when configured.
-  void monitor(Outcome& out) {
+  void monitor() {
     const unsigned n = static_cast<unsigned>(queues_.size());
-    const bool budgeted = opts_.stop_flag != nullptr ||
-                          opts_.stop_after_states != 0 ||
-                          opts_.deadline_ms != 0 ||
-                          opts_.mem_limit_bytes != 0;
+    const Budget budget(opts_);
     const bool periodic = !opts_.checkpoint_path.empty() &&
                           opts_.checkpoint_every_states != 0;
 
     std::unique_lock<std::mutex> lk(ctl_mu_);
-    if (!budgeted && !periodic) {
+    if (!budget.any() && !periodic) {
       monitor_cv_.wait(lk, [&] { return exited_ == n; });
       return;
     }
 
-    const auto t_start = std::chrono::steady_clock::now();
     std::uint64_t next_checkpoint_at =
         periodic ? store_.size() + opts_.checkpoint_every_states : ~0ull;
 
@@ -430,9 +356,12 @@ class GraphBuilder {
                            [&] { return exited_ == n; });
       if (exited_ == n) return;
 
-      const ExploreResult::Limit stop = budget_tripped(t_start);
+      const ExploreResult::Limit stop =
+          budget.tripped(store_.size(), /*poll_slow=*/true, [&] {
+            return working_set_bytes(store_.stats().spilled_bytes);
+          });
       if (stop != ExploreResult::Limit::None) {
-        out.stopped = stop;
+        stopped = stop;
         mode_ = Mode::kStop;
         ctl_cv_.notify_all();
         monitor_cv_.wait(lk, [&] { return exited_ == n; });
@@ -451,35 +380,6 @@ class GraphBuilder {
     }
   }
 
-  [[nodiscard]] ExploreResult::Limit budget_tripped(
-      std::chrono::steady_clock::time_point t_start) const {
-    if (opts_.stop_flag != nullptr &&
-        opts_.stop_flag->load(std::memory_order_relaxed)) {
-      return ExploreResult::Limit::Interrupted;
-    }
-    if (opts_.stop_after_states != 0 &&
-        store_.size() >= opts_.stop_after_states) {
-      return ExploreResult::Limit::Interrupted;
-    }
-    if (opts_.deadline_ms != 0 &&
-        std::chrono::steady_clock::now() - t_start >=
-            std::chrono::milliseconds(opts_.deadline_ms)) {
-      return ExploreResult::Limit::Deadline;
-    }
-    if (opts_.mem_limit_bytes != 0) {
-      std::uint64_t rss = current_rss_bytes();
-      // Spilled segments are reclaimable page cache, not working-set
-      // memory — exclude them or spilling could never relieve a
-      // tripped limit (see the serial engine's identical adjustment).
-      const std::uint64_t spilled = store_.stats().spilled_bytes;
-      rss = rss > spilled ? rss - spilled : 0;
-      if (rss != 0 && rss >= opts_.mem_limit_bytes) {
-        return ExploreResult::Limit::MemLimit;
-      }
-    }
-    return ExploreResult::Limit::None;
-  }
-
   /// Serialize graph + frontier + store.  Caller guarantees
   /// quiescence (pause protocol or post-join).
   void save_checkpoint() {
@@ -490,43 +390,13 @@ class GraphBuilder {
     ck.options = opts_;  // only structural fields are persisted
     ck.store = store_ptr_;
     ck.root = root_ != nullptr ? root_->id : StateId{};
-    visited_.for_each([&](const Node& n) {
-      Checkpoint::NodeRec nr;
-      nr.id = n.id;
-      nr.processed = n.processed;
-      nr.terminal = n.terminal;
-      nr.stuck = n.stuck;
-      nr.stuck_reason = n.stuck_reason;
-      nr.edges.reserve(n.edges.size());
-      for (const Edge& e : n.edges) {
-        Checkpoint::EdgeRec er;
-        er.choice = e.choice;
-        er.child = e.child != nullptr ? e.child->id : StateId{};
-        er.faulted = e.faulted;
-        er.overflow = e.overflow;
-        er.fault = e.fault;
-        nr.edges.push_back(std::move(er));
-      }
-      ck.nodes.push_back(std::move(nr));
-    });
+    visited_.for_each(
+        [&](const GraphNode& n) { ck.nodes.push_back(n.record()); });
     for (WorkQueue& q : queues_) {
       std::lock_guard<std::mutex> lock(q.mu);
-      for (const Task& t : q.q) {
-        ck.frontier.emplace_back(t.node->id, t.depth);
-      }
+      for (const Task& t : q.q) ck.frontier.emplace_back(t.node->id, t.depth);
     }
-    try {
-      ck.save(opts_.checkpoint_path);
-      checkpointed_ = true;
-    } catch (const CheckpointError& e) {
-      // Same policy as the serial engine: log, keep exploring, retry
-      // at the next cadence — persistence failure never ends a run.
-      ++checkpoint_write_failures_;
-      std::fprintf(stderr,
-                   "cacval: warning: checkpoint write failed (will retry "
-                   "next cadence): %s\n",
-                   e.what());
-    }
+    tally.attempt([&] { ck.save(opts_.checkpoint_path); });
   }
 
   const ptx::Program& prg_;
@@ -536,13 +406,11 @@ class GraphBuilder {
   StateStore& store_;
   VisitedShards visited_;
   std::vector<WorkQueue> queues_;
-  Node* root_ = nullptr;
+  GraphNode* root_ = nullptr;
   std::atomic<std::uint64_t> pending_{0};
   std::atomic<bool> failed_{false};
   std::mutex error_mu_;
   std::string error_;  // first worker exception, guarded by error_mu_
-  bool checkpointed_ = false;
-  std::uint64_t checkpoint_write_failures_ = 0;
 
   // Worker control protocol, all guarded by ctl_mu_.
   std::mutex ctl_mu_;
@@ -553,170 +421,66 @@ class GraphBuilder {
   unsigned exited_ = 0;
 };
 
-/// Phase 2: replay the serial DFS over the integer graph.  This is a
-/// line-for-line mirror of the loop in explore.cc — same enter()
-/// checks in the same order, same path bookkeeping — so the produced
-/// ExploreResult is byte-identical to the serial engine's for runs
-/// that stay within the limits.
-///
-/// `stop_reason` is None for completed graphs.  For a budget-stopped
-/// run the graph is incomplete: reaching an unexpanded node then
-/// reports the budget as the tripped limit (not MaxDepth), mirroring
-/// the serial engine's precise limit_hit on a graceful stop.
-ExploreResult replay(Node* root, const ExploreOptions& opts,
-                     ExploreResult::Limit stop_reason) {
-  ExploreResult result;
-  result.min_steps_to_termination = ~0ull;
-
-  internal::FinalsSet finals;
+/// The walk over a built graph.
+struct GraphWalk {
+  using Key = GraphNode*;
   struct Frame {
-    Node* node;
+    GraphNode* key;
     std::size_t next = 0;
   };
-  std::vector<Frame> stack;
-  std::vector<sem::Choice> path;
-  std::uint64_t entered = 0;
-  bool limits_hit = false;
 
-  auto hit_limit = [&](ExploreResult::Limit l) {
-    limits_hit = true;
-    if (result.limit_hit == ExploreResult::Limit::None) result.limit_hit = l;
-  };
+  static Color& color(GraphNode* n) { return n->color; }
 
-  auto add_violation = [&](Violation::Kind kind, std::string msg) {
-    result.violations.push_back({kind, std::move(msg), path});
-  };
-
-  auto enter = [&](Node* nd) -> bool {
-    if (nd == nullptr) {  // overflow edge: phase 1 dropped the child
-      hit_limit(ExploreResult::Limit::MaxStates);
-      return false;
-    }
-    if (nd->color == Node::Color::OnStack) {
-      add_violation(Violation::Kind::Cycle,
-                    "schedule revisits an earlier state: a scheduler can "
-                    "loop forever");
-      return false;
-    }
-    if (nd->color == Node::Color::Done) return false;
-    if (entered >= opts.max_states) {
-      hit_limit(ExploreResult::Limit::MaxStates);
-      return false;
-    }
-    ++entered;
-    ++result.states_visited;
-
-    if (nd->terminal) {
-      nd->color = Node::Color::Done;
-      result.min_steps_to_termination =
-          std::min<std::uint64_t>(result.min_steps_to_termination,
-                                  path.size());
-      result.max_steps_to_termination =
-          std::max<std::uint64_t>(result.max_steps_to_termination,
-                                  path.size());
-      finals.insert(nd->id);
-      return false;
-    }
-    if (nd->stuck) {
-      nd->color = Node::Color::Done;
-      add_violation(Violation::Kind::Stuck, nd->stuck_reason);
-      return false;
-    }
-    if (!nd->processed) {
-      nd->color = Node::Color::Done;
-      if (stop_reason != ExploreResult::Limit::None) {
-        // Budget-stopped run: this node sits on the unexpanded
-        // frontier, not past the depth bound.
-        hit_limit(stop_reason);
-        return false;
-      }
-      // Phase 1 depth-gated this node.  When the replay path is also
-      // at the bound this is exactly the serial DepthExceeded event;
-      // otherwise (a shorter path reached it first here) we can only
-      // flag the run as non-exhaustive.
-      hit_limit(ExploreResult::Limit::MaxDepth);
-      if (path.size() >= opts.max_depth) {
-        add_violation(Violation::Kind::DepthExceeded,
-                      "path exceeded the exploration depth bound");
-      }
-      return false;
-    }
-    if (path.size() >= opts.max_depth) {
-      nd->color = Node::Color::Done;
-      hit_limit(ExploreResult::Limit::MaxDepth);
-      add_violation(Violation::Kind::DepthExceeded,
-                    "path exceeded the exploration depth bound");
-      return false;
-    }
-    nd->color = Node::Color::OnStack;
-    stack.push_back(Frame{nd, 0});
+  static bool next(Frame& top, Arrival<GraphNode*>& a) {
+    if (top.next >= top.key->edges.size()) return false;
+    const GraphNode::Edge& e = top.key->edges[top.next++];
+    a.kind = e.kind;
+    a.choice = e.choice;
+    a.child = e.node;
+    a.fault = &e.fault;
     return true;
-  };
-
-  enter(root);
-
-  auto should_stop = [&] {
-    return opts.stop_at_first_violation && !result.violations.empty();
-  };
-
-  while (!stack.empty() && !should_stop()) {
-    Frame& top = stack.back();
-    if (top.next >= top.node->edges.size()) {
-      top.node->color = Node::Color::Done;
-      stack.pop_back();
-      if (!path.empty()) path.pop_back();
-      continue;
-    }
-    const Edge& e = top.node->edges[top.next++];
-    ++result.transitions;
-    path.push_back(e.choice);
-    if (e.faulted) {
-      add_violation(Violation::Kind::Fault, e.fault);
-      path.pop_back();
-      continue;
-    }
-    if (!enter(e.overflow ? nullptr : e.child)) path.pop_back();
   }
 
-  if (result.min_steps_to_termination == ~0ull) {
-    result.min_steps_to_termination = 0;
+  static NodeKind classify(GraphNode* n, std::uint64_t, std::string& stuck) {
+    if (n->kind == NodeKind::Stuck) stuck = n->stuck_reason;
+    return n->kind;
   }
-  result.final_ids = finals.take();
-  result.exhaustive = !limits_hit && stack.empty();
-  return result;
-}
+
+  static Frame open(GraphNode* n) { return Frame{n, 0}; }
+};
 
 }  // namespace
 
-ExploreResult explore_parallel(const ptx::Program& prg,
+ExploreResult replay_graph(GraphNode* root, const ExploreOptions& opts,
+                           ExploreResult::Limit stopped,
+                           std::vector<const GraphNode*>& finals) {
+  GraphWalk walk;
+  VerdictDfs<GraphWalk> dfs(walk, opts);
+  dfs.unexpanded_limit = stopped;
+  Arrival<GraphNode*> a;
+  a.kind = root != nullptr ? EdgeKind::Child : EdgeKind::Overflow;
+  a.child = root;
+  dfs.arrive(a);
+  dfs.run();
+  dfs.finish();
+  finals.assign(dfs.finals.begin(), dfs.finals.end());
+  return std::move(dfs.result);
+}
+
+ExploreResult build_and_replay(const ptx::Program& prg,
                                const sem::KernelConfig& kc,
                                const sem::Machine& initial,
-                               const ExploreOptions& opts,
-                               const Checkpoint* resume) {
-  unsigned n = opts.num_threads;
-  if (n == 0) n = std::max(1u, std::thread::hardware_concurrency());
-
-  std::shared_ptr<StateStore> store;
-  if (resume != nullptr) {
-    verify_resume(*resume, Checkpoint::Engine::Parallel, prg, kc, opts);
-    store = resume->store;
-    // Tier knobs are transient: the resumed run's own settings apply.
-    store->configure(store_options(opts));
-  } else {
-    store = std::make_shared<StateStore>(store_options(opts));
-  }
-
-  GraphBuilder builder(prg, kc, opts, store, n);
-  // A null root means even the initial state was over the cap
-  // (max_states == 0); replay's enter(nullptr) turns that into the
-  // same empty, non-exhaustive result the serial engine reports.
-  const GraphBuilder::Outcome out = builder.build(initial, resume);
-  ExploreResult result = replay(out.root, opts, out.stopped);
-  result.store_stats = store->stats();
-  result.store = std::move(store);
-  result.checkpointed = out.checkpointed;
-  result.checkpoint_write_failures = out.checkpoint_write_failures;
+                               const ExploreOptions& opts, unsigned threads,
+                               const Checkpoint* resume,
+                               std::shared_ptr<StateStore> store) {
+  GraphBuilder builder(prg, kc, opts, std::move(store), threads);
+  GraphNode* root = builder.build(initial, resume);
+  std::vector<const GraphNode*> finals;
+  ExploreResult result = replay_graph(root, opts, builder.stopped, finals);
+  result.final_ids.reserve(finals.size());
+  for (const GraphNode* n : finals) result.final_ids.push_back(n->id);
+  builder.tally.report(result);
   return result;
 }
 
-}  // namespace cac::sched
+}  // namespace cac::sched::internal

@@ -471,4 +471,23 @@ class StateStore {
   std::atomic<std::uint64_t> degraded_spill_{0};
 };
 
+/// Every StateStore::Stats counter, in declaration order: code that sums
+/// or ships all of them walks this list.  dist::GraphPartMsg sends them
+/// in this order, so reordering it changes the wire format.
+inline constexpr std::uint64_t StateStore::Stats::*kStoreCounters[] = {
+    &StateStore::Stats::states,
+    &StateStore::Stats::warp_fragments,
+    &StateStore::Stats::bank_fragments,
+    &StateStore::Stats::resident_bytes,
+    &StateStore::Stats::materialized_bytes,
+    &StateStore::Stats::spilled_bytes,
+    &StateStore::Stats::hot_evictions,
+    &StateStore::Stats::spills,
+    &StateStore::Stats::rematerializations,
+    &StateStore::Stats::delta_fragments,
+    &StateStore::Stats::bloom_negatives,
+    &StateStore::Stats::bloom_false_positives,
+    &StateStore::Stats::degraded_spill,
+};
+
 }  // namespace cac::sched

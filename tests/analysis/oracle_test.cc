@@ -10,13 +10,13 @@
 #include <vector>
 
 #include "analysis/disjoint.h"
+#include "common/finals.h"
 #include "dist/coordinator.h"
 #include "programs/corpus.h"
 #include "ptx/lower.h"
 #include "sched/checkpoint.h"
 #include "sched/checkpoint_codec.h"
 #include "sched/explore.h"
-#include "sched/explore_parallel.h"
 #include "sem/launch.h"
 #include "support/binio.h"
 
@@ -38,7 +38,7 @@ Outcome summarize(const ExploreResult& r) {
   for (const sched::Violation& v : r.violations) {
     o.violation_kinds |= 1u << static_cast<unsigned>(v.kind);
   }
-  for (const sem::Machine& m : r.finals()) {
+  for (const sem::Machine& m : finals_of(r)) {
     o.final_memory_hashes.insert(m.memory.hash());
   }
   return o;
@@ -176,7 +176,7 @@ TEST(PorOracle, ParallelEngineMatches) {
       summarize(sched::explore(s.prg, s.kc, s.init, oracle));
   oracle.num_threads = 2;
   const Outcome parallel =
-      summarize(sched::explore_parallel(s.prg, s.kc, s.init, oracle));
+      summarize(sched::explore(s.prg, s.kc, s.init, oracle));
   expect_same_verdict(serial, parallel);
 }
 

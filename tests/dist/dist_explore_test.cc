@@ -17,6 +17,7 @@
 
 #include <cstdio>
 
+#include "common/finals.h"
 #include "dist/transport.h"
 #include "dist/worker.h"
 #include "programs/corpus.h"
@@ -42,8 +43,8 @@ void expect_identical(const ExploreResult& a, const ExploreResult& b,
   EXPECT_EQ(a.min_steps_to_termination, b.min_steps_to_termination);
   EXPECT_EQ(a.max_steps_to_termination, b.max_steps_to_termination);
   ASSERT_EQ(a.final_ids.size(), b.final_ids.size());
-  const std::vector<sem::Machine> af = a.finals();
-  const std::vector<sem::Machine> bf = b.finals();
+  const std::vector<sem::Machine> af = finals_of(a);
+  const std::vector<sem::Machine> bf = finals_of(b);
   for (std::size_t i = 0; i < af.size(); ++i) {
     EXPECT_EQ(af[i], bf[i]) << "finals[" << i << "]";
   }
@@ -170,6 +171,32 @@ TEST(DistExplore, FaultVerdictMatchesSerial) {
   const sem::Machine init =
       sem::Launch(prg, kc, mem::MemSizes{16, 0, 0, 0, 1}).machine();
   expect_dist_equivalent(prg, kc, init);
+}
+
+TEST(DistExplore, DepthCutPinned) {
+  // The max_depth row of Explore.LimitCasesPinnedPerEngine on one
+  // worker (a max_states stop is asynchronous across the fleet, so only
+  // the depth cut is deterministic here).
+  const ptx::Program prg = programs::straightline_program(50);
+  const sem::KernelConfig kc{{1, 1, 1}, {4, 1, 1}, 2};
+  const sem::Machine init = sem::Launch(prg, kc, mem::MemSizes{}).machine();
+  ExploreOptions opts;
+  opts.stop_at_first_violation = false;
+  opts.max_depth = 5;
+  DistOptions dopts;
+  dopts.n_workers = 1;
+  const ExploreResult r =
+      explore_distributed(prg, kc, init, opts, dopts).result;
+  EXPECT_EQ(r.states_visited, 21u);
+  EXPECT_EQ(r.transitions, 30u);
+  EXPECT_EQ(r.limit_hit, ExploreResult::Limit::MaxDepth);
+  EXPECT_FALSE(r.exhaustive);
+  EXPECT_EQ(r.final_ids.size(), 0u);
+  ASSERT_EQ(r.violations.size(), 6u);
+  for (const Violation& v : r.violations) {
+    EXPECT_EQ(v.kind, Violation::Kind::DepthExceeded);
+    EXPECT_EQ(v.trace.size(), 5u);
+  }
 }
 
 TEST(DistExplore, PartitionAccounting) {

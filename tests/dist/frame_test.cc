@@ -88,17 +88,17 @@ GraphPartMsg sample_graph_part() {
   m.has_root = 1;
   m.root_local = 0;
   m.store = "store-bytes";
-  GraphPartMsg::Node n;
-  n.local = 7;
-  n.processed = 1;
-  n.edges.push_back({exec(0, 1), 0, 0, Gid::make(0, 3), ""});
-  n.edges.push_back({lift(0), 1, 0, Gid{}, "out-of-bounds store"});
-  n.edges.push_back({exec(1, 0), 0, 1, Gid{}, ""});
+  using sched::EdgeKind;
+  sched::NodeRecord n;
+  n.id = {7};
+  n.kind = sched::NodeKind::Expanded;
+  n.edges.push_back({exec(0, 1), EdgeKind::Child, Gid::make(0, 3), ""});
+  n.edges.push_back({lift(0), EdgeKind::Fault, Gid{}, "out-of-bounds store"});
+  n.edges.push_back({exec(1, 0), EdgeKind::Overflow, Gid{}, ""});
   m.nodes.push_back(n);
-  GraphPartMsg::Node stuck;
-  stuck.local = 8;
-  stuck.processed = 1;
-  stuck.stuck = 1;
+  sched::NodeRecord stuck;
+  stuck.id = {8};
+  stuck.kind = sched::NodeKind::Stuck;
   stuck.stuck_reason = "barrier divergence";
   m.nodes.push_back(stuck);
   m.owned = 2;

@@ -218,6 +218,28 @@ TEST(RequestRoundTrip, WarpSizeOutOfRangeThrows) {
   }
 }
 
+TEST(RequestRoundTrip, ThreadsOverLimitThrows) {
+  const std::string good = to_json(Request{vecadd_check()});
+  const std::string key = "\"threads\":0";
+  const std::size_t at = good.find(key);
+  ASSERT_NE(at, std::string::npos);
+  for (const char* bad : {"257", "1024", "4294967297"}) {
+    std::string text = good;
+    text.replace(at, key.size(), std::string("\"threads\":") + bad);
+    try {
+      request_from_json(text);
+      FAIL() << "expected JsonError for threads " << bad;
+    } catch (const JsonError& e) {
+      EXPECT_NE(std::string(e.what()).find("options.threads"),
+                std::string::npos);
+    }
+  }
+  std::string max = good;
+  max.replace(at, key.size(), "\"threads\":256");
+  EXPECT_EQ(std::get<CheckRequest>(request_from_json(max)).explore.num_threads,
+            256u);
+}
+
 TEST(RequestRoundTrip, MalformedRequestsThrow) {
   EXPECT_THROW(request_from_json("{}"), JsonError);
   EXPECT_THROW(request_from_json(R"({"command":"bogus"})"), JsonError);

@@ -270,6 +270,32 @@ TEST(Serve, VerdictsPersistAcrossRestart) {
   }
 }
 
+TEST(Serve, LeftoverCheckpointResumesUnderAnotherThreadCount) {
+  // The thread count is transient, so it is not in the cache key: a
+  // deadline-stopped serial job's checkpoint is picked up by the same
+  // request asking for 4 threads, and resumes to the local verdict.
+  TestServer ts(true);
+  Client client = ts.connect();
+  CheckRequest cut = racy_check(7);
+  cut.explore.deadline_ms = 1;
+  const Client::Reply r1 = client.call(to_json(Request{cut}));
+  ASSERT_EQ(r1.doc.str_or("status", ""), "ok") << r1.raw;
+  ASSERT_NE(r1.raw.find("deadline"), std::string::npos) << r1.raw;
+  const std::string ckpt =
+      (ts.dir / "state" / "jobs" / (cache_key(Request{cut}).hex() + ".ckpt"))
+          .string();
+  ASSERT_TRUE(std::filesystem::exists(ckpt));
+
+  CheckRequest full = racy_check(7);
+  full.explore.num_threads = 4;
+  const Client::Reply r2 = client.call(to_json(Request{full}));
+  ASSERT_EQ(r2.doc.str_or("status", ""), "ok") << r2.raw;
+  EXPECT_EQ(ts.server->stats().jobs_resumed, 1u);
+  const std::string local = to_json(run(Request{racy_check(7)}));
+  EXPECT_NE(r2.raw.find("\"results\":" + local), std::string::npos)
+      << r2.raw << "\nlocal: " << local;
+}
+
 TEST(Serve, OrphanedJournalIsRecovered) {
   const auto dir = std::filesystem::temp_directory_path() /
                    ("cac_serve_test_orphan_" + std::to_string(::getpid()));

@@ -21,6 +21,7 @@
 
 #include <set>
 
+#include "common/finals.h"
 #include "sched/explore.h"
 #include "sched/scheduler.h"
 #include "sem/launch.h"
@@ -50,7 +51,7 @@ std::set<std::pair<std::uint64_t, std::uint64_t>> outcomes(
   if (all_finals_ok) *all_finals_ok = true;
 
   std::set<std::pair<std::uint64_t, std::uint64_t>> out;
-  for (const sem::Machine& m : r.finals()) {
+  for (const sem::Machine& m : finals_of(r)) {
     for (const sem::Block& b : m.grid.blocks) {
       for (const sem::Warp& w : b.warps) {
         for (std::uint32_t l = 0; l < w.lanes(); ++l) {
@@ -122,7 +123,7 @@ TEST(Litmus, StoreBufferingIsSCInTheModel) {
       sched::explore(sb_program(), kc, launch.machine(), {});
   ASSERT_TRUE(r.exhaustive);
   std::set<std::pair<std::uint64_t, std::uint64_t>> got;
-  for (const sem::Machine& m : r.finals()) {
+  for (const sem::Machine& m : finals_of(r)) {
     std::uint64_t v[2] = {};
     for (const sem::Block& b : m.grid.blocks) {
       for (const sem::Warp& w : b.warps) {

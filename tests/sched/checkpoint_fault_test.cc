@@ -19,6 +19,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/finals.h"
 #include "programs/corpus.h"
 #include "ptx/lower.h"
 #include "sched/checkpoint.h"
@@ -54,8 +55,8 @@ void expect_identical(const ExploreResult& a, const ExploreResult& b,
   EXPECT_EQ(a.min_steps_to_termination, b.min_steps_to_termination);
   EXPECT_EQ(a.max_steps_to_termination, b.max_steps_to_termination);
   ASSERT_EQ(a.final_ids.size(), b.final_ids.size());
-  const std::vector<sem::Machine> af = a.finals();
-  const std::vector<sem::Machine> bf = b.finals();
+  const std::vector<sem::Machine> af = finals_of(a);
+  const std::vector<sem::Machine> bf = finals_of(b);
   for (std::size_t i = 0; i < af.size(); ++i) {
     EXPECT_EQ(af[i], bf[i]) << "finals[" << i << "]";
   }

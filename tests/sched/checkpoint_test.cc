@@ -23,10 +23,10 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/finals.h"
 #include "programs/corpus.h"
 #include "ptx/lower.h"
 #include "sched/explore.h"
-#include "sched/explore_parallel.h"
 #include "sem/launch.h"
 #include "support/binio.h"
 
@@ -63,8 +63,8 @@ void expect_identical(const ExploreResult& a, const ExploreResult& b,
   EXPECT_EQ(a.max_steps_to_termination, b.max_steps_to_termination);
   EXPECT_EQ(a.limit_hit, b.limit_hit);
   ASSERT_EQ(a.final_ids.size(), b.final_ids.size());
-  const std::vector<sem::Machine> af = a.finals();
-  const std::vector<sem::Machine> bf = b.finals();
+  const std::vector<sem::Machine> af = finals_of(a);
+  const std::vector<sem::Machine> bf = finals_of(b);
   for (std::size_t i = 0; i < af.size(); ++i) {
     EXPECT_EQ(af[i], bf[i]) << "finals[" << i << "]";
   }
@@ -336,7 +336,7 @@ TEST(Budgets, DeadlineStopsSerialRunGracefully) {
   base.stop_at_first_violation = false;
   const ExploreResult full = explore(w.prg, w.kc, w.init, base);
   const Checkpoint ck = Checkpoint::load(path);
-  EXPECT_EQ(ck.limit_hit, ExploreResult::Limit::None);
+  EXPECT_EQ(ck.verdict.limit_hit, ExploreResult::Limit::None);
   const ExploreResult resumed = explore(w.prg, w.kc, w.init, base, &ck);
   expect_identical(full, resumed, "deadline resume");
   std::remove(path.c_str());
@@ -521,6 +521,24 @@ TEST_F(CorruptionTest, V3FilesRejectedWithVersionMismatch) {
   }
 }
 
+TEST_F(CorruptionTest, V4FilesRejectedWithVersionMismatch) {
+  // Format v5 writes the parallel section's nodes in the shared graph
+  // codec, whose edges carry a 64-bit child; a v4 file's 32-bit
+  // children must be refused, not misdecoded.
+  std::string bad = good_;
+  bad[8] = 4;  // header version field; the checksum covers payload only
+  spit(path_, bad);
+  try {
+    Checkpoint::load(path_);
+    FAIL() << "v4 file loaded by a v" << Checkpoint::kFormatVersion
+           << " reader";
+  } catch (const CheckpointError& e) {
+    EXPECT_EQ(e.kind(), CheckpointError::Kind::VersionMismatch);
+    EXPECT_NE(std::string(e.what()).find("version 4"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST_F(CorruptionTest, WrongMagicIsNotACheckpoint) {
   std::string bad = good_;
   bad[0] = 'X';
@@ -582,10 +600,39 @@ class ResumeMismatchTest : public ::testing::Test {
   std::unique_ptr<Checkpoint> ck_;
 };
 
-TEST_F(ResumeMismatchTest, WrongEngineRejected) {
+TEST_F(ResumeMismatchTest, ThreadCountIsNotStructural) {
+  // A checkpoint resumes on the engine that wrote it whatever thread
+  // count the resumed run asks for, to the uninterrupted verdict.
+  const ExploreResult full = explore(w_->prg, w_->kc, w_->init, base_);
   ExploreOptions par = base_;
-  par.num_threads = 2;  // serial checkpoint, parallel resume
-  expect_mismatch(w_->prg, w_->kc, w_->init, par);
+  par.num_threads = 2;
+  expect_identical(full, explore(w_->prg, w_->kc, w_->init, par, ck_.get()),
+                   "serial checkpoint, threads=2");
+
+  // The other direction: a parallel checkpoint (the stop flag trips at
+  // the monitor's first poll, long before this lattice is built),
+  // resumed with hardware threads and with another worker count.
+  const Lattice big(12);
+  const std::string path = path_ + ".par";
+  std::atomic<bool> stop{true};
+  ExploreOptions cut = base_;
+  cut.num_threads = 2;
+  cut.stop_flag = &stop;
+  cut.checkpoint_path = path;
+  const ExploreResult stopped = explore(big.prg, big.kc, big.init, cut);
+  ASSERT_EQ(stopped.limit_hit, ExploreResult::Limit::Interrupted);
+  ASSERT_TRUE(stopped.checkpointed);
+  const Checkpoint ck = Checkpoint::load(path);
+  ASSERT_EQ(ck.engine, Checkpoint::Engine::Parallel);
+  const ExploreResult big_full = explore(big.prg, big.kc, big.init, base_);
+  for (const std::uint32_t threads : {0u, 4u}) {
+    ExploreOptions cont = base_;
+    cont.num_threads = threads;
+    expect_identical(big_full, explore(big.prg, big.kc, big.init, cont, &ck),
+                     "parallel checkpoint, threads=" +
+                         std::to_string(threads));
+  }
+  std::remove(path.c_str());
 }
 
 TEST_F(ResumeMismatchTest, DifferentProgramRejected) {

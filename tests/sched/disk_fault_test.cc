@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/finals.h"
 #include "programs/corpus.h"
 #include "sched/checkpoint.h"
 #include "sched/explore.h"
@@ -54,8 +55,8 @@ void expect_same_verdict(const ExploreResult& a, const ExploreResult& b) {
   EXPECT_EQ(a.transitions, b.transitions);
   EXPECT_EQ(a.violations.size(), b.violations.size());
   ASSERT_EQ(a.final_ids.size(), b.final_ids.size());
-  const auto af = a.finals();
-  const auto bf = b.finals();
+  const auto af = finals_of(a);
+  const auto bf = finals_of(b);
   for (std::size_t i = 0; i < af.size(); ++i) EXPECT_EQ(af[i], bf[i]);
 }
 

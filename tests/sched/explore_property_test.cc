@@ -7,6 +7,7 @@
 
 #include <algorithm>
 
+#include "common/finals.h"
 #include "common/random_program.h"
 #include "ptx/emit.h"
 #include "ptx/lower.h"
@@ -46,7 +47,7 @@ TEST_P(ExplorePropertyTest, FinalsCoverEveryScheduler) {
   EXPECT_TRUE(full.schedule_independent());
 
   // Deterministic and random schedules land in the explored finals.
-  const std::vector<sem::Machine> full_finals = full.finals();
+  const std::vector<sem::Machine> full_finals = finals_of(full);
   for (int variant = 0; variant < 3; ++variant) {
     sem::Machine m = initial;
     FirstChoiceScheduler fc;
@@ -69,7 +70,7 @@ TEST_P(ExplorePropertyTest, FinalsCoverEveryScheduler) {
     std::sort(h.begin(), h.end());
     return h;
   };
-  EXPECT_EQ(hashes(full.finals()), hashes(reduced.finals()));
+  EXPECT_EQ(hashes(finals_of(full)), hashes(finals_of(reduced)));
   EXPECT_LE(reduced.states_visited, full.states_visited);
 }
 
@@ -96,7 +97,7 @@ TEST_P(ExplorePropertyTest, CollidingStoresStillCovered) {
   const ExploreResult full = explore(prg, kc, initial, {});
   ASSERT_TRUE(full.exhaustive);
   ASSERT_TRUE(full.all_schedules_terminate());
-  const std::vector<sem::Machine> full_finals = full.finals();
+  const std::vector<sem::Machine> full_finals = finals_of(full);
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     sem::Machine m = initial;
     RandomScheduler s(seed);

@@ -130,6 +130,90 @@ TEST(Explore, RacyProgramHasMultipleFinals) {
   EXPECT_EQ(r.final_ids.size(), 2u);
 }
 
+// --- limit-case pins --------------------------------------------------
+//
+// What each engine reports when a structural limit cuts the run short.
+// The serial DFS and the parallel graph builder stop at different
+// states (docs/explorer.md), so every engine has its own row; one
+// worker thread keeps the parallel cut deterministic.  Violations are
+// pinned as "kind/trace-length" in report order.
+
+struct LimitCase {
+  const char* name;
+  Program prg;
+  sem::KernelConfig kc;
+  ExploreOptions opts;
+};
+
+LimitCase limit_case(const std::string& name) {
+  ExploreOptions opts;
+  opts.stop_at_first_violation = false;
+  if (name == "max_states=10" || name == "max_states=100") {
+    opts.max_states = name == "max_states=10" ? 10 : 100;
+    return {"max_states", programs::straightline_program(10),
+            {{2, 1, 1}, {4, 1, 1}, 2}, opts};
+  }
+  opts.max_depth = name == "max_depth=5" ? 5 : 2;
+  if (name == "max_depth=5") {
+    return {"max_depth", programs::straightline_program(50),
+            {{1, 1, 1}, {4, 1, 1}, 2}, opts};
+  }
+  return {"spin", Program("spin", {INop{}, IBra{0}}),
+          {{1, 1, 1}, {4, 1, 1}, 2}, opts};
+}
+
+std::string violation_summary(const ExploreResult& r) {
+  std::string s;
+  for (const Violation& v : r.violations) {
+    if (!s.empty()) s += ' ';
+    s += to_string(v.kind) + "/" + std::to_string(v.trace.size());
+  }
+  return s;
+}
+
+struct LimitPin {
+  const char* cut;
+  std::uint32_t threads;  // 0 = serial DFS
+  std::uint64_t states;
+  std::uint64_t transitions;
+  ExploreResult::Limit limit;
+  bool exhaustive;
+  std::size_t finals;
+  const char* violations;
+};
+
+TEST(Explore, LimitCasesPinnedPerEngine) {
+  using L = ExploreResult::Limit;
+  const char* const depth5 =
+      "depth-exceeded/5 depth-exceeded/5 depth-exceeded/5 "
+      "depth-exceeded/5 depth-exceeded/5 depth-exceeded/5";
+  const char* const spin = "cycle/2 depth-exceeded/2 cycle/2";
+  const LimitPin pins[] = {
+      {"max_states=10", 0, 10, 40, L::MaxStates, false, 0, ""},
+      {"max_states=10", 1, 10, 40, L::MaxStates, false, 0, ""},
+      {"max_states=100", 0, 100, 218, L::MaxStates, false, 1, ""},
+      {"max_states=100", 1, 100, 332, L::MaxStates, false, 0, ""},
+      {"max_depth=5", 0, 21, 30, L::MaxDepth, false, 0, depth5},
+      {"max_depth=5", 1, 21, 30, L::MaxDepth, false, 0, depth5},
+      {"spin", 0, 4, 6, L::MaxDepth, false, 0, spin},
+      {"spin", 1, 4, 6, L::MaxDepth, false, 0, spin},
+  };
+  for (const LimitPin& pin : pins) {
+    SCOPED_TRACE(std::string(pin.cut) +
+                 " threads=" + std::to_string(pin.threads));
+    LimitCase c = limit_case(pin.cut);
+    c.opts.num_threads = pin.threads;
+    const ExploreResult r =
+        explore(c.prg, c.kc, plain_machine(c.prg, c.kc), c.opts);
+    EXPECT_EQ(r.states_visited, pin.states);
+    EXPECT_EQ(r.transitions, pin.transitions);
+    EXPECT_EQ(to_string(r.limit_hit), to_string(pin.limit));
+    EXPECT_EQ(r.exhaustive, pin.exhaustive);
+    EXPECT_EQ(r.final_ids.size(), pin.finals);
+    EXPECT_EQ(violation_summary(r), pin.violations);
+  }
+}
+
 // --- state identity pins ----------------------------------------------
 //
 // Exact (states, transitions, finals) for the corpus kernels the

@@ -5,13 +5,13 @@
 // and replayable traces, the finals vector (content and order), and
 // the min/max schedule lengths — at every thread count, with and
 // without partial-order reduction.
-#include "sched/explore_parallel.h"
+#include "sched/explore.h"
 
 #include <gtest/gtest.h>
 
+#include "common/finals.h"
 #include "programs/corpus.h"
 #include "ptx/lower.h"
-#include "sched/explore.h"
 #include "sem/launch.h"
 
 namespace cac::sched {
@@ -29,8 +29,8 @@ void expect_identical(const ExploreResult& a, const ExploreResult& b,
   EXPECT_EQ(a.min_steps_to_termination, b.min_steps_to_termination);
   EXPECT_EQ(a.max_steps_to_termination, b.max_steps_to_termination);
   ASSERT_EQ(a.final_ids.size(), b.final_ids.size());
-  const std::vector<sem::Machine> af = a.finals();
-  const std::vector<sem::Machine> bf = b.finals();
+  const std::vector<sem::Machine> af = finals_of(a);
+  const std::vector<sem::Machine> bf = finals_of(b);
   for (std::size_t i = 0; i < af.size(); ++i) {
     EXPECT_EQ(af[i], bf[i]) << "finals[" << i << "]";
   }
@@ -57,15 +57,8 @@ void expect_parallel_equivalent(const ptx::Program& prg,
     for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {
       ExploreOptions par_opts = serial_opts;
       par_opts.num_threads = threads;
-      // Both entry points must agree: the explicit one and the
-      // explore() dispatch on num_threads.
-      const ExploreResult via_dispatch = explore(prg, kc, init, par_opts);
-      expect_identical(serial, via_dispatch,
+      expect_identical(serial, explore(prg, kc, init, par_opts),
                        "por=" + std::to_string(por) +
-                           " threads=" + std::to_string(threads));
-      const ExploreResult direct = explore_parallel(prg, kc, init, par_opts);
-      expect_identical(serial, direct,
-                       "direct por=" + std::to_string(por) +
                            " threads=" + std::to_string(threads));
     }
   }

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <set>
 
+#include "common/finals.h"
 #include "programs/corpus.h"
 #include "ptx/lower.h"
 #include "sched/explore.h"
@@ -27,7 +28,7 @@ Outcome summarize(const ExploreResult& r) {
   for (const Violation& v : r.violations) {
     o.violation_kinds |= 1u << static_cast<unsigned>(v.kind);
   }
-  for (const sem::Machine& m : r.finals()) {
+  for (const sem::Machine& m : finals_of(r)) {
     o.final_memory_hashes.insert(m.memory.hash());
   }
   return o;

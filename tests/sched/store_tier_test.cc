@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/finals.h"
 #include "programs/corpus.h"
 #include "sched/explore.h"
 #include "sched/state_store.h"
@@ -346,8 +347,8 @@ TEST(StoreTier, ExplorationVerdictIdenticalUnderTightBudget) {
   EXPECT_EQ(tiered.states_visited, full.states_visited);
   EXPECT_EQ(tiered.transitions, full.transitions);
   EXPECT_EQ(tiered.final_ids.size(), full.final_ids.size());
-  const auto af = full.finals();
-  const auto bf = tiered.finals();
+  const auto af = finals_of(full);
+  const auto bf = finals_of(tiered);
   for (std::size_t i = 0; i < af.size(); ++i) EXPECT_EQ(af[i], bf[i]);
   // The budget bit: the run actually spilled, and the spilled bytes
   // are excluded from the resident figure.

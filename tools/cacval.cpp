@@ -260,8 +260,13 @@ Options parse_args(int argc, char** argv) {
     else if (a == "--max-steps") o.explore.max_depth = parse_u64(next());
     else if (a == "--max-states") o.explore.max_states = parse_u64(next());
     else if (a == "--threads") {
-      o.explore.num_threads =
-          static_cast<std::uint32_t>(parse_u64(next()));
+      const std::uint64_t n = parse_u64(next());
+      if (n > sched::kMaxThreads) {
+        usage(("--threads must be at most " +
+               std::to_string(sched::kMaxThreads) + ", got " +
+               std::to_string(n)).c_str());
+      }
+      o.explore.num_threads = static_cast<std::uint32_t>(n);
     }
     else if (a == "--exact-steps") o.exact_steps = parse_u64(next());
     else if (a == "--checkpoint") o.explore.checkpoint_path = next();
