@@ -1,8 +1,7 @@
-// Parallel schedule exploration: serial DFS vs the work-stealing
-// frontier engine at 2/4/8 workers, with and without partial-order
-// reduction, on full exploration of the paper's vector sum.  Reports
-// states/sec (the per-state work — Machine clone + semantics step +
-// hash — is what the engine parallelizes) and exercises the packed
+// Schedule exploration on the paper's vector sum, with and without
+// partial-order reduction.  Reports states/sec (the per-state work —
+// Machine clone + semantics step + hash + intern — is what the DFS
+// spends its time on), the state store's footprint, and the packed
 // Memory representation's clone+hash fast path.
 //
 // tools/bench_to_json.py runs this binary and snapshots the results
@@ -10,7 +9,6 @@
 // trajectory.
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -43,20 +41,18 @@ sem::Machine vecadd_machine(const ptx::Program& prg,
   return spec.to_launch(prg).machine();
 }
 
-/// Args: (num_threads [0 = serial DFS], por, warps).  The warps=3
-/// non-POR instance is the acceptance workload: the schedule lattice
-/// of three 4-thread warps through the 20-instruction vector sum.
+/// Args: (por, warps).  The warps=3 non-POR instance is the
+/// acceptance workload: the schedule lattice of three 4-thread warps
+/// through the 20-instruction vector sum.
 void BM_ExploreVectorSum(benchmark::State& state) {
-  const auto threads = static_cast<std::uint32_t>(state.range(0));
-  const bool por = state.range(1) != 0;
-  const auto warps = static_cast<std::uint32_t>(state.range(2));
+  const bool por = state.range(0) != 0;
+  const auto warps = static_cast<std::uint32_t>(state.range(1));
 
   const ptx::Program prg = programs::vector_add_listing2();
   const sem::KernelConfig kc{{1, 1, 1}, {4 * warps, 1, 1}, 4};
   const sem::Machine init = vecadd_machine(prg, kc, 4 * warps);
 
   sched::ExploreOptions opts;
-  opts.num_threads = threads;
   opts.partial_order_reduction = por;
 
   std::uint64_t states = 0, total = 0;
@@ -68,7 +64,6 @@ void BM_ExploreVectorSum(benchmark::State& state) {
     states = r.states_visited;
     total += r.states_visited;
   }
-  state.counters["threads"] = threads;
   state.counters["por"] = por ? 1 : 0;
   state.counters["warps"] = warps;
   state.counters["states"] = static_cast<double>(states);
@@ -76,20 +71,10 @@ void BM_ExploreVectorSum(benchmark::State& state) {
       static_cast<double>(total), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_ExploreVectorSum)
-    ->ArgNames({"threads", "por", "warps"})
-    // Full exploration, warps=3 (the acceptance workload).
-    ->Args({0, 0, 3})
-    ->Args({2, 0, 3})
-    ->Args({4, 0, 3})
-    ->Args({8, 0, 3})
-    // POR composes with the parallel engine.
-    ->Args({0, 1, 3})
-    ->Args({2, 1, 3})
-    ->Args({4, 1, 3})
-    ->Args({8, 1, 3})
-    // Smaller instance for quick trend lines.
-    ->Args({0, 0, 2})
-    ->Args({8, 0, 2})
+    ->ArgNames({"por", "warps"})
+    ->Args({0, 3})  // full exploration: the acceptance workload
+    ->Args({1, 3})
+    ->Args({0, 2})  // smaller instance for quick trend lines
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
@@ -115,7 +100,7 @@ void BM_MemoryCloneHash(benchmark::State& state) {
 }
 BENCHMARK(BM_MemoryCloneHash);
 
-/// Full machine clone + memoized hash — exactly what the explorers do
+/// Full machine clone + memoized hash — exactly what the explorer does
 /// per transition (the semantics step is benched in bench_fig1).
 void BM_MachineCloneHash(benchmark::State& state) {
   const ptx::Program prg = programs::vector_add_listing2();
@@ -144,12 +129,11 @@ BENCHMARK(BM_MachineHashMemoized);
 
 /// State-store footprint: resident bytes per visited state with the
 /// interning store vs full per-state machine copies (the pre-StateStore
-/// representation), on the two acceptance workloads.  Args:
-/// (num_threads, workload [0 = vecadd 3 warps, 1 = reduce_shared]).
-/// The counters feed BENCH_explore.json via tools/bench_to_json.py.
+/// representation), on the two acceptance workloads.  Arg: workload
+/// (0 = vecadd 3 warps, 1 = reduce_shared).  The counters feed
+/// BENCH_explore.json via tools/bench_to_json.py.
 void BM_StateStoreFootprint(benchmark::State& state) {
-  const auto threads = static_cast<std::uint32_t>(state.range(0));
-  const bool reduce = state.range(1) != 0;
+  const bool reduce = state.range(0) != 0;
 
   ptx::Program prg = programs::vector_add_listing2();
   sem::KernelConfig kc{{1, 1, 1}, {12, 1, 1}, 4};
@@ -172,12 +156,9 @@ void BM_StateStoreFootprint(benchmark::State& state) {
     init = vecadd_machine(prg, kc, 12);
   }
 
-  sched::ExploreOptions opts;
-  opts.num_threads = threads;
-
   sched::StateStore::Stats stats;
   for (auto _ : state) {
-    const sched::ExploreResult r = sched::explore(prg, kc, init, opts);
+    const sched::ExploreResult r = sched::explore(prg, kc, init);
     if (!r.exhaustive || !r.store) {
       throw KernelError("footprint exploration verdict changed");
     }
@@ -189,7 +170,6 @@ void BM_StateStoreFootprint(benchmark::State& state) {
                : static_cast<double>(bytes) /
                      static_cast<double>(stats.states);
   };
-  state.counters["threads"] = threads;
   state.counters["states"] = static_cast<double>(stats.states);
   state.counters["warp_fragments"] =
       static_cast<double>(stats.warp_fragments);
@@ -202,23 +182,11 @@ void BM_StateStoreFootprint(benchmark::State& state) {
   state.counters["dedup_ratio"] = stats.dedup_ratio();
 }
 BENCHMARK(BM_StateStoreFootprint)
-    ->ArgNames({"threads", "reduce"})
-    ->Args({0, 0})
-    ->Args({4, 0})
-    ->Args({0, 1})
-    ->Args({4, 1})
+    ->ArgNames({"reduce"})
+    ->Arg(0)
+    ->Arg(1)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
-
-struct Banner {
-  Banner() {
-    std::printf(
-        "Parallel exploration — serial DFS vs work-stealing frontier\n"
-        "engine on the vector sum (warps=3: the acceptance workload).\n"
-        "Verdicts are byte-identical across engines by construction;\n"
-        "wall-clock scaling requires actual hardware threads.\n\n");
-  }
-} banner;
 
 }  // namespace
 

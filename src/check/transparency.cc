@@ -6,7 +6,8 @@ namespace cac::check {
 
 TransparencyResult check_scheduler_transparency(
     const ptx::Program& prg, const sem::KernelConfig& kc,
-    const sem::Machine& initial, const sched::ExploreOptions& opts) {
+    const sem::Machine& initial, const sched::ExploreResult& schedules,
+    const sched::ExploreOptions& opts) {
   TransparencyResult result;
 
   // The deterministic witness run.
@@ -23,26 +24,25 @@ TransparencyResult check_scheduler_transparency(
   }
 
   // Every schedule.
-  result.exploration = sched::explore(prg, kc, initial, opts);
-  result.schedules_states = result.exploration.states_visited;
-  if (!result.exploration.violations.empty()) {
-    const auto& v = result.exploration.violations.front();
+  result.schedules_states = schedules.states_visited;
+  if (!schedules.violations.empty()) {
+    const auto& v = schedules.violations.front();
     result.detail = "a schedule fails: " + to_string(v.kind) + ": " +
                     v.message;
     return result;
   }
-  if (!result.exploration.exhaustive) {
+  if (!schedules.exhaustive) {
     result.detail = "exploration limits hit; transparency undecided";
     return result;
   }
-  if (result.exploration.final_ids.size() != 1) {
+  if (schedules.final_ids.size() != 1) {
     result.detail = "schedule-dependent result: " +
-                    std::to_string(result.exploration.final_ids.size()) +
+                    std::to_string(schedules.final_ids.size()) +
                     " distinct terminal states";
     return result;
   }
-  const sem::Machine sole = result.exploration.store->materialize(
-      result.exploration.final_ids.front());
+  const sem::Machine sole =
+      schedules.store->materialize(schedules.final_ids.front());
   if (!(sole == det)) {
     result.detail =
         "nondeterministic terminal state differs from the deterministic one";
@@ -50,9 +50,16 @@ TransparencyResult check_scheduler_transparency(
   }
   result.holds = true;
   result.detail = "deterministic result is the unique result of all " +
-                  std::to_string(result.exploration.states_visited) +
+                  std::to_string(schedules.states_visited) +
                   "-state schedules";
   return result;
+}
+
+TransparencyResult check_scheduler_transparency(
+    const ptx::Program& prg, const sem::KernelConfig& kc,
+    const sem::Machine& initial, const sched::ExploreOptions& opts) {
+  return check_scheduler_transparency(
+      prg, kc, initial, sched::explore(prg, kc, initial, opts), opts);
 }
 
 }  // namespace cac::check

@@ -28,9 +28,18 @@ struct TransparencyResult {
   std::string detail;
   std::uint64_t schedules_states = 0;   // states in the schedule graph
   std::uint64_t det_steps = 0;          // deterministic schedule length
-  sched::ExploreResult exploration;
 };
 
+/// Decide the theorem against `schedules`, an exploration of every
+/// schedule from `initial` under `opts` (validate passes its model
+/// check's, so the state space is explored once).  Only the
+/// deterministic run is performed here.
+TransparencyResult check_scheduler_transparency(
+    const ptx::Program& prg, const sem::KernelConfig& kc,
+    const sem::Machine& initial, const sched::ExploreResult& schedules,
+    const sched::ExploreOptions& opts);
+
+/// One-call form: explore every schedule under `opts`, then decide.
 TransparencyResult check_scheduler_transparency(
     const ptx::Program& prg, const sem::KernelConfig& kc,
     const sem::Machine& initial, const sched::ExploreOptions& opts = {});

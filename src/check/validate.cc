@@ -59,8 +59,8 @@ ValidationReport validate(const ptx::Program& prg,
   }
   report.model = prove_total(prg, kc, initial, post, opts.model);
   if (opts.check_transparency) {
-    report.transparency =
-        check_scheduler_transparency(prg, kc, initial, opts.model.explore);
+    report.transparency = check_scheduler_transparency(
+        prg, kc, initial, report.model.exploration, opts.model.explore);
   }
   if (opts.check_lane_order) {
     report.lane_order =

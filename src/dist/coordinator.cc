@@ -53,15 +53,14 @@ struct WorkerDiedSignal {
 /// plus the per-worker stores finals are materialized from.
 struct MergedGraph {
   std::vector<std::unique_ptr<sched::StateStore>> stores;  // per worker
-  std::deque<sched::GraphNode> nodes;                      // stable addrs
-  sched::GraphNode* root = nullptr;
+  std::deque<GraphNode> nodes;  // stable addrs
+  GraphNode* root = nullptr;
 };
 
 MergedGraph merge_parts(const std::vector<GraphPartMsg>& parts, Gid root) {
   MergedGraph g;
   const std::size_t n = parts.size();
-  std::vector<std::unordered_map<std::uint32_t, sched::GraphNode*>> by_local(
-      n);
+  std::vector<std::unordered_map<std::uint32_t, GraphNode*>> by_local(n);
   g.stores.resize(n);
   for (std::size_t w = 0; w < n; ++w) {
     g.stores[w] = std::make_unique<sched::StateStore>();
@@ -73,14 +72,14 @@ MergedGraph merge_parts(const std::vector<GraphPartMsg>& parts, Gid root) {
       throw DistError(DistError::Kind::Corrupt,
                       std::string("graph part store: ") + e.what());
     }
-    for (const sched::NodeRecord& rec : parts[w].nodes) {
-      sched::GraphNode& nd = g.nodes.emplace_back();
+    for (const NodeRecord& rec : parts[w].nodes) {
+      GraphNode& nd = g.nodes.emplace_back();
       nd.id = rec.id;
       nd.owner = static_cast<std::uint32_t>(w);
       by_local[w].emplace(rec.id.v, &nd);
     }
   }
-  const auto lookup = [&](Gid gid) -> sched::GraphNode* {
+  const auto lookup = [&](Gid gid) -> GraphNode* {
     if (gid.worker() >= n) {
       throw DistError(DistError::Kind::Corrupt,
                       "edge references an unknown worker");
@@ -93,7 +92,7 @@ MergedGraph merge_parts(const std::vector<GraphPartMsg>& parts, Gid root) {
     return it->second;
   };
   for (std::size_t w = 0; w < n; ++w) {
-    for (const sched::NodeRecord& rec : parts[w].nodes) {
+    for (const NodeRecord& rec : parts[w].nodes) {
       by_local[w].at(rec.id.v)->link(rec, lookup);
     }
   }
@@ -101,18 +100,54 @@ MergedGraph merge_parts(const std::vector<GraphPartMsg>& parts, Gid root) {
   return g;
 }
 
-/// The verdict DFS over the merged graph, with the finals re-interned
-/// into a fresh result store in first-visit order, so result.final_ids
+/// The verdict DFS's walk over the merged graph.
+struct GraphWalk {
+  using Key = GraphNode*;
+  struct Frame {
+    GraphNode* key;
+    std::size_t next = 0;
+  };
+
+  static Color& color(GraphNode* n) { return n->color; }
+
+  static bool next(Frame& top, sched::internal::Arrival<GraphNode*>& a) {
+    if (top.next >= top.key->edges.size()) return false;
+    const GraphNode::Edge& e = top.key->edges[top.next++];
+    a.kind = e.kind;
+    a.choice = e.choice;
+    a.child = e.node;
+    a.fault = &e.fault;
+    return true;
+  }
+
+  static NodeKind classify(GraphNode* n, std::uint64_t, std::string& stuck) {
+    if (n->kind == NodeKind::Stuck) stuck = n->stuck_reason;
+    return n->kind;
+  }
+
+  static Frame open(GraphNode* n) { return Frame{n, 0}; }
+};
+
+/// The verdict DFS over the merged graph (`stopped` is the budget that
+/// cut the build short, or None), with the finals re-interned into a
+/// fresh result store in first-visit order, so result.final_ids
 /// materialize to exactly the machines (and order) the serial engine
 /// reports.
 sched::ExploreResult replay(MergedGraph& g, const sched::ExploreOptions& opts,
                             Limit stopped) {
-  std::vector<const sched::GraphNode*> finals;
-  sched::ExploreResult result =
-      sched::internal::replay_graph(g.root, opts, stopped, finals);
+  GraphWalk walk;
+  sched::internal::VerdictDfs<GraphWalk> dfs(walk, opts);
+  dfs.unexpanded_limit = stopped;
+  sched::internal::Arrival<GraphNode*> root;
+  root.kind = g.root != nullptr ? EdgeKind::Child : EdgeKind::Overflow;
+  root.child = g.root;
+  dfs.arrive(root);
+  dfs.run();
+  dfs.finish();
+  sched::ExploreResult result = std::move(dfs.result);
   auto result_store = std::make_shared<sched::StateStore>();
-  result.final_ids.reserve(finals.size());
-  for (const sched::GraphNode* nd : finals) {
+  result.final_ids.reserve(dfs.finals.size());
+  for (const GraphNode* nd : dfs.finals) {
     result.final_ids.push_back(
         result_store->intern(g.stores[nd->owner]->materialize(nd->id)).id);
   }

@@ -7,8 +7,8 @@
 // possible (only the dead worker is re-forked; survivors roll back
 // in-process to the last committed generation), by relaunching the
 // whole fleet otherwise — and finally merges the
-// per-worker graph parts and replays the serial DFS over them — the
-// same replay the in-process parallel engine uses, so the aggregated
+// per-worker graph parts and runs the verdict DFS (sched/dfs.h) over
+// them — the DFS the serial engine runs, so the aggregated
 // ExploreResult is byte-identical to the serial engine's verdict.
 #pragma once
 
@@ -88,7 +88,7 @@ struct DistResult {
 
 /// Explore `initial` across dopts.n_workers processes.  Composes with
 /// the ExploreOptions budgets and checkpoint fields exactly like the
-/// in-process engines: budgets stop the run gracefully with a precise
+/// in-process engine: budgets stop the run gracefully with a precise
 /// limit_hit, checkpoint_path enables per-worker generation files plus
 /// a coordinator manifest, and resume_manifest continues a stopped run
 /// to a verdict byte-identical to an uninterrupted one.

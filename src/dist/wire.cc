@@ -1,5 +1,6 @@
 #include "dist/wire.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "sched/checkpoint_codec.h"
@@ -36,6 +37,63 @@ constexpr char kMagic[4] = {'C', 'A', 'C', 'F'};
 
 void encode_gid(BinWriter& w, Gid g) { w.u64(g.v); }
 Gid decode_gid(BinReader& r) { return Gid{r.u64()}; }
+
+// The one graph-node codec (graph.h), shared by graph parts and
+// partition checkpoints.  Per node: u32 id, u8 flags (bit 0 classified,
+// bit 1 terminal, bit 2 stuck), str stuck reason, u64 edge count; per
+// edge: choice, u8 flags (bit 0 fault, bit 1 overflow), u64 child Gid,
+// str fault.  Decoding rejects flag patterns no worker writes.
+constexpr std::uint8_t kNodeFlags[] = {0, 1, 3, 5};  // by NodeKind
+
+void encode_nodes(BinWriter& w, const std::vector<NodeRecord>& ns) {
+  w.u64(ns.size());
+  for (const NodeRecord& n : ns) {
+    w.u32(n.id.v);
+    w.u8(kNodeFlags[static_cast<std::uint8_t>(n.kind)]);
+    w.str(n.stuck_reason);
+    w.u64(n.edges.size());
+    for (const EdgeRecord& e : n.edges) {
+      sched::codec::encode_choice(w, e.choice);
+      w.u8(static_cast<std::uint8_t>(e.kind == EdgeKind::Fault      ? 1
+                                     : e.kind == EdgeKind::Overflow ? 2
+                                                                    : 0));
+      encode_gid(w, e.child);
+      w.str(e.fault);
+    }
+  }
+}
+
+std::vector<NodeRecord> decode_nodes(BinReader& r) {
+  const std::uint64_t nn = r.count();
+  std::vector<NodeRecord> ns;
+  ns.reserve(nn);
+  for (std::uint64_t i = 0; i < nn; ++i) {
+    NodeRecord n;
+    n.id = {r.u32()};
+    const std::uint8_t flags = r.u8();
+    const auto* kind = std::find(std::begin(kNodeFlags),
+                                 std::end(kNodeFlags), flags);
+    if (kind == std::end(kNodeFlags)) throw BinError("bad node flags");
+    n.kind = static_cast<NodeKind>(kind - std::begin(kNodeFlags));
+    n.stuck_reason = r.str();
+    const std::uint64_t ne = r.count();
+    n.edges.reserve(ne);
+    for (std::uint64_t j = 0; j < ne; ++j) {
+      EdgeRecord e;
+      e.choice = sched::codec::decode_choice(r);
+      const std::uint8_t eflags = r.u8();
+      if (eflags > 2) throw BinError("bad edge flags");
+      e.kind = eflags == 1   ? EdgeKind::Fault
+               : eflags == 2 ? EdgeKind::Overflow
+                             : EdgeKind::Child;
+      e.child = decode_gid(r);
+      e.fault = r.str();
+      n.edges.push_back(std::move(e));
+    }
+    ns.push_back(std::move(n));
+  }
+  return ns;
+}
 
 }  // namespace
 
@@ -285,7 +343,7 @@ void GraphPartMsg::encode(BinWriter& w) const {
   w.u8(has_root);
   w.u32(root_local);
   w.str(store);
-  sched::codec::encode_nodes(w, nodes);
+  encode_nodes(w, nodes);
   w.u64(owned);
   w.u64(frontier_sent);
   w.u64(resolves_sent);
@@ -301,7 +359,7 @@ GraphPartMsg GraphPartMsg::decode(BinReader& r) {
   if (m.has_root > 1) throw BinError("bad root flag in graph part");
   m.root_local = r.u32();
   m.store = r.str();
-  m.nodes = sched::codec::decode_nodes(r);
+  m.nodes = decode_nodes(r);
   m.owned = r.u64();
   m.frontier_sent = r.u64();
   m.resolves_sent = r.u64();
@@ -321,7 +379,7 @@ void WorkerCheckpointMsg::encode(BinWriter& w) const {
   w.u8(has_root);
   w.u32(root_local);
   w.str(store);
-  sched::codec::encode_nodes(w, nodes);
+  encode_nodes(w, nodes);
   w.u64(frontier.size());
   for (const auto& [local, depth] : frontier) {
     w.u32(local);
@@ -344,7 +402,7 @@ WorkerCheckpointMsg WorkerCheckpointMsg::decode(BinReader& r) {
   if (m.has_root > 1) throw BinError("bad root flag in checkpoint");
   m.root_local = r.u32();
   m.store = r.str();
-  m.nodes = sched::codec::decode_nodes(r);
+  m.nodes = decode_nodes(r);
   const std::uint64_t nf = r.count(12);  // u32 local + u64 depth
   m.frontier.reserve(nf);
   for (std::uint64_t i = 0; i < nf; ++i) {

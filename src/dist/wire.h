@@ -28,9 +28,9 @@
 #include <string_view>
 #include <vector>
 
+#include "dist/graph.h"
 #include "sched/checkpoint.h"
 #include "sched/explore.h"
-#include "sched/graph.h"
 
 namespace cac::dist {
 
@@ -56,16 +56,10 @@ class DistError : public std::runtime_error {
 
 std::string to_string(DistError::Kind k);
 
-/// Global state id (sched/graph.h): edges in the distributed state
-/// graph name children by Gid, so a graph part is meaningful outside
-/// the process that built it.
-using sched::Gid;
-
-/// Which worker owns a state, by its memoized machine hash.  Same
-/// splitmix-finalized top bits as the in-process 64-way VisitedShards
-/// (explore_parallel.cc) — the process partition is the shard map
-/// folded onto n_workers, so every structurally equal machine maps to
-/// exactly one owner in every process.
+/// Which worker owns a state, by its memoized machine hash: the top six
+/// of its splitmix-finalized bits (a 64-way shard map) folded onto
+/// n_workers, so every structurally equal machine maps to exactly one
+/// owner in every process.
 inline std::uint32_t owner_of(std::uint64_t hash, std::uint32_t n_workers) {
   return (static_cast<std::uint32_t>(hash >> 58) & 63u) % n_workers;
 }
@@ -302,7 +296,7 @@ struct GraphPartMsg {
   std::uint8_t has_root = 0;
   std::uint32_t root_local = 0;
   std::string store;  // StateStore::encode bytes
-  std::vector<sched::NodeRecord> nodes;
+  std::vector<NodeRecord> nodes;
   // stats
   std::uint64_t owned = 0;
   std::uint64_t frontier_sent = 0;   // kState frames sent
@@ -331,7 +325,7 @@ struct WorkerCheckpointMsg {
   std::uint8_t has_root = 0;
   std::uint32_t root_local = 0;
   std::string store;  // StateStore::encode bytes
-  std::vector<sched::NodeRecord> nodes;
+  std::vector<NodeRecord> nodes;
   /// Discovered-but-unexpanded (StateId.v, depth) pairs.
   std::vector<std::pair<std::uint32_t, std::uint64_t>> frontier;
 

@@ -21,8 +21,6 @@ namespace cac::dist {
 
 namespace {
 
-using sched::EdgeRecord;
-using sched::NodeRecord;
 using support::BinError;
 using support::BinReader;
 using support::BinWriter;
@@ -57,7 +55,7 @@ class Worker {
   }
 
  private:
-  // The partition's graph is held as the sched::NodeRecords it is
+  // The partition's graph is held as the NodeRecords it is
   // shipped as.  A remote child whose kResolve has not arrived yet is a
   // pending edge (EdgeRecord::pending); quiescence guarantees none
   // remain by the time a checkpoint or graph part is serialized.
@@ -250,7 +248,7 @@ class Worker {
 
   static void patch(EdgeRecord& e, const MirrorEntry& entry) {
     if (entry.overflow) {
-      e.kind = sched::EdgeKind::Overflow;
+      e.kind = EdgeKind::Overflow;
     } else {
       e.child = entry.child;
     }
@@ -288,59 +286,79 @@ class Worker {
     send_msg(FrameType::kProbeAck, ack);
   }
 
-  /// Expand one owned state as every graph-building engine does
-  /// (sched::internal::expand), so the merged graph is the one the
-  /// serial DFS would build.  A child hashing to a foreign partition is
-  /// interned remotely via kState/kResolve.
+  /// Expand one owned state the way the serial DFS does: classify it
+  /// and, when it is Expanded, add one edge per eligible choice, in
+  /// order.  So the merged graph is the one the serial DFS walks.
   void expand(const Task& t) {
     NodeRecord* node = t.node;
-    sched::internal::expand(
-        prg_, kc_, setup_.options, store_->materialize(node->id), t.depth,
-        *node, [&](EdgeRecord& e, const sem::Machine& child) {
-          const std::uint64_t h = child.hash();  // memoized pre-intern
-          const std::uint32_t owner = owner_of(h, setup_.n_workers);
-          if (owner == setup_.worker_index) {
-            // The expanding node seeds delta encoding, as in the
-            // in-process engines.
-            const auto r =
-                store_->intern(child, setup_.options.max_states, node->id);
-            if (!r.id.valid()) {
-              e.kind = sched::EdgeKind::Overflow;
-              return;
-            }
-            e.child = Gid::make(setup_.worker_index, r.id.v);
-            if (r.inserted) {
-              tasks_.push_back(Task{add_node(r.id), t.depth + 1});
-              die_check();
-            }
-            return;
-          }
-          // Foreign child: dedup through the mirror store so each
-          // distinct remote state is shipped (and resolved) exactly once.
-          const auto mr = mirror_->intern(child);
-          const auto edge_index =
-              static_cast<std::uint32_t>(node->edges.size() - 1);
-          MirrorEntry& entry = mirror_entries_[mr.id.v];
-          if (entry.resolved) {
-            patch(e, entry);
-          } else {
-            entry.waiters.emplace_back(node, edge_index);
-          }
-          if (mr.inserted) {
-            BinWriter sw;
-            mirror_->encode_state(mr.id, sw);
-            StateMsg sm;
-            sm.target = owner;
-            sm.parent = Gid::make(setup_.worker_index, node->id.v);
-            sm.edge_index = edge_index;
-            sm.mirror_id = mr.id.v;
-            sm.depth = t.depth + 1;
-            sm.state = sw.take();
-            send_msg(FrameType::kState, sm);
-            ++sent_;
-            ++frontier_sent_;
-          }
-        });
+    const sem::Machine state = store_->materialize(node->id);
+    std::vector<sem::Choice> eligible;
+    node->kind = sched::internal::classify(prg_, setup_.options, state.grid,
+                                           t.depth, eligible,
+                                           node->stuck_reason);
+    if (node->kind != NodeKind::Expanded) return;
+    node->edges.reserve(eligible.size());
+    for (const sem::Choice& c : eligible) {
+      EdgeRecord& e = node->edges.emplace_back();
+      e.choice = c;
+      sem::Machine child(state);
+      const sem::StepResult sr = sem::apply_choice(
+          prg_, kc_, child, c, setup_.options.step_opts, nullptr);
+      if (sr.ok()) {
+        add_child(t, e, child);
+      } else {
+        e.kind = EdgeKind::Fault;
+        e.fault = sr.fault;
+      }
+    }
+  }
+
+  /// Name the child of `e`, the last edge of t.node.  A child hashing
+  /// to a foreign partition is interned remotely via kState/kResolve.
+  void add_child(const Task& t, EdgeRecord& e, const sem::Machine& child) {
+    NodeRecord* node = t.node;
+    const std::uint64_t h = child.hash();  // memoized pre-intern
+    const std::uint32_t owner = owner_of(h, setup_.n_workers);
+    if (owner == setup_.worker_index) {
+      // The expanding node seeds delta encoding, as in the serial DFS.
+      const auto r =
+          store_->intern(child, setup_.options.max_states, node->id);
+      if (!r.id.valid()) {
+        e.kind = EdgeKind::Overflow;
+        return;
+      }
+      e.child = Gid::make(setup_.worker_index, r.id.v);
+      if (r.inserted) {
+        tasks_.push_back(Task{add_node(r.id), t.depth + 1});
+        die_check();
+      }
+      return;
+    }
+    // Foreign child: dedup through the mirror store so each distinct
+    // remote state is shipped (and resolved) exactly once.
+    const auto mr = mirror_->intern(child);
+    const auto edge_index =
+        static_cast<std::uint32_t>(node->edges.size() - 1);
+    MirrorEntry& entry = mirror_entries_[mr.id.v];
+    if (entry.resolved) {
+      patch(e, entry);
+    } else {
+      entry.waiters.emplace_back(node, edge_index);
+    }
+    if (mr.inserted) {
+      BinWriter sw;
+      mirror_->encode_state(mr.id, sw);
+      StateMsg sm;
+      sm.target = owner;
+      sm.parent = Gid::make(setup_.worker_index, node->id.v);
+      sm.edge_index = edge_index;
+      sm.mirror_id = mr.id.v;
+      sm.depth = t.depth + 1;
+      sm.state = sw.take();
+      send_msg(FrameType::kState, sm);
+      ++sent_;
+      ++frontier_sent_;
+    }
   }
 
   std::vector<NodeRecord> snapshot_nodes() const {

@@ -4,10 +4,10 @@
 // of a request: the canonical lowered module (whitespace, comments, and
 // source file names don't matter — two textually different PTX files
 // that lower to the same kernels are the same job), the launch, and the
-// structural exploration/symbolic options.  Transient knobs — worker
-// threads, deadlines, memory budgets, store tiering, checkpoint paths —
-// change how fast or how safely a verdict is computed, never which
-// verdict, so they are deliberately excluded from the key.
+// structural exploration/symbolic options.  Transient knobs —
+// deadlines, memory budgets, store tiering, checkpoint paths — change
+// how fast or how safely a verdict is computed, never which verdict, so
+// they are deliberately excluded from the key.
 //
 // The cache stores the fully serialized results payload (the exact
 // bytes `front::to_json` produced) plus the exit code, so a cache hit

@@ -62,9 +62,9 @@ struct CheckRequest {
   std::string kernel;  // empty = the module's first kernel
   sem::LaunchSpec launch;
   /// Structural bounds and transient budgets both ride here, exactly
-  /// as in direct sched::explore use.  Transient fields (threads,
-  /// deadlines, store tiering, checkpoint paths, hooks) never affect
-  /// the verdict and are excluded from the cache key.
+  /// as in direct sched::explore use.  Transient fields (deadlines,
+  /// store tiering, checkpoint paths, hooks) never affect the verdict
+  /// and are excluded from the cache key.
   sched::ExploreOptions explore;
   /// Postcondition: Global words that must hold in every final state.
   std::vector<std::pair<std::uint64_t, std::uint32_t>> expects;

@@ -184,7 +184,6 @@ void write_explore(JsonWriter& w, const sched::ExploreOptions& e) {
       .key("max_states").value(e.max_states)
       .key("stop_at_first_violation").value(e.stop_at_first_violation)
       .key("por").value(e.partial_order_reduction)
-      .key("threads").value(e.num_threads)
       .key("deadline_ms").value(e.deadline_ms)
       .key("mem_limit_bytes").value(e.mem_limit_bytes)
       .end_obj();
@@ -248,15 +247,28 @@ void write_equiv(JsonWriter& w, const EquivRequest& e) {
   w.end_obj();
 }
 
-sem::Dim3 parse_dim3(const JsonValue* v, sem::Dim3 dflt) {
+/// An integer for a 32-bit field: wider values are rejected, not
+/// truncated.
+std::uint32_t as_u32(const JsonValue& v, const std::string& field) {
+  const std::uint64_t x = v.as_u64();
+  if (x > UINT32_MAX) {
+    throw JsonError("json: " + field + " must be at most " +
+                    std::to_string(UINT32_MAX) + ", got " +
+                    std::to_string(x));
+  }
+  return static_cast<std::uint32_t>(x);
+}
+
+sem::Dim3 parse_dim3(const JsonValue* v, sem::Dim3 dflt,
+                     const std::string& field) {
   if (v == nullptr) return dflt;
   if (!v->is_arr() || v->arr.empty() || v->arr.size() > 3) {
     throw JsonError("json: dim3 must be an array of 1..3 integers");
   }
   sem::Dim3 d{1, 1, 1};
-  d.x = static_cast<std::uint32_t>(v->arr[0].as_u64());
-  if (v->arr.size() > 1) d.y = static_cast<std::uint32_t>(v->arr[1].as_u64());
-  if (v->arr.size() > 2) d.z = static_cast<std::uint32_t>(v->arr[2].as_u64());
+  d.x = as_u32(v->arr[0], field);
+  if (v->arr.size() > 1) d.y = as_u32(v->arr[1], field);
+  if (v->arr.size() > 2) d.z = as_u32(v->arr[2], field);
   return d;
 }
 
@@ -264,8 +276,8 @@ sem::LaunchSpec parse_launch(const JsonValue* v) {
   sem::LaunchSpec l;
   if (v == nullptr) return l;
   if (!v->is_obj()) throw JsonError("json: launch must be an object");
-  l.grid = parse_dim3(v->get("grid"), l.grid);
-  l.block = parse_dim3(v->get("block"), l.block);
+  l.grid = parse_dim3(v->get("grid"), l.grid, "launch.grid");
+  l.block = parse_dim3(v->get("block"), l.block, "launch.block");
   const std::uint64_t warp = v->u64_or("warp", l.warp_size);
   if (warp == 0 || warp > UINT32_MAX) {
     throw JsonError("json: launch.warp must be in 1.." +
@@ -289,7 +301,7 @@ sem::LaunchSpec parse_launch(const JsonValue* v) {
         throw JsonError("json: inits entries must be [addr, value]");
       }
       l.inits.emplace_back(p.arr[0].as_u64(),
-                           static_cast<std::uint32_t>(p.arr[1].as_u64()));
+                           as_u32(p.arr[1], "launch.inits value"));
     }
   }
   return l;
@@ -305,13 +317,6 @@ sched::ExploreOptions parse_explore(const JsonValue* v) {
   e.stop_at_first_violation =
       v->bool_or("stop_at_first_violation", e.stop_at_first_violation);
   e.partial_order_reduction = v->bool_or("por", e.partial_order_reduction);
-  const std::uint64_t threads = v->u64_or("threads", 0);
-  if (threads > sched::kMaxThreads) {
-    throw JsonError("json: options.threads must be at most " +
-                    std::to_string(sched::kMaxThreads) + ", got " +
-                    std::to_string(threads));
-  }
-  e.num_threads = static_cast<std::uint32_t>(threads);
   e.deadline_ms = v->u64_or("deadline_ms", 0);
   e.mem_limit_bytes = v->u64_or("mem_limit_bytes", 0);
   return e;
@@ -330,7 +335,7 @@ CheckRequest parse_check(const JsonValue& v, bool full_validate) {
         throw JsonError("json: expects entries must be [addr, value]");
       }
       c.expects.emplace_back(p.arr[0].as_u64(),
-                             static_cast<std::uint32_t>(p.arr[1].as_u64()));
+                             as_u32(p.arr[1], "expects value"));
     }
   }
   c.require_independence = v.bool_or("independent", false);

@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -18,7 +17,10 @@ using support::BinError;
 using support::BinReader;
 using support::BinWriter;
 
-namespace {
+// The options and choice codecs live in sched::codec
+// (checkpoint_codec.h) so the distributed explorer's frames and
+// per-worker checkpoint files stay byte-compatible with this format.
+namespace codec {
 
 void encode_choice(BinWriter& w, const sem::Choice& c) {
   w.u8(static_cast<std::uint8_t>(c.kind));
@@ -37,26 +39,6 @@ sem::Choice decode_choice(BinReader& r) {
   c.warp = r.u32();
   return c;
 }
-
-void encode_choices(BinWriter& w, const std::vector<sem::Choice>& cs) {
-  w.u64(cs.size());
-  for (const sem::Choice& c : cs) encode_choice(w, c);
-}
-
-std::vector<sem::Choice> decode_choices(BinReader& r) {
-  const std::uint64_t n = r.count(9);  // u8 kind + 2x u32
-  std::vector<sem::Choice> cs;
-  cs.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) cs.push_back(decode_choice(r));
-  return cs;
-}
-
-}  // namespace
-
-// The options and graph-node codecs live in sched::codec
-// (checkpoint_codec.h) so the distributed explorer's frames and
-// per-worker checkpoint files stay byte-compatible with this format.
-namespace codec {
 
 void encode_options(BinWriter& w, const ExploreOptions& o) {
   w.u64(o.max_depth);
@@ -96,69 +78,27 @@ ExploreOptions decode_options(BinReader& r) {
   return o;
 }
 
-namespace {
-
-// Node flags: bit 0 expanded or classified, bit 1 terminal, bit 2 stuck.
-constexpr std::uint8_t kNodeFlags[] = {0, 1, 3, 5};  // by NodeKind
-
-}  // namespace
-
-void encode_nodes(BinWriter& w, const std::vector<NodeRecord>& ns) {
-  w.u64(ns.size());
-  for (const NodeRecord& n : ns) {
-    w.u32(n.id.v);
-    w.u8(kNodeFlags[static_cast<std::uint8_t>(n.kind)]);
-    w.str(n.stuck_reason);
-    w.u64(n.edges.size());
-    for (const EdgeRecord& e : n.edges) {
-      encode_choice(w, e.choice);
-      w.u8(static_cast<std::uint8_t>(e.kind == EdgeKind::Fault      ? 1
-                                     : e.kind == EdgeKind::Overflow ? 2
-                                                                    : 0));
-      w.u64(e.child.v);
-      w.str(e.fault);
-    }
-  }
-}
-
-std::vector<NodeRecord> decode_nodes(BinReader& r) {
-  const std::uint64_t nn = r.count();
-  std::vector<NodeRecord> ns;
-  ns.reserve(nn);
-  for (std::uint64_t i = 0; i < nn; ++i) {
-    NodeRecord n;
-    n.id = {r.u32()};
-    const std::uint8_t flags = r.u8();
-    const auto* kind = std::find(std::begin(kNodeFlags),
-                                 std::end(kNodeFlags), flags);
-    if (kind == std::end(kNodeFlags)) throw BinError("bad node flags");
-    n.kind = static_cast<NodeKind>(kind - std::begin(kNodeFlags));
-    n.stuck_reason = r.str();
-    const std::uint64_t ne = r.count();
-    n.edges.reserve(ne);
-    for (std::uint64_t j = 0; j < ne; ++j) {
-      EdgeRecord e;
-      e.choice = decode_choice(r);
-      const std::uint8_t eflags = r.u8();
-      if (eflags > 2) throw BinError("bad edge flags");
-      e.kind = eflags == 1   ? EdgeKind::Fault
-               : eflags == 2 ? EdgeKind::Overflow
-                             : EdgeKind::Child;
-      e.child = Gid{r.u64()};
-      e.fault = r.str();
-      n.edges.push_back(std::move(e));
-    }
-    ns.push_back(std::move(n));
-  }
-  return ns;
-}
-
 }  // namespace codec
 
 namespace {
 
+using codec::decode_choice;
 using codec::decode_options;
+using codec::encode_choice;
 using codec::encode_options;
+
+void encode_choices(BinWriter& w, const std::vector<sem::Choice>& cs) {
+  w.u64(cs.size());
+  for (const sem::Choice& c : cs) encode_choice(w, c);
+}
+
+std::vector<sem::Choice> decode_choices(BinReader& r) {
+  const std::uint64_t n = r.count(9);  // u8 kind + 2x u32
+  std::vector<sem::Choice> cs;
+  cs.reserve(n);
+  for (std::uint64_t i = 0; i < n; ++i) cs.push_back(decode_choice(r));
+  return cs;
+}
 
 // "CACCKPT" + format family byte.  A change to the payload layout bumps
 // kFormatVersion, not the magic.
@@ -166,7 +106,6 @@ constexpr char kMagic[8] = {'C', 'A', 'C', 'C', 'K', 'P', 'T', '1'};
 constexpr std::size_t kHeaderSize = 8 + 4 + 4 + 8 + 8;
 
 void encode_payload(BinWriter& w, const Checkpoint& ck) {
-  w.u8(static_cast<std::uint8_t>(ck.engine));
   w.u64(ck.program_fp);
   w.u64(ck.config_fp);
   encode_options(w, ck.options);
@@ -177,47 +116,31 @@ void encode_payload(BinWriter& w, const Checkpoint& ck) {
   }
   ck.store->encode(w);
 
-  if (ck.engine == Checkpoint::Engine::Serial) {
-    const ExploreResult& r = ck.verdict;
-    w.u64(r.states_visited);
-    w.u64(r.transitions);
-    w.u64(r.min_steps_to_termination);
-    w.u64(r.max_steps_to_termination);
-    w.u8(static_cast<std::uint8_t>(r.limit_hit));
-    w.u8(ck.limits_hit ? 1 : 0);
-    w.u64(r.final_ids.size());
-    for (const StateId id : r.final_ids) w.u32(id.v);
-    w.u64(r.violations.size());
-    for (const Violation& v : r.violations) {
-      w.u8(static_cast<std::uint8_t>(v.kind));
-      w.str(v.message);
-      encode_choices(w, v.trace);
-    }
-    w.u64(ck.stack.size());
-    for (const Checkpoint::SerialFrame& f : ck.stack) {
-      w.u32(f.id.v);
-      w.u64(f.next);
-    }
-    encode_choices(w, ck.path);
-    return;
+  const ExploreResult& r = ck.verdict;
+  w.u64(r.states_visited);
+  w.u64(r.transitions);
+  w.u64(r.min_steps_to_termination);
+  w.u64(r.max_steps_to_termination);
+  w.u8(static_cast<std::uint8_t>(r.limit_hit));
+  w.u8(ck.limits_hit ? 1 : 0);
+  w.u64(r.final_ids.size());
+  for (const StateId id : r.final_ids) w.u32(id.v);
+  w.u64(r.violations.size());
+  for (const Violation& v : r.violations) {
+    w.u8(static_cast<std::uint8_t>(v.kind));
+    w.str(v.message);
+    encode_choices(w, v.trace);
   }
-
-  w.u32(ck.root.v);
-  codec::encode_nodes(w, ck.nodes);
-  w.u64(ck.frontier.size());
-  for (const auto& [id, depth] : ck.frontier) {
-    w.u32(id.v);
-    w.u64(depth);
+  w.u64(ck.stack.size());
+  for (const Checkpoint::Frame& f : ck.stack) {
+    w.u32(f.id.v);
+    w.u64(f.next);
   }
+  encode_choices(w, ck.path);
 }
 
 Checkpoint decode_payload(BinReader& r) {
   Checkpoint ck;
-  const std::uint8_t engine = r.u8();
-  if (engine > static_cast<std::uint8_t>(Checkpoint::Engine::Parallel)) {
-    throw support::BinError("bad engine tag");
-  }
-  ck.engine = static_cast<Checkpoint::Engine>(engine);
   ck.program_fp = r.u64();
   ck.config_fp = r.u64();
   ck.options = decode_options(r);
@@ -225,55 +148,42 @@ Checkpoint decode_payload(BinReader& r) {
   ck.store = std::make_shared<StateStore>();
   ck.store->decode(r);
 
-  if (ck.engine == Checkpoint::Engine::Serial) {
-    ExploreResult& v = ck.verdict;
-    v.states_visited = r.u64();
-    v.transitions = r.u64();
-    v.min_steps_to_termination = r.u64();
-    v.max_steps_to_termination = r.u64();
-    const std::uint8_t limit = r.u8();
-    if (limit > static_cast<std::uint8_t>(ExploreResult::Limit::Interrupted)) {
-      throw support::BinError("bad limit tag");
-    }
-    v.limit_hit = static_cast<ExploreResult::Limit>(limit);
-    ck.limits_hit = r.u8() != 0;
-    const std::uint64_t nf = r.count(sizeof(std::uint32_t));
-    v.final_ids.reserve(nf);
-    for (std::uint64_t i = 0; i < nf; ++i) v.final_ids.push_back({r.u32()});
-    const std::uint64_t nv = r.count();
-    v.violations.reserve(nv);
-    for (std::uint64_t i = 0; i < nv; ++i) {
-      Violation vi;
-      const std::uint8_t kind = r.u8();
-      if (kind > static_cast<std::uint8_t>(Violation::Kind::DepthExceeded)) {
-        throw support::BinError("bad violation kind");
-      }
-      vi.kind = static_cast<Violation::Kind>(kind);
-      vi.message = r.str();
-      vi.trace = decode_choices(r);
-      v.violations.push_back(std::move(vi));
-    }
-    const std::uint64_t ns = r.count(12);  // u32 id + u64 next
-    ck.stack.reserve(ns);
-    for (std::uint64_t i = 0; i < ns; ++i) {
-      Checkpoint::SerialFrame f;
-      f.id = {r.u32()};
-      f.next = r.u64();
-      ck.stack.push_back(f);
-    }
-    ck.path = decode_choices(r);
-    return ck;
+  ExploreResult& v = ck.verdict;
+  v.states_visited = r.u64();
+  v.transitions = r.u64();
+  v.min_steps_to_termination = r.u64();
+  v.max_steps_to_termination = r.u64();
+  const std::uint8_t limit = r.u8();
+  if (limit > static_cast<std::uint8_t>(ExploreResult::Limit::Interrupted)) {
+    throw support::BinError("bad limit tag");
   }
-
-  ck.root = {r.u32()};
-  ck.nodes = codec::decode_nodes(r);
-  const std::uint64_t nq = r.count(12);  // u32 id + u64 depth
-  ck.frontier.reserve(nq);
-  for (std::uint64_t i = 0; i < nq; ++i) {
-    const std::uint32_t id = r.u32();
-    const std::uint64_t depth = r.u64();
-    ck.frontier.emplace_back(StateId{id}, depth);
+  v.limit_hit = static_cast<ExploreResult::Limit>(limit);
+  ck.limits_hit = r.u8() != 0;
+  const std::uint64_t nf = r.count(sizeof(std::uint32_t));
+  v.final_ids.reserve(nf);
+  for (std::uint64_t i = 0; i < nf; ++i) v.final_ids.push_back({r.u32()});
+  const std::uint64_t nv = r.count();
+  v.violations.reserve(nv);
+  for (std::uint64_t i = 0; i < nv; ++i) {
+    Violation vi;
+    const std::uint8_t kind = r.u8();
+    if (kind > static_cast<std::uint8_t>(Violation::Kind::DepthExceeded)) {
+      throw support::BinError("bad violation kind");
+    }
+    vi.kind = static_cast<Violation::Kind>(kind);
+    vi.message = r.str();
+    vi.trace = decode_choices(r);
+    v.violations.push_back(std::move(vi));
   }
+  const std::uint64_t ns = r.count(12);  // u32 id + u64 next
+  ck.stack.reserve(ns);
+  for (std::uint64_t i = 0; i < ns; ++i) {
+    Checkpoint::Frame f;
+    f.id = {r.u32()};
+    f.next = r.u64();
+    ck.stack.push_back(f);
+  }
+  ck.path = decode_choices(r);
   return ck;
 }
 

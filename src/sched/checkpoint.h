@@ -1,17 +1,15 @@
 // Crash-safe exploration: versioned, checksummed on-disk snapshots of
 // an in-flight schedule exploration.
 //
-// A checkpoint captures everything either engine needs to continue to
-// a verdict *byte-identical* to an uninterrupted run:
+// A checkpoint captures everything the DFS needs to continue to a
+// verdict *byte-identical* to an uninterrupted run:
 //
 //  * the interned StateStore (fragments + state tuples, ids preserved
 //    exactly — see StateStore::encode);
 //  * the structural exploration options (so a resume under different
 //    bounds is rejected instead of silently diverging);
 //  * fingerprints of the program and kernel configuration;
-//  * engine-specific progress: the serial DFS's stack/path/colors and
-//    accumulated verdict state, or the parallel engine's explicit
-//    state graph plus the unexpanded frontier.
+//  * the DFS's progress: its stack, path and accumulated verdict state.
 //
 // On-disk format: an 8-byte magic, a format version, the payload size
 // and an FNV-1a checksum of the payload, then the payload itself
@@ -33,11 +31,9 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "sched/explore.h"
-#include "sched/graph.h"
 
 namespace cac::sched {
 
@@ -65,17 +61,12 @@ std::string to_string(CheckpointError::Kind k);
 /// One snapshot of an in-flight exploration.  Engines construct and
 /// consume these; save()/load() move them to and from disk.
 struct Checkpoint {
-  // v5: the parallel section's nodes are sched::NodeRecord in the graph
-  // codec (graph.h) the distributed frames use, whose edges name their
-  // child by a 64-bit Gid.  v4: warp fragments are the dense per-warp
+  // v6: one payload, the DFS's; the engine tag and the parallel graph
+  // section are gone.  v5: that section's nodes used the graph codec of
+  // the distributed frames.  v4: warp fragments are the dense per-warp
   // encoding (sem/warp.h).  Older files are rejected with
   // VersionMismatch rather than misdecoded.
-  static constexpr std::uint32_t kFormatVersion = 5;
-
-  /// The engine that wrote the checkpoint.  explore() resumes on it
-  /// whatever num_threads asks for: the thread count is not structural.
-  enum class Engine : std::uint8_t { Serial = 0, Parallel = 1 };
-  Engine engine = Engine::Serial;
+  static constexpr std::uint32_t kFormatVersion = 6;
 
   /// fnv1a over the canonical program text / config fields; resume
   /// refuses a checkpoint whose fingerprints do not match the run's.
@@ -84,33 +75,26 @@ struct Checkpoint {
 
   /// The structural options of the original run (bounds, POR, step
   /// order, stop policy).  Transient fields (budgets, checkpoint
-  /// paths, thread count) are not persisted and stay default.
+  /// paths, store tiering) are not persisted and stay default.
   ExploreOptions options;
 
   /// Every state visited so far, ids preserved.
   std::shared_ptr<StateStore> store;
 
-  // --- serial DFS section (engine == Serial) -------------------------
+  // --- the DFS -------------------------------------------------------
 
-  struct SerialFrame {
+  struct Frame {
     StateId id;
     std::uint64_t next = 0;  // index of the next eligible choice
   };
-  std::vector<SerialFrame> stack;  // bottom to top
-  std::vector<sem::Choice> path;   // choices reaching the top frame
+  std::vector<Frame> stack;       // bottom to top
+  std::vector<sem::Choice> path;  // choices reaching the top frame
   /// The verdict so far: counters, min/max steps, limit_hit,
   /// violations, and final_ids in first-visit order.  DFS colours are
   /// not stored: a stacked state is on the stack, every other interned
   /// state is done.
   ExploreResult verdict;
   bool limits_hit = false;
-
-  // --- parallel graph section (engine == Parallel) -------------------
-
-  StateId root;
-  std::vector<NodeRecord> nodes;  // children named Gid(0, StateId.v)
-  /// Discovered but not yet expanded (id, depth) pairs.
-  std::vector<std::pair<StateId, std::uint64_t>> frontier;
 
   /// Atomic write-then-rename to `path`; throws CheckpointError(Io).
   void save(const std::string& path) const;
@@ -128,8 +112,7 @@ std::uint64_t config_fingerprint(const sem::KernelConfig& kc);
 
 /// Throws CheckpointError(Mismatch) unless a run recorded with these
 /// fingerprints and structural options (a checkpoint's, or a
-/// distributed manifest's) can be continued as this one.  The engine
-/// is not checked: explore() resumes on the engine a checkpoint records.
+/// distributed manifest's) can be continued as this one.
 void verify_resume(std::uint64_t program_fp, std::uint64_t config_fp,
                    const ExploreOptions& recorded, const ptx::Program& prg,
                    const sem::KernelConfig& kc, const ExploreOptions& opts);

@@ -12,8 +12,8 @@
 //
 //  * the serial engine steps its frame's machine and interns the child
 //    on the fly (explore.cc);
-//  * the parallel engine and the distributed coordinator walk a graph
-//    built beforehand (GraphWalk below).
+//  * the distributed coordinator walks the graph its workers built
+//    (GraphWalk in dist/coordinator.cc).
 //
 // A Walk provides
 //
@@ -29,11 +29,37 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "sched/explore.h"
-#include "sched/graph.h"
+
+namespace cac::sched {
+
+/// What expanding a state found (internal::classify decides it the same
+/// way for every engine).
+enum class NodeKind : std::uint8_t {
+  /// Not expanded: discovered at the depth bound, or still on a graph
+  /// builder's frontier when a budget stopped the build.
+  Unexpanded,
+  /// Expanded: one transition per eligible choice (after POR), in order.
+  Expanded,
+  Terminal,  // every thread exited
+  Stuck,     // not terminated, and no choice is eligible
+};
+
+/// Where a transition leads.
+enum class EdgeKind : std::uint8_t {
+  Child,     // a state
+  Fault,     // the step faulted; the child state is discarded
+  Overflow,  // the child was dropped at the max_states cap
+};
+
+/// DFS colour; White = not entered yet.
+enum class Color : std::uint8_t { White, OnStack, Done };
+
+}  // namespace cac::sched
 
 namespace cac::sched::internal {
 
@@ -189,14 +215,5 @@ class VerdictDfs {
   Walk& walk_;
   const ExploreOptions& opts_;
 };
-
-/// The verdict over a built graph: the DFS from `root` (null when even
-/// the root was over the state cap).  `stopped` is the budget that cut
-/// the build short, or None.  The terminal nodes come back in `finals`
-/// (first-visit order); result.final_ids and result.store are left for
-/// the caller, whose store they must name.
-ExploreResult replay_graph(GraphNode* root, const ExploreOptions& opts,
-                           ExploreResult::Limit stopped,
-                           std::vector<const GraphNode*>& finals);
 
 }  // namespace cac::sched::internal

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
-#include <stdexcept>
-#include <thread>
 
 #include "sched/checkpoint.h"
 #include "sched/dfs.h"
@@ -37,7 +35,7 @@ bool register_local(const ptx::Instr& i) {
 /// (ExploreOptions::por_independent_pcs, sorted — accesses proven
 /// disjoint from every same-space site by the static analyzer).
 /// Deterministic in the state, so the reduced state graph is the same
-/// no matter which engine (or thread) expands a state.
+/// whichever engine expands a state.
 void reduce_choices(const ptx::Program& prg, const sem::Grid& g,
                     const std::vector<std::uint32_t>& independent_pcs,
                     std::vector<sem::Choice>& eligible) {
@@ -189,7 +187,6 @@ Checkpoint snapshot(const ptx::Program& prg, const sem::KernelConfig& kc,
                     const std::shared_ptr<StateStore>& store,
                     const SerialDfs& dfs) {
   Checkpoint ck;
-  ck.engine = Checkpoint::Engine::Serial;
   ck.program_fp = program_fingerprint(prg);
   ck.config_fp = config_fingerprint(kc);
   ck.options = opts;  // only structural fields are persisted
@@ -205,7 +202,7 @@ Checkpoint snapshot(const ptx::Program& prg, const sem::KernelConfig& kc,
   return ck;
 }
 
-/// Continue a Serial checkpoint: the store comes back with every id
+/// Continue a checkpointed run: the store comes back with every id
 /// intact, frames rematerialize their machines from it, and the
 /// eligible-choice lists are recomputed (a deterministic function of
 /// the state, so frame.next indexes the same choice it did before).
@@ -218,7 +215,7 @@ void restore(const ptx::Program& prg, const ExploreOptions& opts,
   dfs.path = ck.path;
   try {
     dfs.stack.reserve(ck.stack.size());
-    for (const Checkpoint::SerialFrame& f : ck.stack) {
+    for (const Checkpoint::Frame& f : ck.stack) {
       SerialWalk::Frame frame{f.id, store.materialize(f.id), {}, 0};
       std::string unused;
       // A stacked state was Expanded when it was pushed.
@@ -237,12 +234,27 @@ void restore(const ptx::Program& prg, const ExploreOptions& opts,
   }
 }
 
-ExploreResult explore_serial(const ptx::Program& prg,
-                             const sem::KernelConfig& kc,
-                             const sem::Machine& initial,
-                             const ExploreOptions& opts,
-                             const Checkpoint* resume,
-                             const std::shared_ptr<StateStore>& store) {
+}  // namespace
+
+ExploreResult explore(const ptx::Program& prg, const sem::KernelConfig& kc,
+                      const sem::Machine& initial,
+                      const ExploreOptions& opts, const Checkpoint* resume) {
+  std::shared_ptr<StateStore> store;
+  if (resume != nullptr) {
+    verify_resume(resume->program_fp, resume->config_fp, resume->options,
+                  prg, kc, opts);
+    if (!resume->store) {
+      throw CheckpointError(CheckpointError::Kind::Mismatch,
+                            "checkpoint carries no state store");
+    }
+    // Tier knobs are transient: the resumed run's own budget/spill
+    // settings apply, whatever the checkpointing run used.
+    store = resume->store;
+    store->configure(store_options(opts));
+  } else {
+    store = std::make_shared<StateStore>(store_options(opts));
+  }
+
   SerialWalk walk(prg, kc, opts, *store);
   SerialDfs dfs(walk, opts);
   if (resume != nullptr) {
@@ -309,47 +321,6 @@ ExploreResult explore_serial(const ptx::Program& prg,
   ExploreResult result = std::move(dfs.result);
   result.final_ids = std::move(dfs.finals);
   tally.report(result);
-  return result;
-}
-
-}  // namespace
-
-ExploreResult explore(const ptx::Program& prg, const sem::KernelConfig& kc,
-                      const sem::Machine& initial,
-                      const ExploreOptions& opts, const Checkpoint* resume) {
-  if (opts.num_threads > kMaxThreads) {
-    throw std::invalid_argument("num_threads " +
-                                std::to_string(opts.num_threads) +
-                                " is over the limit of " +
-                                std::to_string(kMaxThreads));
-  }
-  std::shared_ptr<StateStore> store;
-  if (resume != nullptr) {
-    verify_resume(resume->program_fp, resume->config_fp, resume->options,
-                  prg, kc, opts);
-    if (!resume->store) {
-      throw CheckpointError(CheckpointError::Kind::Mismatch,
-                            "checkpoint carries no state store");
-    }
-    // Tier knobs are transient: the resumed run's own budget/spill
-    // settings apply, whatever the checkpointing run used.
-    store = resume->store;
-    store->configure(store_options(opts));
-  } else {
-    store = std::make_shared<StateStore>(store_options(opts));
-  }
-  // A resumed run continues on the engine that wrote the checkpoint.
-  const bool parallel = resume != nullptr
-                            ? resume->engine == Checkpoint::Engine::Parallel
-                            : opts.num_threads > 0;
-  unsigned threads = opts.num_threads;
-  if (parallel && threads == 0) {
-    threads = std::clamp(std::thread::hardware_concurrency(), 1u, kMaxThreads);
-  }
-  ExploreResult result =
-      parallel ? internal::build_and_replay(prg, kc, initial, opts, threads,
-                                            resume, store)
-               : explore_serial(prg, kc, initial, opts, resume, store);
   result.store_stats = store->stats();
   result.store = std::move(store);
   return result;

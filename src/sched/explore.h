@@ -57,20 +57,17 @@ struct ExploreOptions {
   /// only consulted when partial_order_reduction is on.  Structural:
   /// checkpoints persist it and resume requires an identical list.
   std::vector<std::uint32_t> por_independent_pcs;
-  /// Worker threads for state expansion, at most kMaxThreads.  0 keeps
-  /// the classic serial DFS; any positive value routes explore()
-  /// through the parallel engine with that many workers.  Verdicts are
-  /// identical to serial for runs that finish within the state/depth
-  /// limits (see docs/explorer.md for the limit-case caveats).
-  /// Composes with partial_order_reduction.  Transient: a resumed run
-  /// continues on the engine that wrote its checkpoint.
+  /// Ignored: nothing in the explorer reads it, and explore() runs the
+  /// serial DFS whatever it holds.  It remains only because the
+  /// cacbench/ harness still assigns it, and goes when those
+  /// assignments do.
   std::uint32_t num_threads = 0;
 
   // --- resource budgets & crash safety (docs/explorer.md) ------------
-  // Budgets stop a run *gracefully*: workers drain, a final checkpoint
-  // is written when checkpoint_path is set, and limit_hit names the
-  // budget that tripped.  None of these fields affects the verdict a
-  // completed run produces, so they are not part of the checkpoint's
+  // Budgets stop a run *gracefully*: a final checkpoint is written when
+  // checkpoint_path is set, and limit_hit names the budget that
+  // tripped.  None of these fields affects the verdict a completed run
+  // produces, so they are not part of the checkpoint's
   // resume-compatibility fingerprint.
 
   /// Wall-clock deadline in milliseconds (0 = unlimited).  Trips as
@@ -102,14 +99,14 @@ struct ExploreOptions {
   struct Progress {
     std::uint64_t states_visited = 0;
     std::uint64_t transitions = 0;
-    /// Discovered-but-unexpanded work: DFS stack depth (serial engine).
+    /// Discovered-but-unexpanded work: the DFS stack depth.
     std::uint64_t frontier = 0;
   };
-  /// When set, called from the engine's cut point every
-  /// progress_every_states further distinct states (serial engine; the
-  /// parallel/distributed engines report completion only).  Transient:
-  /// never checkpointed, never part of resume compatibility, and must
-  /// not mutate the exploration.  `cacval serve` streams these to
+  /// When set, called from the DFS's cut point every
+  /// progress_every_states further distinct states (the distributed
+  /// engine reports completion only).  Transient: never checkpointed,
+  /// never part of resume compatibility, and must not mutate the
+  /// exploration.  `cacval serve` streams these to
   /// clients as progress events.
   std::function<void(const Progress&)> progress_fn;
   /// Cadence for progress_fn (0 disables even when the hook is set).
@@ -135,12 +132,9 @@ struct ExploreOptions {
   std::uint32_t store_delta_depth = 8;
 };
 
-/// Upper bound on ExploreOptions::num_threads; explore() rejects more.
-inline constexpr std::uint32_t kMaxThreads = 256;
-
-/// The StoreOptions an engine derives from ExploreOptions (all engines
-/// — serial, parallel, distributed workers — map the knobs the same
-/// way, so tiering behaves identically whichever engine runs).
+/// The StoreOptions an engine derives from ExploreOptions (the serial
+/// DFS and the distributed workers map the knobs the same way, so
+/// tiering behaves identically whichever engine runs).
 [[nodiscard]] inline StoreOptions store_options(const ExploreOptions& o) {
   StoreOptions so;
   so.spill_dir = o.store_spill_dir;
@@ -226,13 +220,10 @@ struct ExploreResult {
 
 /// Explore from `initial`, or — when `resume` is non-null — continue
 /// the checkpointed run (the initial machine is then ignored; the
-/// checkpoint carries the full frontier).  Resume requires matching
+/// checkpoint carries the DFS stack).  Resume requires matching
 /// program/config fingerprints and structural options; mismatches
-/// throw CheckpointError.  The run continues on the engine that wrote
-/// the checkpoint (a Parallel one with num_threads 0 uses one worker
-/// per hardware thread) to a verdict byte-identical to an
-/// uninterrupted one.  Throws std::invalid_argument when
-/// opts.num_threads exceeds kMaxThreads.
+/// throw CheckpointError.  The resumed run reaches a verdict
+/// byte-identical to an uninterrupted one.
 ExploreResult explore(const ptx::Program& prg, const sem::KernelConfig& kc,
                       const sem::Machine& initial,
                       const ExploreOptions& opts = {},

@@ -1,17 +1,15 @@
-// Pieces every exploration engine shares — the serial DFS (explore.cc),
-// the parallel engine (explore_parallel.cc) and the distributed
+// Pieces the serial DFS (explore.cc) shares with the distributed
 // coordinator and workers (src/dist).  Internal: not part of the public
 // surface.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "sched/checkpoint.h"
-#include "sched/graph.h"
+#include "sched/dfs.h"
 #include "sem/step.h"
 
 namespace cac::sched::internal {
@@ -24,35 +22,6 @@ NodeKind classify(const ptx::Program& prg, const ExploreOptions& opts,
                   const sem::Grid& g, std::uint64_t depth,
                   std::vector<sem::Choice>& eligible,
                   std::string& stuck_reason);
-
-/// Expand one state of a built graph, the same way in every engine
-/// that builds one: classify it, and when it is Expanded append one
-/// edge per eligible choice, in order, to `node.edges`.  A step that
-/// faults makes a Fault edge; every other child machine goes to
-/// `child(edge, machine)`, which names it (or marks the edge Overflow).
-template <typename Node, typename Child>
-void expand(const ptx::Program& prg, const sem::KernelConfig& kc,
-            const ExploreOptions& opts, const sem::Machine& state,
-            std::uint64_t depth, Node& node, Child&& child) {
-  std::vector<sem::Choice> eligible;
-  node.kind =
-      classify(prg, opts, state.grid, depth, eligible, node.stuck_reason);
-  if (node.kind != NodeKind::Expanded) return;
-  node.edges.reserve(eligible.size());
-  for (const sem::Choice& c : eligible) {
-    auto& e = node.edges.emplace_back();
-    e.choice = c;
-    sem::Machine m(state);
-    const sem::StepResult sr =
-        sem::apply_choice(prg, kc, m, c, opts.step_opts, nullptr);
-    if (sr.ok()) {
-      child(e, m);
-    } else {
-      e.kind = EdgeKind::Fault;
-      e.fault = sr.fault;
-    }
-  }
-}
 
 /// Resident set size minus the bytes the store has spilled to disk:
 /// spilled segments are reclaimable page cache, and counting them would
@@ -137,16 +106,5 @@ struct CheckpointTally {
  private:
   static void warn(const CheckpointError& e);
 };
-
-/// The parallel engine (explore_parallel.cc): build the state graph with
-/// `threads` workers into `store`, then run the verdict DFS over it.
-/// `resume` is a verified Parallel checkpoint whose store `store` is,
-/// or null.  The caller fills result.store and result.store_stats.
-ExploreResult build_and_replay(const ptx::Program& prg,
-                               const sem::KernelConfig& kc,
-                               const sem::Machine& initial,
-                               const ExploreOptions& opts, unsigned threads,
-                               const Checkpoint* resume,
-                               std::shared_ptr<StateStore> store);
 
 }  // namespace cac::sched::internal

@@ -51,7 +51,8 @@
 // lock before an insert skips the probe, so dedup stays exact.
 //
 // Thread safety: intern() and materialize() are safe to call
-// concurrently (the parallel explorer's workers do).  Fragment pools
+// concurrently, though no engine does any more: the serial DFS and
+// each distributed worker intern from a single thread.  Fragment pools
 // and the state table are sharded by hash, each shard behind its own
 // mutex; the spill file has its own leaf mutex; no two shard locks are
 // ever held at once (delta chains are resolved link by link).

@@ -85,6 +85,17 @@ std::uint64_t parse_u64_strict(const std::string& flag,
   return v;
 }
 
+/// A value for a 32-bit field: wider values are rejected, not truncated.
+std::uint32_t parse_u32_strict(const std::string& flag,
+                               const std::string& s) {
+  const std::uint64_t v = parse_u64_strict(flag, s);
+  if (v > UINT32_MAX) {
+    throw LaunchArgError(flag + ": value must be at most " +
+                         std::to_string(UINT32_MAX) + ", got '" + s + "'");
+  }
+  return static_cast<std::uint32_t>(v);
+}
+
 /// A warp size: 1..UINT32_MAX.  Zero would make generate_grid loop,
 /// and wider values would be truncated.
 std::uint32_t parse_warp_strict(const std::string& flag, const std::string& s) {
@@ -108,7 +119,7 @@ Dim3 parse_dim3_strict(const std::string& flag, const std::string& s) {
     const std::size_t comma = s.find(',', start);
     const std::string piece =
         s.substr(start, comma == std::string::npos ? comma : comma - start);
-    *slots[i] = static_cast<std::uint32_t>(parse_u64_strict(flag, piece));
+    *slots[i] = parse_u32_strict(flag, piece);
     if (comma == std::string::npos) break;
     start = comma + 1;
   }
@@ -152,9 +163,8 @@ std::vector<std::string> parse_launch_args(
       spec.params.emplace_back(k, parse_u64_strict(a, v));
     } else if (a == "--init") {
       const auto [k, v] = split_eq_strict(a, next());
-      spec.inits.emplace_back(
-          parse_u64_strict(a, k),
-          static_cast<std::uint32_t>(parse_u64_strict(a, v)));
+      spec.inits.emplace_back(parse_u64_strict(a, k),
+                              parse_u32_strict(a, v));
     } else {
       rest.push_back(a);
     }

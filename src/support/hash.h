@@ -87,8 +87,7 @@ class Hasher {
 ///
 /// Not internally synchronized: in concurrent code the owner must be
 /// hashed by its owning thread before the object is published to other
-/// threads (the parallel explorer's discipline, see
-/// sched/explore_parallel.cc).
+/// threads.
 class HashCache {
  public:
   template <typename Fn>

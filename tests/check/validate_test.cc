@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "programs/corpus.h"
 #include "ptx/lower.h"
 #include "sem/launch.h"
@@ -11,7 +14,8 @@ namespace {
 
 using programs::VecAddLayout;
 
-ValidationReport validate_vecadd(std::uint32_t size) {
+ValidationReport validate_vecadd(std::uint32_t size,
+                                 ValidateOptions opts = {}) {
   const ptx::Program prg = programs::vector_add_listing2();
   const VecAddLayout L;
   const sem::KernelConfig kc{{1, 1, 1}, {4, 1, 1}, 2};
@@ -24,7 +28,6 @@ ValidationReport validate_vecadd(std::uint32_t size) {
     launch.global_u32(L.b + 4 * i, i);
     post.mem_u32(mem::Space::Global, L.c + 4 * i, 2 * i);
   }
-  ValidateOptions opts;
   opts.model.explore.partial_order_reduction = true;
   return validate(prg, kc, launch.machine(), post, opts);
 }
@@ -40,6 +43,24 @@ TEST(Validate, VectorAddPassesEverything) {
   EXPECT_NE(t.find("VERDICT: validated"), std::string::npos) << t;
   EXPECT_NE(t.find("[PASS] model-check"), std::string::npos);
   EXPECT_NE(t.find("grid steps"), std::string::npos);  // profile section
+}
+
+TEST(Validate, ProgressNeverRestarts) {
+  // The model check's exploration also decides scheduler transparency,
+  // so validate explores once and the progress a client sees only
+  // grows, ending at or below the final state count.
+  std::vector<std::uint64_t> seen;
+  ValidateOptions opts;
+  opts.model.explore.progress_every_states = 8;
+  opts.model.explore.progress_fn =
+      [&](const sched::ExploreOptions::Progress& p) {
+        seen.push_back(p.states_visited);
+      };
+  const ValidationReport r = validate_vecadd(4, opts);
+  ASSERT_TRUE(r.all_passed()) << r.text();
+  ASSERT_FALSE(seen.empty());
+  EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end()));
+  EXPECT_LE(seen.back(), r.model.exploration.states_visited);
 }
 
 TEST(Validate, BuggyReductionFailsWithDetails) {

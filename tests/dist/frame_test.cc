@@ -89,14 +89,14 @@ GraphPartMsg sample_graph_part() {
   m.root_local = 0;
   m.store = "store-bytes";
   using sched::EdgeKind;
-  sched::NodeRecord n;
+  NodeRecord n;
   n.id = {7};
   n.kind = sched::NodeKind::Expanded;
   n.edges.push_back({exec(0, 1), EdgeKind::Child, Gid::make(0, 3), ""});
   n.edges.push_back({lift(0), EdgeKind::Fault, Gid{}, "out-of-bounds store"});
   n.edges.push_back({exec(1, 0), EdgeKind::Overflow, Gid{}, ""});
   m.nodes.push_back(n);
-  sched::NodeRecord stuck;
+  NodeRecord stuck;
   stuck.id = {8};
   stuck.kind = sched::NodeKind::Stuck;
   stuck.stuck_reason = "barrier divergence";

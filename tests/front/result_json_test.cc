@@ -218,26 +218,47 @@ TEST(RequestRoundTrip, WarpSizeOutOfRangeThrows) {
   }
 }
 
-TEST(RequestRoundTrip, ThreadsOverLimitThrows) {
+TEST(RequestRoundTrip, ValuesWiderThan32BitsThrow) {
+  // Launch extents, init values and expected words land in 32-bit
+  // fields; a wider value must be refused, not truncated.
   const std::string good = to_json(Request{vecadd_check()});
-  const std::string key = "\"threads\":0";
-  const std::size_t at = good.find(key);
-  ASSERT_NE(at, std::string::npos);
-  for (const char* bad : {"257", "1024", "4294967297"}) {
+  struct Case {
+    const char* from;
+    const char* to;
+    const char* field;
+  };
+  const Case cases[] = {
+      {"\"grid\":[1,1,1]", "\"grid\":[4294967297,1,1]", "launch.grid"},
+      {"\"block\":[4,1,1]", "\"block\":[4,1,4294967296]", "launch.block"},
+      {"[256,1]", "[256,4294967297]", "launch.inits"},
+      {"[768,11]", "[768,4294967296]", "expects"},
+  };
+  for (const Case& c : cases) {
+    const std::size_t at = good.find(c.from);
+    ASSERT_NE(at, std::string::npos) << c.from;
     std::string text = good;
-    text.replace(at, key.size(), std::string("\"threads\":") + bad);
+    text.replace(at, std::string(c.from).size(), c.to);
     try {
       request_from_json(text);
-      FAIL() << "expected JsonError for threads " << bad;
+      FAIL() << "expected JsonError for " << c.to;
     } catch (const JsonError& e) {
-      EXPECT_NE(std::string(e.what()).find("options.threads"),
-                std::string::npos);
+      EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+          << e.what();
     }
   }
-  std::string max = good;
-  max.replace(at, key.size(), "\"threads\":256");
-  EXPECT_EQ(std::get<CheckRequest>(request_from_json(max)).explore.num_threads,
-            256u);
+}
+
+TEST(RequestRoundTrip, ThreadsKeyIsIgnored) {
+  // The request schema no longer carries a thread count; a client that
+  // still sends one gets the same request as one that does not.
+  const std::string good = to_json(Request{vecadd_check()});
+  EXPECT_EQ(good.find("\"threads\""), std::string::npos);
+  const std::string key = "\"por\":false";
+  const std::size_t at = good.find(key);
+  ASSERT_NE(at, std::string::npos);
+  std::string text = good;
+  text.insert(at, "\"threads\":4,");
+  EXPECT_EQ(to_json(request_from_json(text)), good);
 }
 
 TEST(RequestRoundTrip, MalformedRequestsThrow) {

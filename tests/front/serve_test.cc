@@ -270,10 +270,10 @@ TEST(Serve, VerdictsPersistAcrossRestart) {
   }
 }
 
-TEST(Serve, LeftoverCheckpointResumesUnderAnotherThreadCount) {
-  // The thread count is transient, so it is not in the cache key: a
-  // deadline-stopped serial job's checkpoint is picked up by the same
-  // request asking for 4 threads, and resumes to the local verdict.
+TEST(Serve, LeftoverCheckpointResumesToTheLocalVerdict) {
+  // The deadline is transient, so it is not in the cache key: a
+  // deadline-stopped job's checkpoint is picked up by the same request
+  // without the deadline, and resumes to the local verdict.
   TestServer ts(true);
   Client client = ts.connect();
   CheckRequest cut = racy_check(7);
@@ -286,9 +286,7 @@ TEST(Serve, LeftoverCheckpointResumesUnderAnotherThreadCount) {
           .string();
   ASSERT_TRUE(std::filesystem::exists(ckpt));
 
-  CheckRequest full = racy_check(7);
-  full.explore.num_threads = 4;
-  const Client::Reply r2 = client.call(to_json(Request{full}));
+  const Client::Reply r2 = client.call(to_json(Request{racy_check(7)}));
   ASSERT_EQ(r2.doc.str_or("status", ""), "ok") << r2.raw;
   EXPECT_EQ(ts.server->stats().jobs_resumed, 1u);
   const std::string local = to_json(run(Request{racy_check(7)}));

@@ -176,25 +176,5 @@ TEST(DiskFault, EveryCheckpointWriteFailingStillReachesTheVerdict) {
   EXPECT_FALSE(r.checkpointed);
 }
 
-TEST(DiskFault, ParallelEngineSurvivesCheckpointFaults) {
-  const Lattice w(5, 8);
-  ExploreOptions clean_opts;
-  clean_opts.stop_at_first_violation = false;
-  const ExploreResult clean = explore(w.prg, w.kc, w.init, clean_opts);
-
-  const std::string path = testing::TempDir() + "/par_fault.ckpt";
-  ExploreOptions o = clean_opts;
-  o.num_threads = 2;
-  o.checkpoint_path = path;
-  o.checkpoint_every_states = 64;
-
-  support::ScopedFaultPlan plan("op=rename,path=*par_fault.ckpt,nth=1");
-  const ExploreResult r = explore(w.prg, w.kc, w.init, o);
-  EXPECT_EQ(r.exhaustive, clean.exhaustive);
-  EXPECT_EQ(r.states_visited, clean.states_visited);
-  EXPECT_EQ(r.transitions, clean.transitions);
-  EXPECT_GE(r.checkpoint_write_failures, 1u);
-}
-
 }  // namespace
 }  // namespace cac::sched

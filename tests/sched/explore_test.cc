@@ -132,11 +132,8 @@ TEST(Explore, RacyProgramHasMultipleFinals) {
 
 // --- limit-case pins --------------------------------------------------
 //
-// What each engine reports when a structural limit cuts the run short.
-// The serial DFS and the parallel graph builder stop at different
-// states (docs/explorer.md), so every engine has its own row; one
-// worker thread keeps the parallel cut deterministic.  Violations are
-// pinned as "kind/trace-length" in report order.
+// What the explorer reports when a structural limit cuts the run short.
+// Violations are pinned as "kind/trace-length" in report order.
 
 struct LimitCase {
   const char* name;
@@ -173,7 +170,6 @@ std::string violation_summary(const ExploreResult& r) {
 
 struct LimitPin {
   const char* cut;
-  std::uint32_t threads;  // 0 = serial DFS
   std::uint64_t states;
   std::uint64_t transitions;
   ExploreResult::Limit limit;
@@ -189,20 +185,14 @@ TEST(Explore, LimitCasesPinnedPerEngine) {
       "depth-exceeded/5 depth-exceeded/5 depth-exceeded/5";
   const char* const spin = "cycle/2 depth-exceeded/2 cycle/2";
   const LimitPin pins[] = {
-      {"max_states=10", 0, 10, 40, L::MaxStates, false, 0, ""},
-      {"max_states=10", 1, 10, 40, L::MaxStates, false, 0, ""},
-      {"max_states=100", 0, 100, 218, L::MaxStates, false, 1, ""},
-      {"max_states=100", 1, 100, 332, L::MaxStates, false, 0, ""},
-      {"max_depth=5", 0, 21, 30, L::MaxDepth, false, 0, depth5},
-      {"max_depth=5", 1, 21, 30, L::MaxDepth, false, 0, depth5},
-      {"spin", 0, 4, 6, L::MaxDepth, false, 0, spin},
-      {"spin", 1, 4, 6, L::MaxDepth, false, 0, spin},
+      {"max_states=10", 10, 40, L::MaxStates, false, 0, ""},
+      {"max_states=100", 100, 218, L::MaxStates, false, 1, ""},
+      {"max_depth=5", 21, 30, L::MaxDepth, false, 0, depth5},
+      {"spin", 4, 6, L::MaxDepth, false, 0, spin},
   };
   for (const LimitPin& pin : pins) {
-    SCOPED_TRACE(std::string(pin.cut) +
-                 " threads=" + std::to_string(pin.threads));
-    LimitCase c = limit_case(pin.cut);
-    c.opts.num_threads = pin.threads;
+    SCOPED_TRACE(pin.cut);
+    const LimitCase c = limit_case(pin.cut);
     const ExploreResult r =
         explore(c.prg, c.kc, plain_machine(c.prg, c.kc), c.opts);
     EXPECT_EQ(r.states_visited, pin.states);
@@ -294,20 +284,16 @@ TEST(Explore, StateIdentityPinnedOnCorpusKernels) {
   for (const IdentityPin& pin : pins) {
     const Program prg = load_ptx(pin_source(pin.kernel)).kernel(pin.kernel);
     const sem::Launch launch = pin_launch(pin.kernel).to_launch(prg);
-    for (const std::uint32_t threads : {0u, 4u}) {
-      SCOPED_TRACE(std::string(pin.kernel) + (pin.por ? " por" : "") +
-                   " threads=" + std::to_string(threads));
-      ExploreOptions opts;
-      opts.partial_order_reduction = pin.por;
-      opts.num_threads = threads;
-      const ExploreResult r =
-          explore(prg, launch.config(), launch.machine(), opts);
-      EXPECT_TRUE(r.exhaustive);
-      EXPECT_TRUE(r.violations.empty());
-      EXPECT_EQ(r.states_visited, pin.states);
-      EXPECT_EQ(r.transitions, pin.transitions);
-      EXPECT_EQ(r.final_ids.size(), pin.finals);
-    }
+    SCOPED_TRACE(std::string(pin.kernel) + (pin.por ? " por" : ""));
+    ExploreOptions opts;
+    opts.partial_order_reduction = pin.por;
+    const ExploreResult r =
+        explore(prg, launch.config(), launch.machine(), opts);
+    EXPECT_TRUE(r.exhaustive);
+    EXPECT_TRUE(r.violations.empty());
+    EXPECT_EQ(r.states_visited, pin.states);
+    EXPECT_EQ(r.transitions, pin.transitions);
+    EXPECT_EQ(r.final_ids.size(), pin.finals);
   }
 }
 

@@ -105,6 +105,32 @@ TEST(LaunchSpecTest, RejectsZeroAndOversizedWarp) {
   EXPECT_EQ(spec.warp_size, 4294967295u);
 }
 
+TEST(LaunchSpecTest, RejectsValuesWiderThanTheirField) {
+  // Grid and block extents and --init values land in 32-bit fields; a
+  // wider value must be refused, not truncated (grid 4294967297 would
+  // otherwise run as grid 1).
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"--grid", "4294967297"},
+      {"--grid", "1,0x100000000"},
+      {"--block", "4,1,4294967296"},
+      {"--init", "0x100=4294967297"},
+  };
+  for (const auto& [flag, value] : bad) {
+    LaunchSpec spec;
+    try {
+      parse({flag, value}, spec);
+      FAIL() << "expected LaunchArgError for " << flag << " " << value;
+    } catch (const LaunchArgError& e) {
+      EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
+          << e.what();
+    }
+  }
+  LaunchSpec spec;
+  parse({"--grid", "4294967295", "--init", "0x100=0xffffffff"}, spec);
+  EXPECT_EQ(spec.grid.x, 4294967295u);
+  EXPECT_EQ(spec.inits.back().second, 0xffffffffu);
+}
+
 TEST(LaunchSpecTest, GenerateGridRejectsZeroWarp) {
   // The last line of defense behind the front ends: a zero warp size
   // used to append empty warps until memory ran out.

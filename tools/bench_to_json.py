@@ -14,9 +14,7 @@ one snapshot (each record keeps a `binary` field naming its source).
 The snapshot keeps the benchmark context (host, CPU count, build
 flags), the per-benchmark timings and counters, and the git revision,
 so successive PRs accumulate a comparable perf trajectory in-repo.
-Derived convenience fields: for every BM_ExploreVectorSum instance the
-speedup over the matching serial (threads=0) instance with the same
-por/warps arguments is computed into `speedup_vs_serial`; every
+Derived convenience fields: every
 BM_StateStoreFootprint instance's interning counters are summarized
 into a top-level `state_store` section, every BM_Checkpoint* /
 BM_ResumeFromCheckpoint instance's counters land in a `checkpoint`
@@ -91,18 +89,6 @@ def run_benchmark(binary: Path, extra_args: list[str]) -> tuple[dict, int]:
     return json.loads(out[start:]), peak_rss
 
 
-def add_speedups(benchmarks: list[dict]) -> None:
-    """Annotate parallel explore runs with speedup over matching serial."""
-    serial = {}
-    for b in benchmarks:
-        if b.get("threads") == 0 and "real_time" in b:
-            serial[(b.get("por"), b.get("warps"))] = b["real_time"]
-    for b in benchmarks:
-        base = serial.get((b.get("por"), b.get("warps")))
-        if base and b.get("threads", 0) > 0 and b.get("real_time"):
-            b["speedup_vs_serial"] = round(base / b["real_time"], 3)
-
-
 def store_summary(benchmarks: list[dict]) -> list[dict]:
     """Summarize BM_StateStoreFootprint instances: the interned store's
     resident bytes per visited state vs full per-state machine copies."""
@@ -111,7 +97,7 @@ def store_summary(benchmarks: list[dict]) -> list[dict]:
         if not b.get("name", "").startswith("BM_StateStoreFootprint"):
             continue
         entry = {"name": b["name"]}
-        for k in ("threads", "states", "warp_fragments", "bank_fragments",
+        for k in ("states", "warp_fragments", "bank_fragments",
                   "resident_bytes_per_state", "machine_bytes_per_state",
                   "dedup_ratio"):
             if k in b:
@@ -391,7 +377,6 @@ def main() -> None:
                     keep[k] = v
             keep["binary"] = binary.name
             benchmarks.append(keep)
-    add_speedups(benchmarks)
 
     snapshot = {
         "schema": "cac-bench-snapshot/1",

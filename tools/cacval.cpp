@@ -15,7 +15,7 @@
 //   cacval run    FILE.ptx [launch options] [--profile]
 //   cacval check  FILE.ptx [launch options] [--expect ADDR=U32]...
 //                 [--independent] [--exact-steps N] [--por] [--por-oracle]
-//                 [--threads N] [--format=json]
+//                 [--format=json]
 //                 [--checkpoint PATH] [--checkpoint-every N]
 //                 [--resume PATH] [--deadline MS] [--mem-limit MIB]
 //   cacval validate FILE.ptx [same flags as check] [--profile]
@@ -59,7 +59,6 @@
 //   --sched S           first | rr | random:SEED   (default first)
 //   --max-steps N       step/depth bound (default 1<<20)
 //   --max-states N      distinct-state bound for check/validate
-//   --threads N         parallel exploration workers (0 = serial)
 //   --por-oracle        --por plus the static disjointness oracle
 //
 // Tiered state store (check/validate; docs/explorer.md):
@@ -84,6 +83,7 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -123,8 +123,8 @@ struct Options {
   /// here via sem::parse_launch_args.
   sem::LaunchSpec launch;
   /// Single source of truth for every exploration limit: --max-steps
-  /// is ExploreOptions.max_depth, --max-states is .max_states,
-  /// --threads is .num_threads, --por is .partial_order_reduction.
+  /// is ExploreOptions.max_depth, --max-states is .max_states, --por
+  /// is .partial_order_reduction.
   /// cmd_run/cmd_races reuse max_depth as their step bound.
   sched::ExploreOptions explore;
   std::vector<std::pair<std::uint64_t, std::uint32_t>> expects;
@@ -208,6 +208,17 @@ std::uint64_t parse_u64(const std::string& s) {
   }
 }
 
+/// A value that lands in a 32-bit field: anything wider is a usage
+/// error, not a silent truncation.
+std::uint32_t parse_u32(const std::string& flag, const std::string& s) {
+  const std::uint64_t v = parse_u64(s);
+  if (v > UINT32_MAX) {
+    usage((flag + " must be at most " + std::to_string(UINT32_MAX) +
+           ", got " + s).c_str());
+  }
+  return static_cast<std::uint32_t>(v);
+}
+
 std::pair<std::string, std::string> split_eq(const std::string& s) {
   const auto eq = s.find('=');
   if (eq == std::string::npos) usage("expected NAME=VALUE");
@@ -254,20 +265,10 @@ Options parse_args(int argc, char** argv) {
     else if (a == "--kernel-b") o.kernel_b = next();
     else if (a == "--expect") {
       const auto [k, v] = split_eq(next());
-      o.expects.emplace_back(parse_u64(k),
-                             static_cast<std::uint32_t>(parse_u64(v)));
+      o.expects.emplace_back(parse_u64(k), parse_u32(a, v));
     } else if (a == "--sched") o.sched = next();
     else if (a == "--max-steps") o.explore.max_depth = parse_u64(next());
     else if (a == "--max-states") o.explore.max_states = parse_u64(next());
-    else if (a == "--threads") {
-      const std::uint64_t n = parse_u64(next());
-      if (n > sched::kMaxThreads) {
-        usage(("--threads must be at most " +
-               std::to_string(sched::kMaxThreads) + ", got " +
-               std::to_string(n)).c_str());
-      }
-      o.explore.num_threads = static_cast<std::uint32_t>(n);
-    }
     else if (a == "--exact-steps") o.exact_steps = parse_u64(next());
     else if (a == "--checkpoint") o.explore.checkpoint_path = next();
     else if (a == "--checkpoint-every") {
@@ -275,14 +276,14 @@ Options parse_args(int argc, char** argv) {
     }
     else if (a == "--resume") o.resume_path = next();
     else if (a == "--dist-workers") {
-      o.dist_workers = static_cast<std::uint32_t>(parse_u64(next()));
+      o.dist_workers = parse_u32(a, next());
     }
     else if (a == "--dist-listen") o.dist_listen = next();
     else if (a == "--dist-connect") o.dist_connect = next();
     else if (a == "--dist-verbose") o.dist_verbose = true;
     else if (a == "--dist-test-die") {
       const auto [w, n] = split_eq(next());
-      o.dist_die_worker = static_cast<std::uint32_t>(parse_u64(w));
+      o.dist_die_worker = parse_u32(a, w);
       o.dist_die_after = parse_u64(n);
     }
     else if (a == "--deadline") o.explore.deadline_ms = parse_u64(next());
@@ -296,8 +297,7 @@ Options parse_args(int argc, char** argv) {
     else if (a == "--spill-dir") o.explore.store_spill_dir = next();
     else if (a == "--bloom-bits") o.explore.store_bloom_bits = parse_u64(next());
     else if (a == "--delta-depth") {
-      o.explore.store_delta_depth =
-          static_cast<std::uint32_t>(parse_u64(next()));
+      o.explore.store_delta_depth = parse_u32(a, next());
     }
     else if (a == "--independent") o.independent = true;
     else if (a == "--por") o.explore.partial_order_reduction = true;
@@ -679,7 +679,7 @@ int cmd_serve(int argc, char** argv) {
     else if (a == "--tcp") so.tcp = next();
     else if (a == "--state-dir") so.state_dir = next();
     else if (a == "--serve-workers" || a == "--workers") {
-      so.workers = static_cast<std::uint32_t>(parse_u64(next()));
+      so.workers = parse_u32(a, next());
     }
     else if (a == "--queue-limit") so.queue_limit = parse_u64(next());
     else if (a == "--job-deadline") so.job_deadline_ms = parse_u64(next());

@@ -1,7 +1,7 @@
 #!/bin/sh
-# Scaling sweep for the exploration engines: runs the in-process
-# parallel bench and the distributed fleet bench at 1/2/4/8 workers
-# (capped at the host's core count) and snapshots everything into one
+# Scaling sweep for the distributed explorer: runs the fleet bench at
+# 1/2/4/8 workers (capped at the host's core count) against its
+# in-process serial baseline and snapshots the results into
 # BENCH_explore.json via bench_to_json.py.
 #
 # Speedup numbers are only meaningful when the workers actually get
@@ -38,15 +38,12 @@ if [ "$cores" -lt 2 ]; then
   exit 1
 fi
 
-PAR_BENCH="$BUILD_DIR/bench/bench_parallel_explore"
 DIST_BENCH="$BUILD_DIR/bench/bench_dist_explore"
-for bin in "$PAR_BENCH" "$DIST_BENCH"; do
-  if [ ! -x "$bin" ]; then
-    echo "run_scaling_bench: $bin not found or not executable —" \
-         "build first (cmake --build $BUILD_DIR)" >&2
-    exit 1
-  fi
-done
+if [ ! -x "$DIST_BENCH" ]; then
+  echo "run_scaling_bench: $DIST_BENCH not found or not executable —" \
+       "build first (cmake --build $BUILD_DIR)" >&2
+  exit 1
+fi
 
 # Worker counts: 1/2/4/8, capped at the core count — oversubscribed
 # points are the same scheduling noise the single-core refusal avoids.
@@ -56,15 +53,14 @@ for n in 1 2 4 8; do
 done
 echo "run_scaling_bench: $cores cores, sweeping worker counts:$sweep"
 
-# Both benches already enumerate the sweep points as benchmark args;
-# filter to the configurations inside the core budget (serial baseline
-# workers:0 / threads:0 always included so speedups can be derived).
-filter="(workers|threads):(0"
+# The bench already enumerates the sweep points as benchmark args;
+# filter to the configurations inside the core budget (the serial
+# baseline workers:0 is always included so speedups can be derived).
+filter="workers:(0"
 for n in $sweep; do filter="$filter|$n"; done
 filter="$filter)/"
 
 exec python3 "$REPO_ROOT/tools/bench_to_json.py" \
-  --binary "$PAR_BENCH" \
   --binary "$DIST_BENCH" \
   --filter "$filter" \
   --out "$OUT_JSON"
