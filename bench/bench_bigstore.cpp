@@ -75,7 +75,6 @@ void report_store(benchmark::State& state,
   state.counters["rematerializations"] =
       static_cast<double>(st.rematerializations);
   state.counters["delta_fragments"] = static_cast<double>(st.delta_fragments);
-  state.counters["bloom_hit_rate"] = st.bloom_hit_rate();
   state.counters["dedup_ratio"] = st.dedup_ratio();
 }
 

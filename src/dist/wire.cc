@@ -177,8 +177,6 @@ void SetupMsg::encode(BinWriter& w) const {
   w.u64(die_after_generation);
   w.str(store.spill_dir);
   w.u64(store.resident_budget_bytes);
-  w.u64(store.bloom_bits_per_shard);
-  w.u32(store.delta_max_depth);
 }
 
 SetupMsg SetupMsg::decode(BinReader& r) {
@@ -201,8 +199,6 @@ SetupMsg SetupMsg::decode(BinReader& r) {
   m.die_after_generation = r.u64();
   m.store.spill_dir = r.str();
   m.store.resident_budget_bytes = r.u64();
-  m.store.bloom_bits_per_shard = r.u64();
-  m.store.delta_max_depth = r.u32();
   return m;
 }
 

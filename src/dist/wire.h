@@ -98,17 +98,19 @@ enum class FrameType : std::uint8_t {
   kServeEvent = 20,     // server -> client: streamed progress event
 };
 
-// v6: warps travel in the dense per-warp encoding (sem/warp.h), the
-// same bytes as checkpoint format v4.  v5: GraphPartMsg store stats
-// carry degraded_spill (the worker's spill tier failed and it degraded
-// to resident-only).  v4 added the
-// kServeRequest/kServeResponse/kServeEvent frames
-// (JSON payloads for the verification service) and SetupMsg carries
-// die_after_generation.  v3 added the
-// transient store-tier knobs to SetupMsg (they are not part of
-// codec::encode_options, which persists structural fields only) and
-// the kRollback/kRollbackAck recovery frames.
-constexpr std::uint8_t kProtoVersion = 6;
+// v7: SetupMsg's store knobs are only the spill directory and the
+// resident budget, and GraphPartMsg store stats lose two counters the
+// store no longer keeps.  v6: warps travel in the dense per-warp
+// encoding (sem/warp.h), the same bytes as checkpoint format v4.
+// v5: GraphPartMsg store stats carry degraded_spill (the worker's
+// spill tier failed and it degraded to resident-only).  v4 added the
+// kServeRequest/kServeResponse/kServeEvent frames (JSON payloads for
+// the verification service) and SetupMsg carries
+// die_after_generation.  v3 added the transient store-tier knobs to
+// SetupMsg (they are not part of codec::encode_options, which persists
+// structural fields only) and the kRollback/kRollbackAck recovery
+// frames.
+constexpr std::uint8_t kProtoVersion = 7;
 constexpr std::size_t kFrameHeaderSize = 4 + 1 + 1 + 2 + 4 + 8;
 /// Upper bound on one payload: a graph part carries a whole partition,
 /// so the cap is generous — it exists to reject length lies, not to

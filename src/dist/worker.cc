@@ -495,7 +495,7 @@ class Worker {
   bool stop_ = false;
 
   // Pointers so a kRollback can discard and rebuild them wholesale
-  // (StateStore is not movable — it owns mutexes and a spill file).
+  // (StateStore is not movable — it owns a spill file).
   std::unique_ptr<sched::StateStore> store_;   // owned partition
   std::unique_ptr<sched::StateStore> mirror_;  // foreign-child dedup cache
   std::deque<NodeRecord> nodes_;  // stable addresses, insertion order

@@ -60,13 +60,12 @@ std::string render_exploration(const Result& r) {
     std::snprintf(
         buf, sizeof buf,
         "store: %llu KiB resident, %llu KiB spilled, %llu evictions, "
-        "%llu delta frags, %llu remats, bloom hit rate %.1f%%\n",
+        "%llu delta frags, %llu remats\n",
         static_cast<unsigned long long>(ss.resident_bytes >> 10),
         static_cast<unsigned long long>(ss.spilled_bytes >> 10),
         static_cast<unsigned long long>(ss.hot_evictions),
         static_cast<unsigned long long>(ss.delta_fragments),
-        static_cast<unsigned long long>(ss.rematerializations),
-        100.0 * ss.bloom_hit_rate());
+        static_cast<unsigned long long>(ss.rematerializations));
     out += buf;
   }
   // Absorbed degradations (docs/robustness.md): reported here in the

@@ -61,12 +61,14 @@ std::string to_string(CheckpointError::Kind k);
 /// One snapshot of an in-flight exploration.  Engines construct and
 /// consume these; save()/load() move them to and from disk.
 struct Checkpoint {
-  // v6: one payload, the DFS's; the engine tag and the parallel graph
-  // section are gone.  v5: that section's nodes used the graph codec of
-  // the distributed frames.  v4: warp fragments are the dense per-warp
-  // encoding (sem/warp.h).  Older files are rejected with
-  // VersionMismatch rather than misdecoded.
-  static constexpr std::uint32_t kFormatVersion = 6;
+  // v7: the store section holds one warp pool, one bank pool and one
+  // state table (no shards), with no per-state stride word and only the
+  // materialized-bytes counter.  v6: one payload, the DFS's; the engine
+  // tag and the parallel graph section are gone.  v5: that section's
+  // nodes used the graph codec of the distributed frames.  v4: warp
+  // fragments are the dense per-warp encoding (sem/warp.h).  Older
+  // files are rejected with VersionMismatch rather than misdecoded.
+  static constexpr std::uint32_t kFormatVersion = 7;
 
   /// fnv1a over the canonical program text / config fields; resume
   /// refuses a checkpoint whose fingerprints do not match the run's.

@@ -126,10 +126,6 @@ struct ExploreOptions {
   /// fragments are demoted (encoded, then spilled when a spill dir is
   /// set).  0 keeps everything hot — the pre-tiering behaviour.
   std::uint64_t store_resident_budget_bytes = 0;
-  /// Bloom bits per visited-state shard (0 = default 1<<17).
-  std::uint64_t store_bloom_bits = 0;
-  /// Longest warp-fragment delta chain; 0 disables delta encoding.
-  std::uint32_t store_delta_depth = 8;
 };
 
 /// The StoreOptions an engine derives from ExploreOptions (the serial
@@ -139,8 +135,6 @@ struct ExploreOptions {
   StoreOptions so;
   so.spill_dir = o.store_spill_dir;
   so.resident_budget_bytes = o.store_resident_budget_bytes;
-  so.bloom_bits_per_shard = o.store_bloom_bits;
-  so.delta_max_depth = o.store_delta_depth;
   return so;
 }
 
@@ -194,9 +188,9 @@ struct ExploreResult {
   std::shared_ptr<const StateStore> store;
 
   /// Snapshot of the store's byte/tier accounting at the end of the
-  /// run (resident vs spilled bytes, evictions, delta fragments, bloom
-  /// hit rate).  For distributed runs this sums the workers' stores,
-  /// so it reflects where the exploration's memory actually went.
+  /// run (resident vs spilled bytes, evictions, delta fragments).  For
+  /// distributed runs this sums the workers' stores, so it reflects
+  /// where the exploration's memory actually went.
   StateStore::Stats store_stats;
 
   /// Distinct terminated machine states (DFS first-visit order).  A

@@ -32,39 +32,30 @@
 //   cold  — the same bytes appended to an unlinked, mmap-read spill
 //           segment file on disk.
 //
-// A clock (second-chance) sweep per fragment shard demotes fragments
-// one tier at a time whenever `resident_bytes` exceeds the configured
-// budget; any access transparently rematerializes from whatever tier
-// the fragment is in.  Dedup against a non-hot fragment compares
-// canonical encodings instead of objects — sem::Warp::encode and
-// Bank::encode are deterministic and injective, so byte equality of
+// A clock (second-chance) sweep over each fragment pool demotes
+// fragments one tier at a time whenever `resident_bytes` exceeds the
+// configured budget; any access transparently rematerializes from
+// whatever tier the fragment is in.  Dedup against a non-hot fragment
+// compares canonical encodings instead of objects — sem::Warp::encode
+// and Bank::encode are deterministic and injective, so byte equality of
 // encodings is structural equality.  Warp fragments additionally
 // delta-encode against the matching warp of their parent state (one
 // semantic step usually touches a register or two), which is what makes
 // reduce-like kernels — whose warp trees differ by a few registers per
 // step — cheap to keep resident.
 //
-// In front of each visited-state shard sits a small bloom filter: the
-// common "definitely new" path is decided by two atomic word loads with
-// no lock and no allocation.  Positives (real or false) fall through to
-// the exact sharded probe, and the filter is re-checked under the shard
-// lock before an insert skips the probe, so dedup stays exact.
-//
-// Thread safety: intern() and materialize() are safe to call
-// concurrently, though no engine does any more: the serial DFS and
-// each distributed worker intern from a single thread.  Fragment pools
-// and the state table are sharded by hash, each shard behind its own
-// mutex; the spill file has its own leaf mutex; no two shard locks are
-// ever held at once (delta chains are resolved link by link).
+// Ownership: a store has a single owner and is not thread-safe.  Every
+// caller interns from one thread — the serial DFS, each distributed
+// worker process (its owned partition and its mirror), the
+// coordinator's merge, and each serve job on its worker thread — and
+// no store leaves the thread that built it, so the store takes no lock
+// and keeps plain counters.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sem/state.h"
@@ -86,14 +77,17 @@ struct StateId {
   friend bool operator==(const StateId&, const StateId&) = default;
 };
 
-/// Tiering knobs.  All of them are *transient* resource policy — they
+/// Tiering knobs.  The last two are *transient* resource policy — they
 /// shape where bytes live, never which states exist or what verdict an
-/// exploration reaches — so none of them enter the structural checkpoint
+/// exploration reaches — so neither enters the structural checkpoint
 /// option fingerprint, and a resumed store may be configured with
 /// different values than the run that wrote the checkpoint.
 struct StoreOptions {
-  /// Test seam, see StateStore(hash_mask).  Fixed at construction;
-  /// configure() ignores it.
+  /// Test seam: ANDed onto every fragment and state hash before
+  /// indexing.  A mask of 0 files every entry under one hash, so dedup
+  /// decisions rest on structural equality alone — the
+  /// collision-robustness property the tests pin.  Fixed at
+  /// construction; configure() ignores it.
   std::uint64_t hash_mask = ~0ull;
   /// Directory for the spill segment file.  Empty disables the cold
   /// tier: eviction then stops at the warm (encoded-in-RAM) tier.
@@ -102,24 +96,11 @@ struct StoreOptions {
   /// eviction entirely (everything stays hot — the pre-tiering
   /// behaviour, and the default).
   std::uint64_t resident_budget_bytes = 0;
-  /// Bloom bits per visited-state shard, rounded up to a power of two.
-  /// 0 means the default (1<<17).  Filters are allocated lazily per
-  /// shard on first insert.
-  std::uint64_t bloom_bits_per_shard = 0;
-  /// Longest allowed delta chain (fragment -> base -> ... -> full
-  /// encoding).  0 disables delta encoding.
-  std::uint32_t delta_max_depth = 8;
 };
 
 class StateStore {
  public:
   StateStore() = default;
-  /// Test seam: `hash_mask` is ANDed onto every fragment and state hash
-  /// before bucket indexing.  A mask of 0 forces every entry into one
-  /// bucket (and saturates the bloom filters instantly), so dedup
-  /// decisions rest on structural equality alone — the
-  /// collision-robustness property the tests pin.
-  explicit StateStore(std::uint64_t hash_mask) : hash_mask_(hash_mask) {}
   explicit StateStore(const StoreOptions& opts) : hash_mask_(opts.hash_mask) {
     configure(opts);
   }
@@ -131,8 +112,7 @@ class StateStore {
   /// Apply tiering knobs to a live store (`hash_mask` excluded — it is
   /// fixed at construction).  The engines call this right after
   /// checkpoint decode, which always produces a default-configured
-  /// store.  Re-sizing the bloom filters rebuilds them from the stored
-  /// state hashes.  Not safe concurrently with intern().
+  /// store.
   void configure(const StoreOptions& opts);
 
   struct InternResult {
@@ -148,7 +128,8 @@ class StateStore {
   /// `parent`, when valid, names the state `m` was reached from: fresh
   /// warp fragments then delta-encode against the matching warp of the
   /// parent's tuple.  Passing it (or not) never changes ids or results,
-  /// only the byte cost of storing them.
+  /// only the byte cost of storing them.  Ids are dense: the n-th
+  /// distinct state interned gets id n - 1.
   InternResult intern(const sem::Machine& m, std::uint64_t max_states = ~0ull,
                       StateId parent = StateId{});
 
@@ -165,9 +146,7 @@ class StateStore {
   /// The memoized structural hash the machine had when interned.
   [[nodiscard]] std::uint64_t machine_hash(StateId id) const;
 
-  [[nodiscard]] std::uint64_t size() const {
-    return n_states_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t size() const { return stats_.states; }
 
   /// Byte/dedup accounting.  `resident_bytes` is what the store
   /// actually holds in RAM (hot objects + warm payloads + per-state
@@ -189,8 +168,6 @@ class StateStore {
     std::uint64_t spills = 0;              // warm payloads written to disk
     std::uint64_t rematerializations = 0;  // non-hot fragments decoded
     std::uint64_t delta_fragments = 0;     // payloads stored as deltas
-    std::uint64_t bloom_negatives = 0;       // lock-light definite misses
-    std::uint64_t bloom_false_positives = 0; // probe found nothing
     /// Spill-tier operations that failed (ENOSPC/EIO on the segment).
     /// Nonzero means the cold tier shut itself off and the store ran
     /// resident-only from that point — a capacity warning, never a
@@ -203,32 +180,27 @@ class StateStore {
                  : static_cast<double>(materialized_bytes) /
                        static_cast<double>(resident_bytes);
     }
-    /// Fraction of new-state inserts the bloom pre-check decided
-    /// without touching the exact probe.
-    [[nodiscard]] double bloom_hit_rate() const {
-      const std::uint64_t total = bloom_negatives + bloom_false_positives;
-      return total == 0 ? 0.0
-                        : static_cast<double>(bloom_negatives) /
-                              static_cast<double>(total);
-    }
+    /// Always 0: nothing computes it any more.  It remains only because
+    /// the cacbench/ harness still reads it, and goes when that read
+    /// does.
+    [[nodiscard]] double bloom_hit_rate() const { return 0.0; }
   };
-  [[nodiscard]] Stats stats() const;
+  [[nodiscard]] Stats stats() const { return stats_; }
 
-  /// Run eviction sweeps until a full pass over every fragment shard
+  /// Run eviction sweeps until a full pass over both fragment pools
   /// makes no progress (everything demoted as far as the configuration
   /// allows).  Test/bench seam — the explorers rely on the automatic
   /// budget-triggered eviction inside intern() instead.
   void evict_all();
 
-  /// Checkpoint codec (sched/checkpoint.h, format v4).  encode
-  /// preserves the per-shard insertion order of every fragment pool and
-  /// state shard, so decode reproduces the exact same fragment and
+  /// Checkpoint codec (sched/checkpoint.h, format v7).  encode
+  /// preserves the insertion order of both fragment pools and of the
+  /// state table, so decode reproduces the exact same fragment and
   /// state ids — the property that lets a resumed exploration keep
   /// using StateIds from before the crash.  Fragment payloads are
   /// written in their stored form (delta chains round-trip; cold
   /// payloads are read back from the spill segment), so a checkpoint
-  /// taken mid-spill is byte-for-byte restorable.  encode requires
-  /// external quiescence (no concurrent intern); decode requires
+  /// taken mid-spill is byte-for-byte restorable.  decode requires
   /// `*this` to be empty and a matching hash mask, lands every payload
   /// in the warm tier, and throws support::BinError on malformed input
   /// or KernelError on misuse.
@@ -257,19 +229,16 @@ class StateStore {
                           std::uint64_t max_states = ~0ull);
 
  private:
-  // Fragment/state ids encode (shard, local index): shard in the low
-  // bits, per-shard insertion index above.  Stable across the store's
-  // lifetime; never reused.
-  static constexpr unsigned kFragShardBits = 4;   // 16 fragment shards
-  static constexpr unsigned kStateShardBits = 6;  // 64 state shards
   static constexpr std::uint32_t kNoBase = 0xffffffffu;
 
   /// Append-only spill segment.  Created under the configured
   /// directory and unlinked immediately, so a crash can never leak
-  /// disk; reads go through a grow-on-demand read-only mmap.  Its
-  /// mutex is a leaf lock: safe to take under any shard lock.
+  /// disk; reads go through a grow-on-demand read-only mmap.
   class SpillFile {
    public:
+    SpillFile() = default;
+    SpillFile(const SpillFile&) = delete;
+    SpillFile& operator=(const SpillFile&) = delete;
     ~SpillFile();
     void open(const std::string& dir);
     [[nodiscard]] bool ready() const { return fd_ >= 0; }
@@ -277,7 +246,6 @@ class StateStore {
     [[nodiscard]] std::string read(std::uint64_t off, std::uint32_t len) const;
 
    private:
-    mutable std::mutex mu_;
     int fd_ = -1;
     std::uint64_t size_ = 0;
     /// Original segment name (the file itself is unlinked-while-open);
@@ -299,7 +267,7 @@ class StateStore {
     std::uint64_t hot_bytes = 0;  // deep-footprint estimate of `hot`
     std::uint64_t cold_off = 0;
     std::uint32_t cold_len = 0;
-    std::uint32_t base = kNoBase;  // global warp fragment id
+    std::uint32_t base = kNoBase;  // warp fragment id
     std::uint8_t depth = 0;        // delta chain length to a full payload
     std::uint8_t ref = 0;          // clock second-chance bit
     std::uint8_t settled = 0;      // fully demoted; sweeps skip it
@@ -325,42 +293,41 @@ class StateStore {
     bool inserted = false;
   };
 
+  /// Open-addressed index over dense ids (slot value = id + 1, 0 =
+  /// empty), keyed by masked hash and kept under a 0.7 load factor.
+  /// The fragment pools and the state table share it.
+  struct Slots {
+    std::vector<std::uint32_t> v;
+
+    /// The first id filed under `masked` that `match` accepts, + 1;
+    /// 0 when none does.
+    template <typename Match>
+    std::uint32_t find(std::uint64_t masked, Match&& match) const;
+    /// File `id`, the next dense id; `masked_of(i)` is id i's masked
+    /// hash, needed for every filed id when the table grows.
+    template <typename MaskedOf>
+    void add(std::uint32_t id, MaskedOf&& masked_of);
+    void place(std::uint32_t id, std::uint64_t masked);
+  };
+
+  /// A fragment pool: records indexed by dense id, the hash index over
+  /// them, and the clock sweep's state.
   template <typename Rec>
-  struct FragShard {
-    mutable std::mutex mu;
-    std::deque<Rec> recs;  // stable addresses; mutated in place
-    std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> index;
+  struct Pool {
+    std::deque<Rec> recs;  // [id]; stable addresses, mutated in place
+    Slots index;
     std::uint32_t clock_hand = 0;
     /// Records not yet `settled` (fully demoted).  Eviction sweeps
-    /// skip shards with live == 0 outright: at a steady budget floor
+    /// skip a pool with live == 0 outright: at a steady budget floor
     /// almost every record is settled, and rescanning them per sweep
-    /// made eviction O(records) per intern.  Kept exact under mu:
-    /// ++ on insert and on reviving a settled record (touch_locked),
-    /// -- when a sweep settles one.
+    /// made eviction O(records) per intern.  ++ on insert and on
+    /// reviving a settled record (touch), -- when a sweep settles one.
     std::uint32_t live = 0;
-  };
-  using WarpShard = FragShard<WarpRec>;
-  using BankShard = FragShard<BankRec>;
-
-  /// Visited-state shard: flat append-only arenas (unmasked hash +
-  /// fragment-id tuple per state, indexed by local id), an open-
-  /// addressed slot table over them (value = local + 1, 0 = empty), and
-  /// the bloom filter in front of it all.  ~30 bytes of bookkeeping per
-  /// state instead of the ~100+ a deque of records with an
-  /// unordered_map index costs.
-  struct StateShard {
-    mutable std::mutex mu;
-    std::vector<std::uint64_t> hashes;  // unmasked, [local]
-    std::vector<std::uint32_t> tuples;  // flat, stride = shape_.tuple_len
-    std::vector<std::uint32_t> slots;   // open addressing, power of two
-    // Allocated lazily (and pre-seeded from `hashes`) on first insert;
-    // accessed only under `mu`, so two word reads decide "definitely
-    // new" before any probe.
-    std::unique_ptr<std::uint64_t[]> bloom;
   };
 
   /// Grid/memory shape shared by every state of one exploration
   /// (warp counts per block never change across transitions).
+  /// `tuple_len` is 0 until the first state fixes the shape.
   struct Shape {
     std::vector<std::uint32_t> warps_per_block;
     std::uint32_t shared_banks = 0;
@@ -374,102 +341,79 @@ class StateStore {
   Frag intern_warp(const sem::Warp& w, std::uint32_t base_id);
   Frag intern_bank(const mem::Memory::BankRef& b);
   /// Canonical (full) encoding of a warp fragment, resolved through
-  /// whatever tier/delta chain it is in.  Takes one shard lock at a
-  /// time; `depth_out`, when non-null, receives the fragment's delta
-  /// depth.
+  /// whatever tier/delta chain it is in.  `depth_out`, when non-null,
+  /// receives the fragment's delta depth.
   [[nodiscard]] std::string warp_canonical_bytes(std::uint32_t id,
                                                  std::uint8_t* depth_out =
                                                      nullptr) const;
   /// Decoded warp by value: a copy of the hot object, or a decode of
   /// the resolved canonical bytes when the fragment is not hot.
   [[nodiscard]] sem::Warp warp_value(std::uint32_t id) const;
-  [[nodiscard]] std::string bank_canonical_bytes_locked(
-      const BankRec& rec) const;
+  [[nodiscard]] std::string bank_canonical_bytes(const BankRec& rec) const;
   [[nodiscard]] mem::Memory::BankRef bank_ref(std::uint32_t id) const;
 
   // --- eviction -------------------------------------------------------
-  /// One clock step on one record.  Returns true if it changed tiers.
   /// Mark a record referenced, reviving it for the sweep if it had
-  /// settled.  Caller holds s.mu.
-  template <typename Shard, typename Rec>
-  static void touch_locked(Shard& s, Rec& rec) {
+  /// settled.
+  template <typename Rec>
+  static void touch(Pool<Rec>& p, Rec& rec) {
     rec.ref = 1;
     if (rec.settled) {
       rec.settled = 0;
-      ++s.live;
+      ++p.live;
     }
   }
 
   /// One clock step of the sweep on one record: clear its second-chance
   /// bit or demote it one tier.  False once it is settled.
   template <typename Rec>
-  bool step_rec(FragShard<Rec>& s, Rec& rec);
+  bool step_rec(Pool<Rec>& p, Rec& rec);
   /// True while the cold tier is usable.  A failed spill operation
   /// (ENOSPC/EIO) trips `spill_failed_` via degrade_spill() and the
   /// store runs resident-only from then on: already-spilled payloads
   /// stay readable, nothing new is appended, the verdict is unaffected.
   [[nodiscard]] bool spill_usable() const {
-    return spill_.ready() && !spill_failed_.load(std::memory_order_relaxed);
+    return spill_.ready() && !spill_failed_;
   }
   void degrade_spill(const char* why);
   /// Budget check + clock sweeps; called after every insert.
   void maybe_evict();
-  /// One bounded sweep over all fragment shards; returns demotions.
+  /// One bounded sweep over both fragment pools; returns demotions.
   std::uint64_t evict_pass(std::uint64_t stop_below);
 
   // --- visited-state table --------------------------------------------
-  /// Shared tail of intern()/decode_state(): look the tuple up in its
-  /// state shard (bloom pre-check first), register it if new and under
-  /// cap, book the stats.
-  InternResult register_tuple(std::uint64_t h,
-                              std::vector<std::uint32_t>&& tuple,
-                              std::uint64_t max_states,
+  /// Shared tail of intern()/decode_state(): look `tuple_` up in the
+  /// state table, register it if new and under cap, book the stats.
+  InternResult register_tuple(std::uint64_t h, std::uint64_t max_states,
                               std::uint64_t full_bytes);
-  /// Copy of state `id`'s tuple (empty if `id` is invalid/unknown).
-  [[nodiscard]] std::vector<std::uint32_t> tuple_of(StateId id) const;
-  /// Exact probe of one shard; caller holds `s.mu`.  Returns local + 1
-  /// or 0.
-  [[nodiscard]] std::uint32_t probe_locked(const StateShard& s,
-                                           std::uint64_t h,
-                                           const std::vector<std::uint32_t>&
-                                               tuple) const;
-  void slot_insert_locked(StateShard& s, std::uint32_t local);
-  [[nodiscard]] bool bloom_maybe_locked(const StateShard& s,
-                                        std::uint64_t masked) const;
-  void bloom_add_locked(StateShard& s, std::uint64_t masked);
+  /// State `id`'s fragment-id tuple, read in place from the arena.
+  /// Throws KernelError naming `who` if `id` is invalid or unknown.
+  [[nodiscard]] const std::uint32_t* tuple_at(StateId id,
+                                              const char* who) const;
 
   const std::uint64_t hash_mask_ = ~0ull;
-
-  std::once_flag shape_once_;
   Shape shape_;
 
   // Mutable: const accessors still touch clock ref bits, re-promote
   // bank fragments, and book rematerialization stats.
-  mutable WarpShard warp_shards_[1u << kFragShardBits];
-  mutable BankShard bank_shards_[1u << kFragShardBits];
-  StateShard state_shards_[1u << kStateShardBits];
+  mutable Pool<WarpRec> warps_;
+  mutable Pool<BankRec> banks_;
+
+  // The visited-state table: flat arenas indexed by state id (unmasked
+  // hash, fragment-id tuple) and the slot index over them — about 30
+  // bytes of bookkeeping per state.
+  std::vector<std::uint64_t> hashes_;
+  std::vector<std::uint32_t> tuples_;  // stride = shape_.tuple_len
+  Slots slots_;
+  /// The tuple being interned.  Fragment interning never appends to
+  /// `tuples_`, so the parent's tuple is read in place until
+  /// register_tuple copies this one in.
+  std::vector<std::uint32_t> tuple_;
 
   SpillFile spill_;
-  std::string spill_dir_;
-  std::mutex evict_mu_;  // single evictor; never held across shard locks
-  std::atomic<std::uint64_t> resident_budget_{0};
-  std::atomic<std::uint64_t> bloom_bits_{1u << 17};
-  std::atomic<std::uint32_t> delta_max_depth_{8};
-
-  std::atomic<std::uint64_t> n_states_{0};
-  std::atomic<std::uint64_t> n_warp_frags_{0};
-  std::atomic<std::uint64_t> n_bank_frags_{0};
-  mutable std::atomic<std::uint64_t> resident_bytes_{0};
-  std::atomic<std::uint64_t> materialized_bytes_{0};
-  std::atomic<std::uint64_t> spilled_bytes_{0};
-  std::atomic<std::uint64_t> hot_evictions_{0};
-  std::atomic<std::uint64_t> spills_{0};
-  mutable std::atomic<std::uint64_t> remats_{0};
-  std::atomic<std::uint64_t> delta_frags_{0};
-  std::atomic<std::uint64_t> bloom_neg_{0};
-  std::atomic<std::uint64_t> bloom_fp_{0};
-  std::atomic<bool> spill_failed_{false};
-  std::atomic<std::uint64_t> degraded_spill_{0};
+  std::uint64_t resident_budget_ = 0;
+  bool spill_failed_ = false;
+  mutable Stats stats_;
 };
 
 /// Every StateStore::Stats counter, in declaration order: code that sums
@@ -486,8 +430,6 @@ inline constexpr std::uint64_t StateStore::Stats::*kStoreCounters[] = {
     &StateStore::Stats::spills,
     &StateStore::Stats::rematerializations,
     &StateStore::Stats::delta_fragments,
-    &StateStore::Stats::bloom_negatives,
-    &StateStore::Stats::bloom_false_positives,
     &StateStore::Stats::degraded_spill,
 };
 

@@ -44,6 +44,8 @@ SetupMsg sample_setup() {
   m.generation = 9;
   m.die_worker = 1;
   m.die_after_states = 50;
+  m.store.spill_dir = "/tmp/spill";
+  m.store.resident_budget_bytes = 1 << 20;
   return m;
 }
 
@@ -303,6 +305,7 @@ TEST(DistFrame, BadMagicVersionTypeReservedRejected) {
   expect_corrupt(0, 'X');     // magic
   expect_corrupt(3, 'X');     // magic
   expect_corrupt(4, static_cast<char>(kProtoVersion + 1));  // version
+  expect_corrupt(4, static_cast<char>(kProtoVersion - 1));  // older peer
   expect_corrupt(5, '\x00');  // frame type 0 is invalid
   expect_corrupt(5, '\x7f');  // frame type out of range
   expect_corrupt(6, '\x01');  // reserved must be zero

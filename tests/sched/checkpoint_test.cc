@@ -127,6 +127,69 @@ TEST(StateStoreCodec, DecodeIntoNonEmptyStoreThrows) {
   EXPECT_THROW(dirty.decode(br), KernelError);
 }
 
+TEST(StateStoreCodec, DecodeRejectsInconsistentSections) {
+  // Hand-built store sections that no encoder writes.  Each must be
+  // refused at decode: materialize() would otherwise walk a shape over
+  // tuples of another length, or resolve a chain deeper than any
+  // writer produces.
+  const auto rejects = [](const support::BinWriter& w, const char* why) {
+    StateStore store;
+    support::BinReader r(w.buffer());
+    try {
+      store.decode(r);
+      ADD_FAILURE() << "decoded a section that should fail with: " << why;
+    } catch (const support::BinError& e) {
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+          << e.what();
+    }
+  };
+  {
+    // One block of one warp makes a tuple of 1 + 0 + 3 ids, not 2.
+    support::BinWriter w;
+    w.u64(~0ull);  // hash mask
+    w.u8(1);       // shaped
+    w.u64(1);
+    w.u32(1);  // warps_per_block
+    w.u32(0);  // shared banks
+    w.u64(0);  // shared bytes per block
+    w.u32(2);  // tuple length
+    w.u64(0);  // warp fragments
+    w.u64(0);  // bank fragments
+    w.u64(0);  // states
+    w.u64(0);  // materialized bytes
+    rejects(w, "shape inconsistent");
+  }
+  {
+    // A state without a shape has no tuple to materialize.
+    support::BinWriter w;
+    w.u64(~0ull);
+    w.u8(0);
+    w.u64(0);
+    w.u64(0);
+    w.u64(1);   // one state...
+    w.u64(42);  // ...with only its hash
+    w.u64(0);
+    rejects(w, "no shape");
+  }
+  {
+    // A well-formed delta chain one link longer than the store's bound.
+    support::BinWriter w;
+    w.u64(~0ull);
+    w.u8(0);
+    w.u64(10);
+    for (std::uint32_t i = 0; i < 10; ++i) {
+      w.u64(i);                            // hash
+      w.u32(i == 0 ? 0xffffffffu : i - 1);  // base
+      w.u8(static_cast<std::uint8_t>(i));  // depth
+      w.str("payload");
+    }
+    w.u64(0);
+    w.u64(0);
+    w.u64(0);
+    rejects(w, "chain depth");
+  }
+}
+
 // ---------------------------------------------------------------------
 // Serial resume: every cut point reaches the uninterrupted verdict.
 
@@ -473,6 +536,25 @@ TEST_F(CorruptionTest, V5FilesRejectedWithVersionMismatch) {
   } catch (const CheckpointError& e) {
     EXPECT_EQ(e.kind(), CheckpointError::Kind::VersionMismatch);
     EXPECT_NE(std::string(e.what()).find("version 5"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(CorruptionTest, V6FilesRejectedWithVersionMismatch) {
+  // Format v7 drops the v6 store section's shard counts, per-state
+  // stride words and four trailing counters, so a v6 file's store
+  // section would be misread from its first pool on; it must be
+  // refused, not misdecoded.
+  std::string bad = good_;
+  bad[8] = 6;  // header version field; the checksum covers payload only
+  spit(path_, bad);
+  try {
+    Checkpoint::load(path_);
+    FAIL() << "v6 file loaded by a v" << Checkpoint::kFormatVersion
+           << " reader";
+  } catch (const CheckpointError& e) {
+    EXPECT_EQ(e.kind(), CheckpointError::Kind::VersionMismatch);
+    EXPECT_NE(std::string(e.what()).find("version 6"), std::string::npos)
         << e.what();
   }
 }

@@ -145,7 +145,9 @@ TEST(StateStoreTest, RegisterLocalStepSharesAllButOneWarp) {
 TEST(StateStoreTest, ForcedHashCollisionsStillDedupByEquality) {
   // hash_mask 0 sends every fragment and state into one bucket: any
   // dedup decision now rests purely on structural equality.
-  StateStore store(0ull);
+  StoreOptions o;
+  o.hash_mask = 0;
+  StateStore store(o);
 
   const sem::KernelConfig kc{{1, 1, 1}, {8, 1, 1}, 4};
   std::vector<sem::Machine> chain;

@@ -1,16 +1,16 @@
 // The tiered StateStore: spill/rematerialize transparency, delta
-// chains, bloom-filtered dedup.
+// chains, dedup against demoted fragments.
 //
 // The contract under test (docs/explorer.md "Tiered storage"):
 //
 //  * evicting fragments — to the warm encoded tier or to the on-disk
 //    spill segment — never changes what materialize() returns, what
 //    machine_hash() reports, or which machines dedup to which ids;
-//  * delta chains never exceed the configured depth, and depth 0
-//    disables delta encoding entirely;
-//  * the bloom pre-check is an accelerator, not an oracle: with every
-//    filter bit saturated (hash_mask 0 drives all traffic into one
-//    shard), dedup still rests on structural equality alone;
+//  * delta chains stay bounded, and chaining never costs resident
+//    bytes;
+//  * with every hash colliding (hash_mask 0) and every fragment
+//    demoted, dedup still rests on structural equality alone — the
+//    byte comparison of demoted candidates;
 //  * configure() on a live store (the resume path) applies new tier
 //    knobs without disturbing stored states.
 #include <gtest/gtest.h>
@@ -27,6 +27,7 @@
 #include "sched/state_store.h"
 #include "sem/launch.h"
 #include "sem/step.h"
+#include "support/binio.h"
 
 namespace cac::sched {
 namespace {
@@ -119,7 +120,6 @@ TEST(StoreTier, RandomizedSpillRematerializePreservesEverything) {
     StoreOptions tiered;
     tiered.spill_dir = testing::TempDir();
     tiered.resident_budget_bytes = 16 << 10;
-    tiered.delta_max_depth = 6;
     StateStore cold(tiered);
 
     std::vector<StateId> hot_ids, cold_ids;
@@ -198,101 +198,94 @@ TEST(StoreTier, DeltaChainDepthIsBounded) {
   const std::vector<sem::Machine> walk =
       random_walk(w.prg, w.kc, w.init, 11, 200);
 
-  for (const std::uint32_t depth : {1u, 3u, 8u}) {
-    StoreOptions o;
-    o.delta_max_depth = depth;
-    StateStore store(o);
-    StateId parent{};
-    std::vector<StateId> ids;
-    for (const sem::Machine& m : walk) {
-      const auto r = store.intern(m, ~0ull, parent);
-      ASSERT_TRUE(r.id.valid());
-      parent = r.id;
-      ids.push_back(r.id);
-    }
-    // Deltas were used...
-    EXPECT_GT(store.stats().delta_fragments, 0u) << "depth " << depth;
-    // ...and every state still materializes exactly, which bounds the
-    // chain implicitly: a chain longer than `depth` would have been
-    // re-based at insert, and a broken base link would throw here.
-    for (std::size_t i = 0; i < walk.size(); ++i) {
-      EXPECT_EQ(store.materialize(ids[i]), walk[i])
-          << "depth " << depth << " i " << i;
-    }
-  }
-}
-
-TEST(StoreTier, DeltaDepthZeroDisablesDeltas) {
-  const VecAdd w;
-  const std::vector<sem::Machine> walk =
-      random_walk(w.prg, w.kc, w.init, 13, 100);
-
-  StoreOptions o;
-  o.delta_max_depth = 0;
-  StateStore store(o);
+  StateStore store;
   StateId parent{};
+  std::vector<StateId> ids;
   for (const sem::Machine& m : walk) {
     const auto r = store.intern(m, ~0ull, parent);
     ASSERT_TRUE(r.id.valid());
     parent = r.id;
+    ids.push_back(r.id);
   }
-  EXPECT_EQ(store.stats().delta_fragments, 0u);
+  // Deltas were used, and no chain outgrew the store's bound: decode
+  // rejects a deeper chain, so a codec round trip checks every depth.
+  EXPECT_GT(store.stats().delta_fragments, 0u);
+  support::BinWriter bw;
+  store.encode(bw);
+  support::BinReader br(bw.buffer());
+  StateStore copy;
+  EXPECT_NO_THROW(copy.decode(br));
+  // Every state still materializes exactly once every fragment is
+  // demoted: that resolves each chain from its stored payloads, where a
+  // broken base link would decode to the wrong machine.
+  store.evict_all();
+  for (std::size_t i = 0; i < walk.size(); ++i) {
+    EXPECT_EQ(store.materialize(ids[i]), walk[i]) << i;
+  }
 }
 
 TEST(StoreTier, DeeperChainsNeverCostMoreResidentBytes) {
   // The point of deltas: chained fragments shrink the resident
-  // footprint on step-shaped insert sequences.
+  // footprint on step-shaped insert sequences.  Interning without a
+  // parent stores every fragment as a full encoding.
   const VecAdd w;
   const std::vector<sem::Machine> walk =
       random_walk(w.prg, w.kc, w.init, 17, 200);
 
-  auto resident_with_depth = [&](std::uint32_t depth) {
-    StoreOptions o;
-    o.delta_max_depth = depth;
-    StateStore store(o);
+  auto resident = [&](bool chain) {
+    StateStore store;
     StateId parent{};
     for (const sem::Machine& m : walk) {
-      const auto r = store.intern(m, ~0ull, parent);
+      const auto r = store.intern(m, ~0ull, chain ? parent : StateId{});
       parent = r.id;
     }
+    EXPECT_EQ(store.stats().delta_fragments > 0, chain);
     store.evict_all();  // demote hot objects so encoded size dominates
     return store.stats().resident_bytes;
   };
-  EXPECT_LE(resident_with_depth(8), resident_with_depth(0));
+  EXPECT_LE(resident(true), resident(false));
 }
 
 // ---------------------------------------------------------------------
-// Bloom fallback
+// Dedup when every hash collides
 
-TEST(StoreTier, SaturatedBloomStillDedupsByEquality) {
-  // hash_mask 0 forces every state and fragment into one shard and
-  // saturates its bloom filter after a handful of inserts: from then
-  // on every probe is a potential false positive and correctness rests
-  // on the exact structural-equality probe.
+TEST(StoreTier, CollidingDemotedFragmentsDedupByBytes) {
+  // hash_mask 0 files every fragment and state under one hash, and
+  // evict_all() demotes every fragment, so each re-intern byte-compares
+  // its canonical encoding against every demoted candidate in that one
+  // bucket — the only intern path that does, here driven with every
+  // hash colliding.
   const Lattice w(5, 6);
   const std::vector<sem::Machine> walk = random_walk(w, 19, 80);
 
   StoreOptions o;
   o.hash_mask = 0;
-  o.bloom_bits_per_shard = 64;  // tiny: saturates immediately
+  o.spill_dir = testing::TempDir();
+  o.resident_budget_bytes = 4 << 10;  // small enough to keep evicting
   StateStore store(o);
 
   std::vector<StateId> ids;
+  StateId parent{};
   for (const sem::Machine& m : walk) {
-    const auto r = store.intern(m);
+    const auto r = store.intern(m, ~0ull, parent);
     ASSERT_TRUE(r.id.valid());
+    parent = r.id;
     ids.push_back(r.id);
   }
+  const std::uint64_t size = store.size();
+  store.evict_all();
+
   // Re-intern everything: all dedup hits, none may insert.
   for (std::size_t i = 0; i < walk.size(); ++i) {
     const auto again = store.intern(walk[i]);
     EXPECT_FALSE(again.inserted) << i;
     EXPECT_EQ(again.id, ids[i]) << i;
   }
-  EXPECT_EQ(store.size(), ids.size());
-  // The saturated filter must have produced false positives (probes
-  // that found nothing) without ever producing a false "visited".
-  EXPECT_GT(store.stats().bloom_false_positives, 0u);
+  EXPECT_EQ(store.size(), size);
+  for (std::size_t i = 0; i < walk.size(); ++i) {
+    EXPECT_EQ(store.materialize(ids[i]), walk[i]) << i;
+  }
+  EXPECT_GT(store.stats().rematerializations, 0u);
 }
 
 // ---------------------------------------------------------------------

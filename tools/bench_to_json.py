@@ -27,8 +27,8 @@ without the static independence oracle and the resulting reduction,
 every BM_BigStore* / BM_BigExplore* / BM_StoreBudgetSweep instance
 (bench_bigstore) lands in a `store_tiers` section recording the
 resident-vs-spilled byte split, eviction/spill/rematerialization
-counts, delta-fragment count, and bloom pre-check hit rate of the
-tiered state store under a resident budget,
+counts, and delta-fragment count of the tiered state store under a
+resident budget,
 every BM_PerfLint* instance (bench_perf_lint) lands in a `perf_lint`
 section recording static perf-pass throughput on the clean corpus vs
 an all-offender kernel,
@@ -230,7 +230,7 @@ def store_tiers_summary(benchmarks: list[dict]) -> list[dict]:
                   "resident_bytes", "spilled_bytes",
                   "resident_bytes_per_state", "hot_evictions", "spills",
                   "rematerializations", "delta_fragments",
-                  "bloom_hit_rate", "dedup_ratio", "rss_bytes",
+                  "dedup_ratio", "rss_bytes",
                   "items_per_second", "real_time", "time_unit"):
             if k in b:
                 entry[k] = b[k]

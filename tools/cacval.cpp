@@ -62,7 +62,7 @@
 //   --por-oracle        --por plus the static disjointness oracle
 //
 // Tiered state store (check/validate; docs/explorer.md):
-//   --store-budget MIB / --spill-dir DIR / --bloom-bits N / --delta-depth N
+//   --store-budget MIB / --spill-dir DIR
 //
 // Distributed exploration (check/validate; docs/distributed.md):
 //   --dist-workers N / --dist-listen H:P / --dist-verbose
@@ -219,6 +219,17 @@ std::uint32_t parse_u32(const std::string& flag, const std::string& s) {
   return static_cast<std::uint32_t>(v);
 }
 
+/// A MiB count converted to bytes: a count whose byte value does not
+/// fit in 64 bits is a usage error, not a silent wrap.
+std::uint64_t parse_mib(const std::string& flag, const std::string& s) {
+  const std::uint64_t v = parse_u64(s);
+  if (v > (UINT64_MAX >> 20)) {
+    usage((flag + " must be at most " + std::to_string(UINT64_MAX >> 20) +
+           " MiB, got " + s).c_str());
+  }
+  return v << 20;
+}
+
 std::pair<std::string, std::string> split_eq(const std::string& s) {
   const auto eq = s.find('=');
   if (eq == std::string::npos) usage("expected NAME=VALUE");
@@ -288,17 +299,12 @@ Options parse_args(int argc, char** argv) {
     }
     else if (a == "--deadline") o.explore.deadline_ms = parse_u64(next());
     else if (a == "--mem-limit") {
-      o.explore.mem_limit_bytes = parse_u64(next()) * (1ull << 20);
+      o.explore.mem_limit_bytes = parse_mib(a, next());
     }
     else if (a == "--store-budget") {
-      o.explore.store_resident_budget_bytes =
-          parse_u64(next()) * (1ull << 20);
+      o.explore.store_resident_budget_bytes = parse_mib(a, next());
     }
     else if (a == "--spill-dir") o.explore.store_spill_dir = next();
-    else if (a == "--bloom-bits") o.explore.store_bloom_bits = parse_u64(next());
-    else if (a == "--delta-depth") {
-      o.explore.store_delta_depth = parse_u32(a, next());
-    }
     else if (a == "--independent") o.independent = true;
     else if (a == "--por") o.explore.partial_order_reduction = true;
     else if (a == "--por-oracle") o.por_oracle = true;
