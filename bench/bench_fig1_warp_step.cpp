@@ -154,7 +154,7 @@ void BM_VectorAddWarpSteps(benchmark::State& state) {
   std::uint64_t steps = 0;
   for (auto _ : state) {
     sem::Machine m = proto;
-    sem::Warp& w = m.grid.blocks[0].warps[0];
+    sem::Warp& w = sem::unique_warp(m.grid.blocks[0].warps[0]);
     while (!ptx::is_exit(prg.fetch(w.pc()))) {
       sem::step_warp(prg, kc, 0, w, m.memory);
       ++steps;

@@ -9,13 +9,16 @@
 // trajectory.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "programs/corpus.h"
 #include "ptx/lower.h"
+#include "sched/dfs.h"
 #include "sched/explore.h"
+#include "sched/explore_internal.h"
 #include "sem/launch.h"
 
 namespace {
@@ -77,6 +80,134 @@ BENCHMARK(BM_ExploreVectorSum)
     ->Args({0, 2})  // smaller instance for quick trend lines
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+/// The serial DFS's walk (SerialWalk in sched/explore.cc) with a clock
+/// around each of its steps: copying the parent machine, the semantics
+/// step, and interning the child with its parent, per transition; and
+/// classify, once per state.
+class TimedWalk {
+ public:
+  using Clock = std::chrono::steady_clock;
+  using Key = sched::StateId;
+  struct Frame {
+    sched::StateId key;
+    sem::Machine state;
+    std::vector<sem::Choice> eligible;
+    std::size_t next = 0;
+  };
+
+  TimedWalk(const ptx::Program& prg, const sem::KernelConfig& kc,
+            const sched::ExploreOptions& opts)
+      : prg_(prg), kc_(kc), opts_(opts) {}
+
+  sched::Color& color(sched::StateId id) {
+    if (id.v >= colors_.size()) colors_.resize(id.v + 1, sched::Color::Done);
+    return colors_[id.v];
+  }
+
+  bool next(Frame& top, sched::internal::Arrival<sched::StateId>& a) {
+    if (top.next >= top.eligible.size()) return false;
+    a.choice = top.eligible[top.next++];
+    const Clock::time_point t0 = Clock::now();
+    child_ = top.state;
+    const Clock::time_point t1 = Clock::now();
+    const sem::StepResult sr = sem::apply_choice(prg_, kc_, child_, a.choice,
+                                                 opts_.step_opts, nullptr);
+    const Clock::time_point t2 = Clock::now();
+    if (!sr.ok()) throw KernelError("the vector-sum lattice faulted");
+    const auto r = store_.intern(child_, opts_.max_states, top.key);
+    const Clock::time_point t3 = Clock::now();
+    copy_ns += ns(t0, t1);
+    step_ns += ns(t1, t2);
+    intern_ns += ns(t2, t3);
+    if (!r.id.valid()) throw KernelError("the vector-sum lattice overflowed");
+    if (r.inserted) color(r.id) = sched::Color::White;
+    a.child = r.id;
+    return true;
+  }
+
+  sched::NodeKind classify(sched::StateId, std::uint64_t depth,
+                           std::string& stuck) {
+    const Clock::time_point t0 = Clock::now();
+    const sched::NodeKind kind = sched::internal::classify(
+        prg_, opts_, child_.grid, depth, eligible_, stuck);
+    classify_ns += ns(t0, Clock::now());
+    return kind;
+  }
+
+  Frame open(sched::StateId id) {
+    return Frame{id, std::move(child_), std::move(eligible_), 0};
+  }
+
+  sched::internal::Arrival<sched::StateId> root(const sem::Machine& initial) {
+    child_ = initial;
+    sched::internal::Arrival<sched::StateId> a;
+    const auto r = store_.intern(child_);
+    color(r.id) = sched::Color::White;
+    a.child = r.id;
+    return a;
+  }
+
+  double copy_ns = 0, step_ns = 0, intern_ns = 0, classify_ns = 0;
+
+ private:
+  static double ns(Clock::time_point from, Clock::time_point to) {
+    return std::chrono::duration<double, std::nano>(to - from).count();
+  }
+
+  const ptx::Program& prg_;
+  const sem::KernelConfig& kc_;
+  const sched::ExploreOptions& opts_;
+  sched::StateStore store_;
+  sem::Machine child_;
+  std::vector<sem::Choice> eligible_;
+  std::vector<sched::Color> colors_;
+};
+
+/// Where a DFS transition goes, on the acceptance workload (three
+/// 4-thread warps, no POR): copy_ns, step_ns and intern_ns per
+/// transition, classify_ns per state.  cacbench's sem.clone_hash_ns and
+/// sched.intern_ns are proxies (a freshly built machine, no parent);
+/// this is what the DFS pays.  The walk's state and transition counts
+/// are checked against sched::explore.
+void BM_DfsTransitionSplit(benchmark::State& state) {
+  const ptx::Program prg = programs::vector_add_listing2();
+  const sem::KernelConfig kc{{1, 1, 1}, {12, 1, 1}, 4};
+  const sem::Machine init = vecadd_machine(prg, kc, 12);
+  const sched::ExploreOptions opts;
+  const sched::ExploreResult ref = sched::explore(prg, kc, init, opts);
+
+  double copy = 0, step = 0, intern = 0, classify = 0;
+  std::uint64_t transitions = 0, states = 0;
+  for (auto _ : state) {
+    TimedWalk walk(prg, kc, opts);
+    sched::internal::VerdictDfs<TimedWalk> dfs(walk, opts);
+    dfs.arrive(walk.root(init));
+    dfs.run();
+    dfs.finish();
+    if (!dfs.result.exhaustive ||
+        dfs.result.states_visited != ref.states_visited ||
+        dfs.result.transitions != ref.transitions) {
+      throw KernelError("the timed walk diverged from sched::explore");
+    }
+    copy += walk.copy_ns;
+    step += walk.step_ns;
+    intern += walk.intern_ns;
+    classify += walk.classify_ns;
+    transitions += dfs.result.transitions;
+    states += dfs.result.states_visited;
+  }
+  const auto per = [](double ns, std::uint64_t n) {
+    return n == 0 ? 0.0 : ns / static_cast<double>(n);
+  };
+  state.counters["states"] = static_cast<double>(ref.states_visited);
+  state.counters["transitions"] = static_cast<double>(ref.transitions);
+  state.counters["copy_ns"] = per(copy, transitions);
+  state.counters["step_ns"] = per(step, transitions);
+  state.counters["intern_ns"] = per(intern, transitions);
+  state.counters["classify_ns"] = per(classify, states);
+}
+BENCHMARK(BM_DfsTransitionSplit)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// The per-transition hot path in isolation: clone a launch-sized
 /// Memory, dirty one word (invalidating the memoized hash) and rehash.

@@ -71,7 +71,7 @@ Profile profile_run(const ptx::Program& prg, const sem::KernelConfig& kc,
       ++p.barrier_lifts;
       ++p.instr_counts[ptx::Instr(ptx::IBar{}).index()];
     } else {
-      const sem::Warp& w = m.grid.blocks[c.block].warps[c.warp];
+      const sem::Warp& w = *m.grid.blocks[c.block].warps[c.warp];
       const ptx::Instr& i = prg.fetch(w.pc());
       ++p.instr_counts[i.index()];
       if (ptx::is_sync(i)) ++p.sync_steps;
@@ -84,7 +84,7 @@ Profile profile_run(const ptx::Program& prg, const sem::KernelConfig& kc,
         sem::apply_choice(prg, kc, m, c, opts, &events);
 
     if (c.kind == sem::Choice::Kind::ExecWarp) {
-      const sem::Warp& w = m.grid.blocks[c.block].warps[c.warp];
+      const sem::Warp& w = *m.grid.blocks[c.block].warps[c.warp];
       p.max_leaf_count = std::max(p.max_leaf_count, w.leaf_count());
       p.max_tree_depth = std::max(p.max_tree_depth, w.depth());
       if (is_pbra && w.leaf_count() > leaves_before) ++p.divergence_events;

@@ -148,8 +148,8 @@ sched::ExploreResult replay(MergedGraph& g, const sched::ExploreOptions& opts,
   auto result_store = std::make_shared<sched::StateStore>();
   result.final_ids.reserve(dfs.finals.size());
   for (const GraphNode* nd : dfs.finals) {
-    result.final_ids.push_back(
-        result_store->intern(g.stores[nd->owner]->materialize(nd->id)).id);
+    sem::Machine m = g.stores[nd->owner]->materialize(nd->id);
+    result.final_ids.push_back(result_store->intern(m).id);
   }
   result.store = std::move(result_store);
   return result;
@@ -758,7 +758,8 @@ class Coordinator {
     if (!resume_) {
       // Seed the root with its owner, in the store's state record.
       sched::StateStore seed;
-      const sched::StateId root = seed.intern(initial_).id;
+      sem::Machine root_state = initial_;
+      const sched::StateId root = seed.intern(root_state).id;
       BinWriter sw;
       seed.encode_state(root, sw);
       StateMsg sm;

@@ -315,7 +315,7 @@ class Worker {
 
   /// Name the child of `e`, the last edge of t.node.  A child hashing
   /// to a foreign partition is interned remotely via kState/kResolve.
-  void add_child(const Task& t, EdgeRecord& e, const sem::Machine& child) {
+  void add_child(const Task& t, EdgeRecord& e, sem::Machine& child) {
     NodeRecord* node = t.node;
     const std::uint64_t h = child.hash();  // memoized pre-intern
     const std::uint32_t owner = owner_of(h, setup_.n_workers);

@@ -1,5 +1,6 @@
 // The verdict DFS: the one place where an exploration's verdict is
-// decided.  Internal to src/sched and src/dist.
+// decided.  Internal to src/sched and src/dist (BM_DfsTransitionSplit
+// in bench/bench_parallel_explore.cpp drives it with a timed walk).
 //
 // The paper's theorems quantify over every scheduler (Fig. 3).  Here
 // that quantifier is decided by a depth-first walk of the state graph:

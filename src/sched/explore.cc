@@ -41,7 +41,7 @@ void reduce_choices(const ptx::Program& prg, const sem::Grid& g,
                     std::vector<sem::Choice>& eligible) {
   for (const sem::Choice& c : eligible) {
     if (c.kind != sem::Choice::Kind::ExecWarp) continue;
-    const sem::Warp& w = g.blocks[c.block].warps[c.warp];
+    const sem::Warp& w = *g.blocks[c.block].warps[c.warp];
     if (register_local(prg.fetch(w.pc()))) {
       const sem::Choice keep = c;
       eligible.assign(1, keep);
@@ -51,7 +51,7 @@ void reduce_choices(const ptx::Program& prg, const sem::Grid& g,
   if (independent_pcs.empty()) return;
   for (const sem::Choice& c : eligible) {
     if (c.kind != sem::Choice::Kind::ExecWarp) continue;
-    const sem::Warp& w = g.blocks[c.block].warps[c.warp];
+    const sem::Warp& w = *g.blocks[c.block].warps[c.warp];
     if (std::binary_search(independent_pcs.begin(), independent_pcs.end(),
                            w.pc())) {
       const sem::Choice keep = c;

@@ -197,7 +197,17 @@ void StateStore::configure(const StoreOptions& opts) {
 // --- shape ------------------------------------------------------------
 
 void StateStore::ensure_shape(const sem::Machine& m) {
-  if (shape_.tuple_len != 0) return;
+  if (shape_.tuple_len != 0) {
+    const std::vector<sem::Block>& blocks = m.grid.blocks;
+    bool same = blocks.size() == shape_.warps_per_block.size() &&
+                m.memory.shared_bank_refs().size() == shape_.shared_banks &&
+                m.memory.shared_size() == shape_.shared_per_block;
+    for (std::size_t b = 0; same && b < blocks.size(); ++b) {
+      same = blocks[b].warps.size() == shape_.warps_per_block[b];
+    }
+    if (!same) throw KernelError("machine shape does not match state store");
+    return;
+  }
   std::uint32_t warps = 0;
   shape_.warps_per_block.reserve(m.grid.blocks.size());
   for (const sem::Block& b : m.grid.blocks) {
@@ -250,51 +260,62 @@ std::string StateStore::warp_canonical_bytes(std::uint32_t id,
   return bytes;
 }
 
-sem::Warp StateStore::warp_value(std::uint32_t id) const {
+sem::WarpRef StateStore::warp_ref(std::uint32_t id) const {
   if (id >= warps_.recs.size()) throw KernelError("unknown warp fragment");
   WarpRec& rec = warps_.recs[id];
   touch(warps_, rec);
-  if (rec.hot) return *rec.hot;  // deep copy out of the hot tier
+  if (rec.hot) return rec.hot;
   const std::string bytes = warp_canonical_bytes(id);
   ++stats_.rematerializations;
   support::BinReader r(bytes);
-  return sem::Warp::decode(r);
+  return std::make_shared<sem::Warp>(sem::Warp::decode(r));
 }
 
-StateStore::Frag StateStore::intern_warp(const sem::Warp& w,
-                                         std::uint32_t base_id) {
-  const std::uint64_t h = w.hash();
-  const std::uint64_t deep = w.deep_bytes();
+StateStore::Frag StateStore::intern_warp(sem::WarpRef& w,
+                                         std::uint32_t parent_id) {
+  // A warp the transition left alone is still the parent's pool object.
+  if (parent_id != kNoBase) {
+    WarpRec& rec = warps_.recs[parent_id];
+    if (rec.hot == w) {
+      touch(warps_, rec);
+      return {parent_id, rec.hot_bytes, false};
+    }
+  }
+  const std::uint64_t h = w->hash();
   std::string mine;  // canonical bytes of w, encoded at most once
   const std::uint32_t found =
       warps_.index.find(h & hash_mask_, [&](std::uint32_t id) {
         const WarpRec& rec = warps_.recs[id];
         if (rec.hash != h) return false;
-        if (rec.hot) return *rec.hot == w;
+        if (rec.hot) return rec.hot == w || *rec.hot == *w;
         // Warp::encode is deterministic and injective, so byte equality
         // of canonical encodings is structural equality — dedup against
         // a demoted fragment without rematerializing it.
-        if (mine.empty()) mine = encode_frag(w);
+        if (mine.empty()) mine = encode_frag(*w);
         return warp_canonical_bytes(id) == mine;
       });
   if (found != 0) {
-    touch(warps_, warps_.recs[found - 1]);
-    return {found - 1, deep, false};
+    WarpRec& rec = warps_.recs[found - 1];
+    touch(warps_, rec);
+    if (!rec.hot) return {found - 1, w->deep_bytes(), false};
+    w = rec.hot;
+    return {found - 1, rec.hot_bytes, false};
   }
 
   // A fresh fragment with a parent delta-encodes against the parent's
   // warp when that pays; otherwise it is inserted hot-only and its full
   // encoding is produced lazily, if eviction ever demotes it.
   WarpRec rec;
-  if (base_id != kNoBase) {
+  if (parent_id != kNoBase) {
     std::uint8_t base_depth = 0;
-    const std::string base_bytes = warp_canonical_bytes(base_id, &base_depth);
+    const std::string base_bytes =
+        warp_canonical_bytes(parent_id, &base_depth);
     if (base_depth < kDeltaMaxDepth) {
-      if (mine.empty()) mine = encode_frag(w);
+      if (mine.empty()) mine = encode_frag(*w);
       std::string d = support::delta::make(base_bytes, mine);
       if (d.size() + kDeltaSlack < mine.size()) {
         rec.warm = std::make_shared<const std::string>(std::move(d));
-        rec.base = base_id;
+        rec.base = parent_id;
         rec.depth = static_cast<std::uint8_t>(base_depth + 1);
         stats_.resident_bytes += rec.warm->size();
         ++stats_.delta_fragments;
@@ -302,7 +323,11 @@ StateStore::Frag StateStore::intern_warp(const sem::Warp& w,
     }
   }
   const auto id = static_cast<std::uint32_t>(warps_.recs.size());
-  rec.hot = std::make_shared<sem::Warp>(w);  // deep copy; the pool owns it
+  // An exact-size copy (its hash memoized with it) that the machine
+  // then shares.
+  rec.hot = std::make_shared<sem::Warp>(*w);
+  w = rec.hot;
+  const std::uint64_t deep = rec.hot->deep_bytes();
   rec.hash = h;
   rec.hot_bytes = deep;
   rec.ref = 1;
@@ -343,7 +368,15 @@ mem::Memory::BankRef StateStore::bank_ref(std::uint32_t id) const {
   return rec.hot;
 }
 
-StateStore::Frag StateStore::intern_bank(const mem::Memory::BankRef& b) {
+StateStore::Frag StateStore::intern_bank(const mem::Memory::BankRef& b,
+                                         std::uint32_t parent_id) {
+  if (parent_id != kNoBase) {
+    BankRec& rec = banks_.recs[parent_id];
+    if (rec.hot == b) {
+      touch(banks_, rec);
+      return {parent_id, rec.hot_bytes, false};
+    }
+  }
   const std::uint64_t h = b->hash();  // memoized
   const std::uint64_t deep = b->deep_bytes();
   std::string mine;  // canonical bytes of b, encoded at most once
@@ -529,35 +562,34 @@ const std::uint32_t* StateStore::tuple_at(StateId id, const char* who) const {
 
 // --- public API -------------------------------------------------------
 
-StateStore::InternResult StateStore::intern(const sem::Machine& m,
+StateStore::InternResult StateStore::intern(sem::Machine& m,
                                             std::uint64_t max_states,
                                             StateId parent) {
   ensure_shape(m);
 
-  // The parent's tuple supplies, position by position, the base
-  // fragment each fresh warp delta-encodes against (one transition
-  // steps one warp; the untouched ones dedup against their base
-  // exactly and cost nothing).
+  // The parent's tuple supplies, position by position, the fragment a
+  // warp or bank the transition left alone still shares by pointer, and
+  // the base each fresh warp delta-encodes against (one transition
+  // steps one warp).
   const std::uint32_t* parent_tuple =
       parent.valid() && parent.v < hashes_.size()
           ? tuples_.data() + std::size_t{parent.v} * shape_.tuple_len
           : nullptr;
+  const auto parent_frag = [&] {
+    return parent_tuple != nullptr ? parent_tuple[tuple_.size()] : kNoBase;
+  };
 
   tuple_.clear();
   std::uint64_t full_bytes = sizeof(sem::Machine);  // hypothetical copy
-  for (const sem::Block& b : m.grid.blocks) {
-    for (const sem::Warp& w : b.warps) {
-      const std::uint32_t base =
-          parent_tuple != nullptr && tuple_.size() < shape_.tuple_len
-              ? parent_tuple[tuple_.size()]
-              : kNoBase;
-      const Frag f = intern_warp(w, base);
+  for (sem::Block& b : m.grid.blocks) {
+    for (sem::WarpRef& w : b.warps) {
+      const Frag f = intern_warp(w, parent_frag());
       tuple_.push_back(f.id);
       full_bytes += f.deep_bytes;
     }
   }
   const auto add_bank = [&](const mem::Memory::BankRef& b) {
-    const Frag f = intern_bank(b);
+    const Frag f = intern_bank(b, parent_frag());
     tuple_.push_back(f.id);
     full_bytes += f.deep_bytes;
   };
@@ -579,10 +611,10 @@ sem::Machine StateStore::materialize(StateId id) const {
   std::size_t k = 0;
   m.grid.blocks.resize(shape_.warps_per_block.size());
   for (std::size_t b = 0; b < shape_.warps_per_block.size(); ++b) {
-    std::vector<sem::Warp>& warps = m.grid.blocks[b].warps;
+    std::vector<sem::WarpRef>& warps = m.grid.blocks[b].warps;
     warps.reserve(shape_.warps_per_block[b]);
     for (std::uint32_t i = 0; i < shape_.warps_per_block[b]; ++i) {
-      warps.push_back(warp_value(tuple[k++]));
+      warps.push_back(warp_ref(tuple[k++]));
     }
   }
   std::vector<mem::Memory::BankRef> shared;
@@ -819,7 +851,7 @@ StateStore::WireIntern StateStore::decode_state(support::BinReader& r,
     got.warps_per_block.push_back(static_cast<std::uint32_t>(nw));
     total_warps += static_cast<std::uint32_t>(nw);
     for (std::uint64_t i = 0; i < nw; ++i) {
-      const sem::Warp warp = sem::Warp::decode(r);
+      sem::WarpRef warp = std::make_shared<sem::Warp>(sem::Warp::decode(r));
       // Mirrored states have no parent here; their fresh fragments stay
       // full-encoded (tiering still applies to them).
       const Frag f = intern_warp(warp, kNoBase);
@@ -830,7 +862,7 @@ StateStore::WireIntern StateStore::decode_state(support::BinReader& r,
   const auto decode_bank = [&] {
     auto bank =
         std::make_shared<mem::Memory::Bank>(mem::Memory::Bank::decode(r));
-    const Frag f = intern_bank(bank);
+    const Frag f = intern_bank(bank, kNoBase);
     tuple_.push_back(f.id);
     full_bytes += f.deep_bytes;
   };

@@ -23,6 +23,14 @@
 // id tuples: fragments are interned, so equal machines produce equal
 // tuples and vice versa.
 //
+// Warps are copy-on-write handles too (sem::WarpRef), and the store
+// shares them with the machines it interns: intern() rewrites the
+// machine's warp handles to the pool's objects.  A DFS frame then holds
+// pool handles, a child copied from it shares every warp the step left
+// alone, and interning the child with its parent recognises those warps
+// by pointer — no hash probe, no value compare.  Banks take the same
+// parent pointer path.
+//
 // Beyond 10^6 states even the deduplicated fragments outgrow RAM, so
 // each fragment lives in one of three tiers:
 //
@@ -49,7 +57,9 @@
 // worker process (its owned partition and its mirror), the
 // coordinator's merge, and each serve job on its worker thread — and
 // no store leaves the thread that built it, so the store takes no lock
-// and keeps plain counters.
+// and keeps plain counters.  The warp handles it shares never leave
+// that thread either: pool warps are hashed before they are shared,
+// and their memoized hash is not synchronized.
 #pragma once
 
 #include <cstdint>
@@ -125,22 +135,31 @@ class StateStore {
   /// equality, which (fragments being interned) is machine structural
   /// equality.  When the state is new and the store already holds
   /// `max_states` states, nothing is stored and an invalid id returns.
-  /// `parent`, when valid, names the state `m` was reached from: fresh
-  /// warp fragments then delta-encode against the matching warp of the
-  /// parent's tuple.  Passing it (or not) never changes ids or results,
-  /// only the byte cost of storing them.  Ids are dense: the n-th
-  /// distinct state interned gets id n - 1.
-  InternResult intern(const sem::Machine& m, std::uint64_t max_states = ~0ull,
+  /// `parent`, when valid, names the state `m` was reached from: a warp
+  /// or bank whose handle is the parent fragment's hot object takes the
+  /// parent's fragment id by pointer, and fresh warp fragments
+  /// delta-encode against the matching warp of the parent's tuple.
+  /// Passing it (or not) never changes ids or results, only the time
+  /// and byte cost of storing them.  Ids are dense: the n-th distinct
+  /// state interned gets id n - 1.
+  ///
+  /// `m` keeps its value, but its warp handles are rewritten to the
+  /// pool's objects wherever the matching fragment is hot (a new
+  /// fragment is pooled as an exact-size copy first).  The first
+  /// machine fixes the store's shape — blocks, warps per block, shared
+  /// banks and their size; a machine of another shape throws
+  /// KernelError before any pool is touched.
+  InternResult intern(sem::Machine& m, std::uint64_t max_states = ~0ull,
                       StateId parent = StateId{});
 
   /// Rebuild a full machine from its handle — for replay, verdict
-  /// construction, counterexample traces.  Memory banks are shared by
-  /// refcount with the store (copy-on-write on mutation); warps are
-  /// deep copies.  Fragments demoted to the warm or cold tier are
+  /// construction, counterexample traces.  Warps and memory banks are
+  /// the store's own objects, shared by refcount (copy-on-write on
+  /// mutation).  Fragments demoted to the warm or cold tier are
   /// transparently decoded (banks are re-promoted to hot so refcount
-  /// sharing keeps working; warps are decoded straight into the
-  /// result).  The result compares structurally equal to the machine
-  /// that was interned.
+  /// sharing keeps working; a warp is decoded into a fresh handle that
+  /// only the result holds).  The result compares structurally equal to
+  /// the machine that was interned.
   [[nodiscard]] sem::Machine materialize(StateId id) const;
 
   /// The memoized structural hash the machine had when interned.
@@ -261,7 +280,7 @@ class StateStore {
   /// and a support::delta op stream against fragment `base`'s canonical
   /// encoding otherwise.
   struct WarpRec {
-    std::shared_ptr<const sem::Warp> hot;
+    sem::WarpRef hot;
     std::shared_ptr<const std::string> warm;
     std::uint64_t hash = 0;       // unmasked structural hash
     std::uint64_t hot_bytes = 0;  // deep-footprint estimate of `hot`
@@ -335,20 +354,25 @@ class StateStore {
     std::uint32_t tuple_len = 0;
   };
 
+  /// Fix the shape from the first machine; throw KernelError when a
+  /// later one differs from it.
   void ensure_shape(const sem::Machine& m);
 
   // --- fragment pools -------------------------------------------------
-  Frag intern_warp(const sem::Warp& w, std::uint32_t base_id);
-  Frag intern_bank(const mem::Memory::BankRef& b);
+  /// Intern the warp in `w`, and point `w` at the pool's object when
+  /// the fragment is hot.  `parent_id` is the parent tuple's fragment
+  /// at this position, or kNoBase.
+  Frag intern_warp(sem::WarpRef& w, std::uint32_t parent_id);
+  Frag intern_bank(const mem::Memory::BankRef& b, std::uint32_t parent_id);
   /// Canonical (full) encoding of a warp fragment, resolved through
   /// whatever tier/delta chain it is in.  `depth_out`, when non-null,
   /// receives the fragment's delta depth.
   [[nodiscard]] std::string warp_canonical_bytes(std::uint32_t id,
                                                  std::uint8_t* depth_out =
                                                      nullptr) const;
-  /// Decoded warp by value: a copy of the hot object, or a decode of
-  /// the resolved canonical bytes when the fragment is not hot.
-  [[nodiscard]] sem::Warp warp_value(std::uint32_t id) const;
+  /// The hot object, or a fresh decode of the resolved canonical bytes
+  /// when the fragment is not hot.
+  [[nodiscard]] sem::WarpRef warp_ref(std::uint32_t id) const;
   [[nodiscard]] std::string bank_canonical_bytes(const BankRec& rec) const;
   [[nodiscard]] mem::Memory::BankRef bank_ref(std::uint32_t id) const;
 

@@ -1,9 +1,15 @@
 // Thread blocks and grids (paper §III-9, §III-10): a block β is a set
 // of warps; a grid γ is a set of blocks.  The machine state of the
 // small-step semantics is a (grid, memory) pair.
+//
+// Warps are held like memory banks (mem::Memory::BankRef): as
+// refcounted immutable handles, copied on write.  Copying a machine
+// bumps one refcount per warp, and the state store shares the same
+// objects with the machines it interns.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -13,10 +19,23 @@
 
 namespace cac::sem {
 
-struct Block {
-  std::vector<Warp> warps;
+/// Refcounted immutable warp handle, shared between machine copies and
+/// the interning state store.  Make one with std::make_shared<Warp>,
+/// never std::make_shared<const Warp>: unique_warp writes through a
+/// handle it holds alone.
+using WarpRef = std::shared_ptr<const Warp>;
 
-  friend bool operator==(const Block&, const Block&) = default;
+/// The only way to get a mutable warp out of a machine: clones the warp
+/// into `slot` unless the slot holds the sole reference.  The twin of
+/// mem::Memory::unique_bank; every Warp mutator invalidates the
+/// memoized hash itself.
+Warp& unique_warp(WarpRef& slot);
+
+struct Block {
+  std::vector<WarpRef> warps;
+
+  /// Structural: equal handles short-cut the value compare.
+  friend bool operator==(const Block& a, const Block& b);
   void mix_hash(Hasher& h) const;
 };
 
@@ -29,6 +48,10 @@ struct Grid {
 };
 
 /// The full machine configuration <gamma, mu> of Fig. 3.
+///
+/// Copying a Machine shares its warps and banks; a copy is never written
+/// through to its source.  Direct writes to the grid go through
+/// unique_warp, as the semantics kernel's do.
 ///
 /// hash() is memoized: by design the only mutator of a Machine is the
 /// semantics kernel (sem::apply_choice, src/sem/step.cc), which

@@ -719,7 +719,7 @@ std::vector<Choice> eligible_choices(const ptx::Program& prg, const Grid& g) {
   for (std::uint32_t b = 0; b < g.blocks.size(); ++b) {
     const Block& blk = g.blocks[b];
     for (std::uint32_t wi = 0; wi < blk.warps.size(); ++wi) {
-      const Instr& i = prg.fetch(blk.warps[wi].pc());
+      const Instr& i = prg.fetch(blk.warps[wi]->pc());
       if (!ptx::is_bar(i) && !ptx::is_exit(i)) {
         out.push_back({Choice::Kind::ExecWarp, b, wi});
       }
@@ -746,19 +746,24 @@ StepResult apply_choice(const ptx::Program& prg, const KernelConfig& kc,
     if (c.warp >= blk.warps.size()) {
       throw KernelError("choice references nonexistent warp");
     }
-    Warp& w = blk.warps[c.warp];
-    const Instr& i = prg.fetch(w.pc());
+    const Instr& i = prg.fetch(blk.warps[c.warp]->pc());
     if (ptx::is_bar(i) || ptx::is_exit(i)) {
       throw KernelError("ExecWarp choice is not eligible (warp at " +
                         ptx::to_string(i) + ")");
     }
-    return step_warp(prg, kc, c.block, w, m.memory, opts, events);
+    // Only the stepped warp is unshared; the others stay shared with
+    // the machine this one was copied from.
+    return step_warp(prg, kc, c.block, unique_warp(blk.warps[c.warp]),
+                     m.memory, opts, events);
   }
   // lift-bar: all warps uniform at Bar -> commit Shared, advance pcs.
   if (!block_at_barrier(prg, blk)) {
     throw KernelError("LiftBar choice is not eligible");
   }
-  for (Warp& w : blk.warps) w.set_uni_pc(w.uni_pc() + 1);
+  for (WarpRef& slot : blk.warps) {
+    Warp& w = unique_warp(slot);
+    w.set_uni_pc(w.uni_pc() + 1);
+  }
   m.memory.commit_shared(c.block);
   return {};
 }
@@ -768,8 +773,8 @@ bool warp_complete(const ptx::Program& prg, const Warp& w) {
 }
 
 bool block_complete(const ptx::Program& prg, const Block& b) {
-  return std::all_of(b.warps.begin(), b.warps.end(), [&](const Warp& w) {
-    return warp_complete(prg, w);
+  return std::all_of(b.warps.begin(), b.warps.end(), [&](const WarpRef& w) {
+    return warp_complete(prg, *w);
   });
 }
 
@@ -781,8 +786,8 @@ bool terminated(const ptx::Program& prg, const Grid& g) {
 
 bool block_at_barrier(const ptx::Program& prg, const Block& b) {
   if (b.warps.empty()) return false;
-  return std::all_of(b.warps.begin(), b.warps.end(), [&](const Warp& w) {
-    return !w.divergent() && ptx::is_bar(prg.fetch(w.uni_pc()));
+  return std::all_of(b.warps.begin(), b.warps.end(), [&](const WarpRef& w) {
+    return !w->divergent() && ptx::is_bar(prg.fetch(w->uni_pc()));
   });
 }
 
@@ -797,7 +802,7 @@ std::string stuck_reason(const ptx::Program& prg, const Grid& g) {
     const Block& blk = g.blocks[b];
     if (block_complete(prg, blk)) continue;
     for (std::uint32_t wi = 0; wi < blk.warps.size(); ++wi) {
-      const Warp& w = blk.warps[wi];
+      const Warp& w = *blk.warps[wi];
       const Instr& i = prg.fetch(w.pc());
       const std::string where =
           "block " + std::to_string(b) + " warp " + std::to_string(wi);

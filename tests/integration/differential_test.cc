@@ -60,7 +60,8 @@ TEST_P(DifferentialTest, ConcreteAndSymbolicAgree) {
   };
   std::vector<FinalThread> finals;
   for (const sem::Block& b : m.grid.blocks) {
-    for (const sem::Warp& w : b.warps) {
+    for (const sem::WarpRef& ref : b.warps) {
+      const sem::Warp& w = *ref;
       for (const std::uint32_t l : w.tree().lanes()) {
         finals.push_back({w.tid(l), &w, l});
       }

@@ -53,7 +53,8 @@ std::set<std::pair<std::uint64_t, std::uint64_t>> outcomes(
   std::set<std::pair<std::uint64_t, std::uint64_t>> out;
   for (const sem::Machine& m : finals_of(r)) {
     for (const sem::Block& b : m.grid.blocks) {
-      for (const sem::Warp& w : b.warps) {
+      for (const sem::WarpRef& ref : b.warps) {
+        const sem::Warp& w = *ref;
         for (std::uint32_t l = 0; l < w.lanes(); ++l) {
           if (w.tid(l) == obs_tid) {
             out.emplace(w.read(l, r1), w.read(l, r2));
@@ -126,7 +127,8 @@ TEST(Litmus, StoreBufferingIsSCInTheModel) {
   for (const sem::Machine& m : finals_of(r)) {
     std::uint64_t v[2] = {};
     for (const sem::Block& b : m.grid.blocks) {
-      for (const sem::Warp& w : b.warps) {
+      for (const sem::WarpRef& ref : b.warps) {
+        const sem::Warp& w = *ref;
         for (std::uint32_t l = 0; l < w.lanes(); ++l) {
           v[w.tid(l)] = w.read(l, r1);
         }
@@ -156,7 +158,8 @@ TEST(Litmus, RacyReadsAreFlaggedOnEverySchedule) {
     ASSERT_TRUE(rr.terminated());
     bool saw_one = false;
     for (const sem::Block& b : m.grid.blocks) {
-      for (const sem::Warp& w : b.warps) {
+      for (const sem::WarpRef& ref : b.warps) {
+        const sem::Warp& w = *ref;
         for (std::uint32_t l = 0; l < w.lanes(); ++l) {
           saw_one |= w.read(l, r1) == 1;
         }

@@ -106,7 +106,7 @@ TEST(IsaExt, VectorStoreRoundTripsThroughMemory) {
   ASSERT_TRUE(sched::run(prg, kc, m, s).terminated());
   EXPECT_EQ(m.memory.load(mem::Space::Global, 8, 4), 11u);
   EXPECT_EQ(m.memory.load(mem::Space::Global, 12, 4), 22u);
-  const sem::Warp& w = m.grid.blocks[0].warps[0];
+  const sem::Warp& w = *m.grid.blocks[0].warps[0];
   EXPECT_EQ(w.read(0, {TypeClass::UI, 32, 3}), 11u);
   EXPECT_EQ(w.read(0, {TypeClass::UI, 32, 4}), 22u);
 }

@@ -122,7 +122,8 @@ TEST(StateStoreCodec, DecodeIntoNonEmptyStoreThrows) {
   r.store->encode(bw);
 
   StateStore dirty;
-  (void)dirty.intern(w.init);
+  sem::Machine init = w.init;
+  (void)dirty.intern(init);
   support::BinReader br(bw.buffer());
   EXPECT_THROW(dirty.decode(br), KernelError);
 }

@@ -11,6 +11,8 @@
 //  * with every hash colliding (hash_mask 0) and every fragment
 //    demoted, dedup still rests on structural equality alone — the
 //    byte comparison of demoted candidates;
+//  * matching a parent's fragment by pointer is only a shortcut: the
+//    full lookup reaches the same ids and pools;
 //  * configure() on a live store (the resume path) applies new tier
 //    knobs without disturbing stored states.
 #include <gtest/gtest.h>
@@ -22,6 +24,7 @@
 #include <vector>
 
 #include "common/finals.h"
+#include "common/fresh_copy.h"
 #include "programs/corpus.h"
 #include "sched/explore.h"
 #include "sched/state_store.h"
@@ -111,7 +114,7 @@ TEST(StoreTier, RandomizedSpillRematerializePreservesEverything) {
   const Lattice w(6, 6);
 
   for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
-    const std::vector<sem::Machine> walk = random_walk(w, seed, 120);
+    std::vector<sem::Machine> walk = random_walk(w, seed, 120);
 
     // Reference store: everything hot (budget 0 disables eviction).
     StateStore hot;
@@ -124,7 +127,7 @@ TEST(StoreTier, RandomizedSpillRematerializePreservesEverything) {
 
     std::vector<StateId> hot_ids, cold_ids;
     StateId hp{}, cp{};
-    for (const sem::Machine& m : walk) {
+    for (sem::Machine& m : walk) {
       const auto a = hot.intern(m, ~0ull, hp);
       const auto b = cold.intern(m, ~0ull, cp);
       ASSERT_TRUE(a.id.valid());
@@ -169,14 +172,14 @@ TEST(StoreTier, WarmOnlyEvictionWorksWithoutSpillDir) {
   // No spill_dir: eviction stops at the warm tier but must still be
   // transparent.
   const Lattice w(5, 6);
-  const std::vector<sem::Machine> walk = random_walk(w, 7, 80);
+  std::vector<sem::Machine> walk = random_walk(w, 7, 80);
 
   StoreOptions o;
   o.resident_budget_bytes = 8 << 10;
   StateStore store(o);
   std::vector<StateId> ids;
   StateId parent{};
-  for (const sem::Machine& m : walk) {
+  for (sem::Machine& m : walk) {
     const auto r = store.intern(m, ~0ull, parent);
     ASSERT_TRUE(r.id.valid());
     parent = r.id;
@@ -195,13 +198,13 @@ TEST(StoreTier, WarmOnlyEvictionWorksWithoutSpillDir) {
 TEST(StoreTier, DeltaChainDepthIsBounded) {
   const VecAdd w;
   // A long single-schedule walk maximizes parent chaining.
-  const std::vector<sem::Machine> walk =
+  std::vector<sem::Machine> walk =
       random_walk(w.prg, w.kc, w.init, 11, 200);
 
   StateStore store;
   StateId parent{};
   std::vector<StateId> ids;
-  for (const sem::Machine& m : walk) {
+  for (sem::Machine& m : walk) {
     const auto r = store.intern(m, ~0ull, parent);
     ASSERT_TRUE(r.id.valid());
     parent = r.id;
@@ -229,13 +232,13 @@ TEST(StoreTier, DeeperChainsNeverCostMoreResidentBytes) {
   // footprint on step-shaped insert sequences.  Interning without a
   // parent stores every fragment as a full encoding.
   const VecAdd w;
-  const std::vector<sem::Machine> walk =
+  std::vector<sem::Machine> walk =
       random_walk(w.prg, w.kc, w.init, 17, 200);
 
   auto resident = [&](bool chain) {
     StateStore store;
     StateId parent{};
-    for (const sem::Machine& m : walk) {
+    for (sem::Machine& m : walk) {
       const auto r = store.intern(m, ~0ull, chain ? parent : StateId{});
       parent = r.id;
     }
@@ -256,7 +259,7 @@ TEST(StoreTier, CollidingDemotedFragmentsDedupByBytes) {
   // bucket — the only intern path that does, here driven with every
   // hash colliding.
   const Lattice w(5, 6);
-  const std::vector<sem::Machine> walk = random_walk(w, 19, 80);
+  std::vector<sem::Machine> walk = random_walk(w, 19, 80);
 
   StoreOptions o;
   o.hash_mask = 0;
@@ -266,7 +269,7 @@ TEST(StoreTier, CollidingDemotedFragmentsDedupByBytes) {
 
   std::vector<StateId> ids;
   StateId parent{};
-  for (const sem::Machine& m : walk) {
+  for (sem::Machine& m : walk) {
     const auto r = store.intern(m, ~0ull, parent);
     ASSERT_TRUE(r.id.valid());
     parent = r.id;
@@ -289,16 +292,102 @@ TEST(StoreTier, CollidingDemotedFragmentsDedupByBytes) {
 }
 
 // ---------------------------------------------------------------------
+// The parent pointer path
+
+TEST(StoreTier, PointerFastPathAgreesWithFullLookup) {
+  // A seeded walk steps copies of interned states, the way the DFS
+  // does, so every warp and bank a step leaves alone is the parent's
+  // pool object.  Store A interns those machines; store B interns
+  // fresh copies of them, which no pointer can match.  Store C interns
+  // the fresh copies with no parent at all, so only the lookup decides.
+  const VecAdd w;
+  const auto run = [&](const StoreOptions& o) {
+    StateStore a(o);
+    StateStore b(o);
+    StateStore c(o);
+    std::mt19937_64 rng(29);
+    std::vector<sem::Machine> held;  // store A's copy of each state
+    std::vector<StateId> ids;
+    sem::Machine root = w.init;
+    sem::Machine root_copy = fresh_copy(root);
+    const auto ra = a.intern(root);
+    EXPECT_EQ(b.intern(root_copy).id, ra.id);
+    EXPECT_EQ(c.intern(root_copy).id, ra.id);
+    held.push_back(root);
+    ids.push_back(ra.id);
+    for (int i = 0; i < 600; ++i) {
+      // Mostly extend one of the newest states, so the walk gets deep
+      // enough to store to memory; sometimes branch from any state.
+      const std::size_t from =
+          rng() % 4 == 0 || held.size() < 8 ? 0 : held.size() - 8;
+      const std::size_t k = std::uniform_int_distribution<std::size_t>(
+          from, held.size() - 1)(rng);
+      const auto eligible = sem::eligible_choices(w.prg, held[k].grid);
+      if (eligible.empty()) continue;
+      const std::size_t pick = std::uniform_int_distribution<std::size_t>(
+          0, eligible.size() - 1)(rng);
+      sem::Machine child = held[k];
+      EXPECT_TRUE(
+          sem::apply_choice(w.prg, w.kc, child, eligible[pick]).ok());
+      sem::Machine child_copy = fresh_copy(child);
+      const auto x = a.intern(child, ~0ull, ids[k]);
+      const auto y = b.intern(child_copy, ~0ull, ids[k]);
+      const auto z = c.intern(child_copy);
+      EXPECT_EQ(x.id, y.id) << i;
+      EXPECT_EQ(x.inserted, y.inserted) << i;
+      EXPECT_EQ(x.id, z.id) << i;
+      EXPECT_EQ(x.inserted, z.inserted) << i;
+      if (x.inserted) {
+        held.push_back(std::move(child));
+        ids.push_back(x.id);
+      }
+    }
+    EXPECT_GT(a.size(), 100u);
+    EXPECT_LT(a.size(), 600u);  // the walk revisited states
+    EXPECT_EQ(a.size(), b.size());
+    EXPECT_EQ(a.size(), c.size());
+    const StateStore::Stats sa = a.stats();
+    const StateStore::Stats sb = b.stats();
+    const StateStore::Stats sc = c.stats();
+    EXPECT_EQ(sa.warp_fragments, sb.warp_fragments);
+    EXPECT_EQ(sa.bank_fragments, sb.bank_fragments);
+    EXPECT_EQ(sa.delta_fragments, sb.delta_fragments);
+    EXPECT_EQ(sa.warp_fragments, sc.warp_fragments);
+    EXPECT_EQ(sa.bank_fragments, sc.bank_fragments);
+    return sa;
+  };
+  {
+    SCOPED_TRACE("default");
+    run(StoreOptions{});
+  }
+  {
+    SCOPED_TRACE("hash_mask 0");
+    StoreOptions o;
+    o.hash_mask = 0;
+    run(o);
+  }
+  {
+    SCOPED_TRACE("4 KiB budget");
+    StoreOptions o;
+    o.spill_dir = testing::TempDir();
+    o.resident_budget_bytes = 4 << 10;
+    // Demoted parent fragments cannot match by pointer, so store A fell
+    // back to the byte compare for them.
+    EXPECT_GT(run(o).hot_evictions, 0u);
+  }
+}
+
+// ---------------------------------------------------------------------
 // Live reconfiguration (the resume path)
 
 TEST(StoreTier, ConfigureOnLiveStorePreservesStates) {
   const Lattice w(5, 6);
-  const std::vector<sem::Machine> walk = random_walk(w, 23, 60);
+  std::vector<sem::Machine> walk = random_walk(w, 23, 60);
 
   StateStore store;  // default: everything hot, no spill
   std::vector<StateId> ids;
   StateId parent{};
-  for (const sem::Machine& m : walk) {
+  for (sem::Machine& m : walk) {
     const auto r = store.intern(m, ~0ull, parent);
     parent = r.id;
     ids.push_back(r.id);

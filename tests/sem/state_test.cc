@@ -10,7 +10,7 @@ TEST(GenerateGrid, PaperConfig) {
   const Grid g = generate_grid({{1, 1, 1}, {32, 1, 1}, 32});
   ASSERT_EQ(g.blocks.size(), 1u);
   ASSERT_EQ(g.blocks[0].warps.size(), 1u);
-  const Warp& w = g.blocks[0].warps[0];
+  const Warp& w = *g.blocks[0].warps[0];
   EXPECT_FALSE(w.divergent());
   EXPECT_EQ(w.uni_pc(), 0u);
   ASSERT_EQ(w.thread_count(), 32u);
@@ -23,18 +23,18 @@ TEST(GenerateGrid, MultiBlockMultiWarp) {
   const Grid g = generate_grid({{2, 1, 1}, {6, 1, 1}, 4});
   ASSERT_EQ(g.blocks.size(), 2u);
   ASSERT_EQ(g.blocks[0].warps.size(), 2u);
-  EXPECT_EQ(g.blocks[0].warps[0].thread_count(), 4u);
-  EXPECT_EQ(g.blocks[0].warps[1].thread_count(), 2u);  // partial warp
+  EXPECT_EQ(g.blocks[0].warps[0]->thread_count(), 4u);
+  EXPECT_EQ(g.blocks[0].warps[1]->thread_count(), 2u);  // partial warp
   // Thread ids are globally enumerated across blocks (paper §III-7).
-  EXPECT_EQ(g.blocks[1].warps[0].tids()[0], 6u);
-  EXPECT_EQ(g.blocks[1].warps[1].tids()[1], 11u);
+  EXPECT_EQ(g.blocks[1].warps[0]->tids()[0], 6u);
+  EXPECT_EQ(g.blocks[1].warps[1]->tids()[1], 11u);
 }
 
 TEST(GenerateGrid, ThreeDimensionalCounts) {
   const Grid g = generate_grid({{2, 2, 1}, {2, 2, 2}, 8});
   EXPECT_EQ(g.blocks.size(), 4u);
   EXPECT_EQ(g.blocks[0].warps.size(), 1u);
-  EXPECT_EQ(g.blocks[0].warps[0].thread_count(), 8u);
+  EXPECT_EQ(g.blocks[0].warps[0]->thread_count(), 8u);
 }
 
 TEST(MachineState, EqualityAndHash) {
@@ -46,7 +46,7 @@ TEST(MachineState, EqualityAndHash) {
 
   // hash() memoizes; direct grid mutation (outside sem::apply_choice,
   // which invalidates automatically) requires invalidate_hash().
-  b.grid.blocks[0].warps[0].set_uni_pc(1);
+  unique_warp(b.grid.blocks[0].warps[0]).set_uni_pc(1);
   b.invalidate_hash();
   EXPECT_NE(a, b);
   EXPECT_NE(a.hash(), b.hash());
@@ -64,7 +64,8 @@ TEST(MachineState, HashSensitiveToRegisters) {
   const KernelConfig kc{{1, 1, 1}, {2, 1, 1}, 2};
   Machine a{generate_grid(kc), mem::Memory{}};
   Machine b = a;
-  b.grid.blocks[0].warps[0].write(1, {ptx::TypeClass::UI, 32, 1}, 5);
+  unique_warp(b.grid.blocks[0].warps[0])
+      .write(1, {ptx::TypeClass::UI, 32, 1}, 5);
   b.invalidate_hash();
   EXPECT_NE(a, b);
   EXPECT_NE(a.hash(), b.hash());
@@ -78,7 +79,7 @@ TEST(MachineState, EqualityIgnoresHashCacheStaleness) {
   Machine b = a;
   (void)a.hash();  // a's cache warm, b's cold
   EXPECT_EQ(a, b);
-  b.grid.blocks[0].warps[0].set_uni_pc(3);  // no invalidate on purpose
+  unique_warp(b.grid.blocks[0].warps[0]).set_uni_pc(3);  // no invalidate
   EXPECT_NE(a, b);
 }
 

@@ -48,6 +48,15 @@ Warp split_warp(std::uint32_t n, std::uint32_t pc_l,
   return w;
 }
 
+/// A block holding `warps` as fresh handles.
+Block block_of(std::vector<Warp> warps) {
+  Block b;
+  for (Warp& w : warps) {
+    b.warps.push_back(std::make_shared<Warp>(std::move(w)));
+  }
+  return b;
+}
+
 StepResult step1(const Program& prg, Warp& w, mem::Memory& mu,
                  StepEvents* ev = nullptr, const StepOptions& opts = {}) {
   return step_warp(prg, kc4(), 0, w, mu, opts, ev);
@@ -448,7 +457,7 @@ TEST(StepRules, StepAtBarOrExitThrows) {
 TEST(BlockRules, EligibilityExcludesBarAndExit) {
   const Program prg("t", {IBar{}, INop{}, IExit{}});
   Grid g;
-  g.blocks.push_back(Block{{Warp(0, 2, 0), Warp(2, 2, 1)}});
+  g.blocks.push_back(block_of({Warp(0, 2, 0), Warp(2, 2, 1)}));
   const auto choices = eligible_choices(prg, g);
   ASSERT_EQ(choices.size(), 1u);
   EXPECT_EQ(choices[0].kind, Choice::Kind::ExecWarp);
@@ -458,7 +467,7 @@ TEST(BlockRules, EligibilityExcludesBarAndExit) {
 TEST(BlockRules, LiftBarWhenAllWarpsAtBar) {
   const Program prg("t", {IBar{}, IExit{}});
   Machine m;
-  m.grid.blocks.push_back(Block{{Warp(0, 2, 0), Warp(2, 2, 0)}});
+  m.grid.blocks.push_back(block_of({Warp(0, 2, 0), Warp(2, 2, 0)}));
   mem::MemSizes s;
   s.shared = 16;
   m.memory = mem::Memory(s);
@@ -469,8 +478,8 @@ TEST(BlockRules, LiftBarWhenAllWarpsAtBar) {
   EXPECT_EQ(choices[0].kind, Choice::Kind::LiftBar);
 
   ASSERT_TRUE(apply_choice(prg, kc4(), m, choices[0]).ok());
-  EXPECT_EQ(m.grid.blocks[0].warps[0].uni_pc(), 1u);
-  EXPECT_EQ(m.grid.blocks[0].warps[1].uni_pc(), 1u);
+  EXPECT_EQ(m.grid.blocks[0].warps[0]->uni_pc(), 1u);
+  EXPECT_EQ(m.grid.blocks[0].warps[1]->uni_pc(), 1u);
   EXPECT_TRUE(m.memory.all_valid(Space::Shared, 0, 4));  // commit(mu)
   EXPECT_TRUE(terminated(prg, m.grid));
 }
@@ -478,7 +487,7 @@ TEST(BlockRules, LiftBarWhenAllWarpsAtBar) {
 TEST(BlockRules, DivergentWarpAtBarIsStuck) {
   const Program prg("t", {IBar{}, IBar{}, IExit{}});
   Grid g;
-  g.blocks.push_back(Block{{split_warp(2, 0, {0}, 1, {1})}});
+  g.blocks.push_back(block_of({split_warp(2, 0, {0}, 1, {1})}));
   EXPECT_TRUE(is_stuck(prg, g));
   EXPECT_NE(stuck_reason(prg, g).find("barrier-divergence"),
             std::string::npos);
@@ -487,7 +496,7 @@ TEST(BlockRules, DivergentWarpAtBarIsStuck) {
 TEST(BlockRules, DivergentWarpAtExitIsStuck) {
   const Program prg("t", {IExit{}, IExit{}});
   Grid g;
-  g.blocks.push_back(Block{{split_warp(2, 0, {0}, 1, {1})}});
+  g.blocks.push_back(block_of({split_warp(2, 0, {0}, 1, {1})}));
   EXPECT_TRUE(is_stuck(prg, g));
   EXPECT_NE(stuck_reason(prg, g).find("reconvergence"), std::string::npos);
 }
@@ -495,7 +504,7 @@ TEST(BlockRules, DivergentWarpAtExitIsStuck) {
 TEST(BlockRules, MixedBarExitIsStuck) {
   const Program prg("t", {IBar{}, IExit{}});
   Grid g;
-  g.blocks.push_back(Block{{Warp(0, 2, 0), Warp(2, 2, 1)}});
+  g.blocks.push_back(block_of({Warp(0, 2, 0), Warp(2, 2, 1)}));
   EXPECT_TRUE(is_stuck(prg, g));
   EXPECT_NE(stuck_reason(prg, g).find("never lift"), std::string::npos);
 }
@@ -503,8 +512,8 @@ TEST(BlockRules, MixedBarExitIsStuck) {
 TEST(BlockRules, GridInterleavesBlocks) {
   const Program prg("t", {INop{}, IExit{}});
   Grid g;
-  g.blocks.push_back(Block{{make_warp(0, 2)}});
-  g.blocks.push_back(Block{{make_warp(2, 2)}});
+  g.blocks.push_back(block_of({make_warp(0, 2)}));
+  g.blocks.push_back(block_of({make_warp(2, 2)}));
   const auto choices = eligible_choices(prg, g);
   ASSERT_EQ(choices.size(), 2u);
   EXPECT_EQ(choices[0].block, 0u);
