@@ -7,7 +7,8 @@
 // (ExploreOptions::por_independent_pcs).  This bench measures the
 // explored-state and wall-clock reduction of POR+oracle over plain POR
 // on two corpus kernels — verdicts are re-asserted every run, and
-// tests/analysis/oracle_test.cc pins serial/parallel/dist equality.
+// tests/analysis/oracle_test.cc pins that the oracle leaves verdicts
+// unchanged.
 // Results land in BENCH_explore.json's `analysis` section
 // (tools/bench_to_json.py).
 #include <benchmark/benchmark.h>

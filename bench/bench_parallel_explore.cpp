@@ -18,7 +18,6 @@
 #include "ptx/lower.h"
 #include "sched/dfs.h"
 #include "sched/explore.h"
-#include "sched/explore_internal.h"
 #include "sem/launch.h"
 
 namespace {

@@ -44,10 +44,10 @@ struct ModelCheckOptions {
   /// outlive the call.  The resumed run must use the same program,
   /// kernel configuration, and exploration policy.
   const sched::Checkpoint* resume = nullptr;
-  /// Alternative exploration engine (e.g. the distributed coordinator,
-  /// dist/coordinator.h).  When set it replaces sched::explore; the
-  /// supplied engine must produce verdict-equivalent ExploreResults.
-  /// `resume` is ignored — engines carry their own resume plumbing.
+  /// When set, called instead of sched::explore with the same
+  /// arguments, and must return what sched::explore would: cacbench
+  /// wraps sched::explore in it to count and time explorations.
+  /// `resume` is ignored then.
   using explorer_type = std::function<sched::ExploreResult(
       const ptx::Program&, const sem::KernelConfig&, const sem::Machine&,
       const sched::ExploreOptions&)>;

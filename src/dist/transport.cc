@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstring>
 #include <thread>
+#include <utility>
 
 #include "support/fault.h"
 
@@ -60,6 +61,30 @@ std::pair<std::string, std::string> split_spec(const std::string& spec) {
                     "endpoint must be host:port, got '" + spec + "'");
   }
   return {spec.substr(0, colon), spec.substr(colon + 1)};
+}
+
+/// Drain everything currently readable (nonblocking) into the frame
+/// reader.  Returns false on orderly EOF or a vanished peer.
+bool pump_reads(int fd, FrameReader& fr) {
+  char buf[1 << 16];
+  for (;;) {
+    if (int err = support::fault_check("recv")) {
+      if (peer_gone(err)) return false;
+      if (err == EAGAIN || err == EWOULDBLOCK) return true;
+      errno = err;
+      io_fail("recv");
+    }
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), MSG_DONTWAIT);
+    if (n > 0) {
+      fr.feed(buf, static_cast<std::size_t>(n));
+      continue;
+    }
+    if (n == 0) return false;  // orderly EOF
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
+    if (errno == EINTR) continue;
+    if (peer_gone(errno)) return false;
+    io_fail("recv");
+  }
 }
 
 }  // namespace
@@ -112,66 +137,6 @@ void send_all(int fd, const void* data, std::size_t n) {
   }
 }
 
-bool pump_reads(int fd, FrameReader& fr, std::uint64_t* bytes) {
-  char buf[1 << 16];
-  for (;;) {
-    if (int err = support::fault_check("recv")) {
-      if (peer_gone(err)) return false;
-      if (err == EAGAIN || err == EWOULDBLOCK) return true;
-      errno = err;
-      io_fail("recv");
-    }
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), MSG_DONTWAIT);
-    if (n > 0) {
-      fr.feed(buf, static_cast<std::size_t>(n));
-      if (bytes != nullptr) *bytes += static_cast<std::uint64_t>(n);
-      continue;
-    }
-    if (n == 0) return false;  // orderly EOF
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
-    if (errno == EINTR) continue;
-    if (peer_gone(errno)) return false;
-    io_fail("recv");
-  }
-}
-
-bool flush_some(int fd, SendBuf& buf) {
-  while (buf.pos < buf.data.size()) {
-    if (int err = support::fault_check("send")) {
-      if (err == EAGAIN || err == EWOULDBLOCK || send_transient(err)) break;
-      if (peer_gone(err)) return false;
-      errno = err;
-      io_fail("send");
-    }
-    const ssize_t w =
-        ::send(fd, buf.data.data() + buf.pos, buf.data.size() - buf.pos,
-               MSG_DONTWAIT | MSG_NOSIGNAL);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      if (peer_gone(errno)) return false;
-      io_fail("send");
-    }
-    buf.pos += static_cast<std::size_t>(w);
-  }
-  if (buf.pos == buf.data.size()) {
-    buf.data.clear();
-    buf.pos = 0;
-  } else if (buf.pos >= buf.data.size() / 2) {
-    buf.data.erase(0, buf.pos);
-    buf.pos = 0;
-  }
-  return true;
-}
-
-std::pair<Fd, Fd> socket_pair() {
-  int fds[2];
-  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
-    io_fail("socketpair");
-  }
-  return {Fd(fds[0]), Fd(fds[1])};
-}
-
 Fd tcp_listen(const std::string& spec) {
   const auto [host, port] = split_spec(spec);
   addrinfo hints{};
@@ -200,23 +165,6 @@ Fd tcp_listen(const std::string& spec) {
   ::freeaddrinfo(res);
   if (!fd.valid()) io_fail("listen on " + spec);
   return fd;
-}
-
-Fd tcp_accept(int listen_fd) {
-  for (;;) {
-    if (int err = support::fault_check("accept")) {
-      errno = err;
-      io_fail("accept");
-    }
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd >= 0) {
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      return Fd(fd);
-    }
-    if (errno == EINTR) continue;
-    io_fail("accept");
-  }
 }
 
 Fd tcp_connect(const std::string& spec) {

@@ -1,22 +1,16 @@
-// Socket plumbing for the distributed explorer: RAII fds, full-buffer
-// sends, nonblocking read pumps, and the two connection modes —
-// AF_UNIX socketpairs for forked single-host workers and TCP
-// listen/connect for multi-host runs (cacval --dist-listen /
-// dist-worker --dist-connect).
+// Socket plumbing for `cacval serve` and its clients (docs/serve.md):
+// RAII fds, full-buffer sends, a blocking frame receive with a
+// deadline, a retrying connect, and the two endpoint kinds — named
+// AF_UNIX sockets (`--socket PATH`) and TCP (`--tcp HOST:PORT`).
 //
-// Blocking discipline (the deadlock-freedom argument, see
-// docs/distributed.md): the coordinator never blocks on a write — it
-// buffers outbound frames per worker and drains them on POLLOUT —
-// while workers may write blockingly, because the coordinator is
-// always draining its read side.  All sends use MSG_NOSIGNAL; a dead
-// peer surfaces as DistError(PeerDied), never SIGPIPE.
+// All sends use MSG_NOSIGNAL; a dead peer surfaces as
+// DistError(PeerDied), never SIGPIPE.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
-#include <utility>
 
 #include "dist/wire.h"
 
@@ -42,11 +36,6 @@ class Fd {
 
   [[nodiscard]] int get() const { return fd_; }
   [[nodiscard]] bool valid() const { return fd_ >= 0; }
-  [[nodiscard]] int release() {
-    const int fd = fd_;
-    fd_ = -1;
-    return fd;
-  }
   void reset();
 
  private:
@@ -64,8 +53,8 @@ struct RetryPolicy {
   int deadline_ms = 0;
 };
 
-/// Process-wide transport health counters (reported through DistStats
-/// and the serve `stats` reply).  Monotone; read with
+/// Process-wide transport health counters (reported through the serve
+/// `stats` reply).  Monotone; read with
 /// transport_counters(), zeroed with transport_counters_reset().
 struct TransportCounters {
   std::uint64_t send_retries = 0;     // transient send errors retried
@@ -81,39 +70,9 @@ void transport_counters_reset();
 /// DistError(PeerDied) when the peer is gone, DistError(Io) otherwise.
 void send_all(int fd, const void* data, std::size_t n);
 
-/// Drain everything currently readable (nonblocking) into the frame
-/// reader.  Returns false on orderly EOF — the peer closed.  Adds the
-/// byte count to *bytes when given.  Throws DistError on socket
-/// errors; the reader throws DistError(Corrupt) from next() if the
-/// fed bytes are malformed.
-bool pump_reads(int fd, FrameReader& fr, std::uint64_t* bytes = nullptr);
-
-/// Outbound byte queue with a lazily-compacted consumed prefix, so a
-/// multi-megabyte backlog is not recopied on every partial send (the
-/// naive erase-from-front is quadratic in backlog size).
-struct SendBuf {
-  std::string data;
-  std::size_t pos = 0;  // consumed prefix
-
-  void append(std::string_view bytes) { data.append(bytes); }
-  [[nodiscard]] bool empty() const { return pos == data.size(); }
-  [[nodiscard]] std::size_t pending() const { return data.size() - pos; }
-};
-
-/// Try to send a prefix of `buf` without blocking.  Returns false when
-/// the peer is gone (ECONNRESET/EPIPE) — the coordinator's
-/// non-throwing variant, so worker death during a flush routes into
-/// recovery rather than unwinding.
-bool flush_some(int fd, SendBuf& buf);
-
-/// Connected AF_UNIX stream pair (fork mode: coordinator keeps
-/// .first, the child keeps .second).
-std::pair<Fd, Fd> socket_pair();
-
 /// TCP endpoints.  `spec` is "host:port"; an empty host means all
 /// interfaces for listen and loopback for connect.
 Fd tcp_listen(const std::string& spec);
-Fd tcp_accept(int listen_fd);
 Fd tcp_connect(const std::string& spec);
 
 /// Named AF_UNIX endpoints (`cacval serve --socket PATH` and its

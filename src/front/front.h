@@ -28,10 +28,11 @@ struct RunHooks {
   /// Cooperative cancellation (the CLI's SIGINT/SIGTERM flag, the
   /// server's per-job cancel).  Overrides request.explore.stop_flag.
   const std::atomic<bool>* stop_flag = nullptr;
-  /// Alternative exploration engine (the distributed coordinator).
+  /// Wraps the exploration (check::ModelCheckOptions::explorer):
+  /// cacbench counts and times explorations through it.
   check::ModelCheckOptions::explorer_type explorer;
-  /// Resume a checkpointed exploration.  Not owned; in-process engines
-  /// only (distributed runs resume from the coordinator manifest).
+  /// Resume a checkpointed exploration.  Not owned; ignored when
+  /// `explorer` is set.
   const sched::Checkpoint* resume = nullptr;
   /// Called once after the por oracle has run, before exploration —
   /// the CLI prints its classic "por oracle: N access pcs proven

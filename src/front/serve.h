@@ -1,8 +1,8 @@
 // Verification-as-a-service: the `cacval serve` daemon and its client
 // (docs/serve.md).
 //
-// The server multiplexes verification jobs over the distributed
-// layer's checksummed frame transport (dist/wire.h frame types
+// The server multiplexes verification jobs over the checksummed frame
+// transport of src/dist (dist/wire.h frame types
 // kServeRequest/kServeResponse/kServeEvent, payloads are UTF-8 JSON)
 // on an AF_UNIX or TCP listener:
 //
@@ -31,6 +31,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "dist/transport.h"

@@ -17,28 +17,7 @@ using support::BinError;
 using support::BinReader;
 using support::BinWriter;
 
-// The options and choice codecs live in sched::codec
-// (checkpoint_codec.h) so the distributed explorer's frames and
-// per-worker checkpoint files stay byte-compatible with this format.
 namespace codec {
-
-void encode_choice(BinWriter& w, const sem::Choice& c) {
-  w.u8(static_cast<std::uint8_t>(c.kind));
-  w.u32(c.block);
-  w.u32(c.warp);
-}
-
-sem::Choice decode_choice(BinReader& r) {
-  sem::Choice c;
-  const std::uint8_t kind = r.u8();
-  if (kind > static_cast<std::uint8_t>(sem::Choice::Kind::LiftBar)) {
-    throw BinError("bad choice kind");
-  }
-  c.kind = static_cast<sem::Choice::Kind>(kind);
-  c.block = r.u32();
-  c.warp = r.u32();
-  return c;
-}
 
 void encode_options(BinWriter& w, const ExploreOptions& o) {
   w.u64(o.max_depth);
@@ -82,10 +61,27 @@ ExploreOptions decode_options(BinReader& r) {
 
 namespace {
 
-using codec::decode_choice;
 using codec::decode_options;
-using codec::encode_choice;
 using codec::encode_options;
+
+/// One schedule choice: u8 kind, u32 block, u32 warp.
+void encode_choice(BinWriter& w, const sem::Choice& c) {
+  w.u8(static_cast<std::uint8_t>(c.kind));
+  w.u32(c.block);
+  w.u32(c.warp);
+}
+
+sem::Choice decode_choice(BinReader& r) {
+  sem::Choice c;
+  const std::uint8_t kind = r.u8();
+  if (kind > static_cast<std::uint8_t>(sem::Choice::Kind::LiftBar)) {
+    throw BinError("bad choice kind");
+  }
+  c.kind = static_cast<sem::Choice::Kind>(kind);
+  c.block = r.u32();
+  c.warp = r.u32();
+  return c;
+}
 
 void encode_choices(BinWriter& w, const std::vector<sem::Choice>& cs) {
   w.u64(cs.size());
@@ -212,6 +208,9 @@ void Checkpoint::save(const std::string& path) const {
   }
 }
 
+namespace {
+
+/// The bytes of a checkpoint file.  Throws CheckpointError(Io).
 std::string read_checkpoint_file(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
@@ -228,6 +227,8 @@ std::string read_checkpoint_file(const std::string& path) {
   }
   return bytes;
 }
+
+}  // namespace
 
 Checkpoint Checkpoint::load(const std::string& path) {
   const std::string file = read_checkpoint_file(path);

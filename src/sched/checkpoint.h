@@ -58,16 +58,16 @@ class CheckpointError : public std::runtime_error {
 
 std::string to_string(CheckpointError::Kind k);
 
-/// One snapshot of an in-flight exploration.  Engines construct and
-/// consume these; save()/load() move them to and from disk.
+/// One snapshot of an in-flight exploration.  explore() writes and
+/// resumes these; save()/load() move them to and from disk.
 struct Checkpoint {
   // v7: the store section holds one warp pool, one bank pool and one
   // state table (no shards), with no per-state stride word and only the
   // materialized-bytes counter.  v6: one payload, the DFS's; the engine
   // tag and the parallel graph section are gone.  v5: that section's
-  // nodes used the graph codec of the distributed frames.  v4: warp
-  // fragments are the dense per-warp encoding (sem/warp.h).  Older
-  // files are rejected with VersionMismatch rather than misdecoded.
+  // nodes used a separate graph-node codec.  v4: warp fragments are the
+  // dense per-warp encoding (sem/warp.h).  Older files are rejected
+  // with VersionMismatch rather than misdecoded.
   static constexpr std::uint32_t kFormatVersion = 7;
 
   /// fnv1a over the canonical program text / config fields; resume
@@ -113,15 +113,10 @@ std::uint64_t program_fingerprint(const ptx::Program& prg);
 std::uint64_t config_fingerprint(const sem::KernelConfig& kc);
 
 /// Throws CheckpointError(Mismatch) unless a run recorded with these
-/// fingerprints and structural options (a checkpoint's, or a
-/// distributed manifest's) can be continued as this one.
+/// fingerprints and structural options can be continued as this one.
 void verify_resume(std::uint64_t program_fp, std::uint64_t config_fp,
                    const ExploreOptions& recorded, const ptx::Program& prg,
                    const sem::KernelConfig& kc, const ExploreOptions& opts);
-
-/// The bytes of a checkpoint file, or of a distributed run's frame
-/// file.  Throws CheckpointError(Io).
-std::string read_checkpoint_file(const std::string& path);
 
 /// Current resident set size in bytes (the RSS-watermark budget's
 /// measurement; /proc-based).  Returns 0 where unavailable, which

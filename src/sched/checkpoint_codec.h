@@ -1,9 +1,7 @@
-// Shared pieces of the checkpoint binary codec (sched/checkpoint.cc),
-// exposed so other persistence layers — the distributed explorer's
-// wire frames and per-worker checkpoint files (src/dist) — encode
-// structural exploration options and schedule choices byte-compatibly
-// with the single-process checkpoint format instead of growing a
-// second, subtly different codec.
+// The checkpoint codec of the structural exploration options
+// (sched/checkpoint.cc), which are also the resume fingerprint.
+// Exposed so tests can round-trip the option bytes directly
+// (tests/analysis/oracle_test.cc).
 //
 // Everything here follows the support/binio.h discipline: decoders
 // throw support::BinError on malformed input (out-of-range enum tags,
@@ -24,9 +22,5 @@ namespace cac::sched::codec {
 /// (budgets, checkpoint paths, store tiering) are never serialized.
 void encode_options(support::BinWriter& w, const ExploreOptions& o);
 ExploreOptions decode_options(support::BinReader& r);
-
-/// One schedule choice: u8 kind, u32 block, u32 warp.
-void encode_choice(support::BinWriter& w, const sem::Choice& c);
-sem::Choice decode_choice(support::BinReader& r);
 
 }  // namespace cac::sched::codec

@@ -1,20 +1,17 @@
 // The verdict DFS: the one place where an exploration's verdict is
-// decided.  Internal to src/sched and src/dist (BM_DfsTransitionSplit
-// in bench/bench_parallel_explore.cpp drives it with a timed walk).
+// decided, and the one state classification it applies.  Internal to
+// src/sched (BM_DfsTransitionSplit in bench/bench_parallel_explore.cpp
+// drives both with a timed walk).
 //
 // The paper's theorems quantify over every scheduler (Fig. 3).  Here
 // that quantifier is decided by a depth-first walk of the state graph:
 // OnStack/Done colouring finds cycles, each state's first visit
 // classifies it (terminal, stuck, unexpanded, expandable), and the walk
 // accumulates the finals, the violations with their replayable traces,
-// the min/max schedule lengths and the state/transition counts.  The
-// engines differ only in how a transition's child is obtained, which is
-// the Walk parameter:
-//
-//  * the serial engine steps its frame's machine and interns the child
-//    on the fly (explore.cc);
-//  * the distributed coordinator walks the graph its workers built
-//    (GraphWalk in dist/coordinator.cc).
+// the min/max schedule lengths and the state/transition counts.  How a
+// transition's child is obtained is the Walk parameter: the serial
+// engine (explore.cc) steps its frame's machine and interns the child
+// on the fly, and the bench's walk does the same under timers.
 //
 // A Walk provides
 //
@@ -38,11 +35,9 @@
 
 namespace cac::sched {
 
-/// What expanding a state found (internal::classify decides it the same
-/// way for every engine).
+/// What expanding a state found (internal::classify decides it).
 enum class NodeKind : std::uint8_t {
-  /// Not expanded: discovered at the depth bound, or still on a graph
-  /// builder's frontier when a budget stopped the build.
+  /// Not expanded: reached at the depth bound.
   Unexpanded,
   /// Expanded: one transition per eligible choice (after POR), in order.
   Expanded,
@@ -63,6 +58,15 @@ enum class Color : std::uint8_t { White, OnStack, Done };
 }  // namespace cac::sched
 
 namespace cac::sched::internal {
+
+/// The one state classification: Terminal; Stuck (no eligible choice
+/// after POR; the reason goes to `stuck_reason`); Unexpanded when
+/// `depth` has reached opts.max_depth; else Expanded, with the choices
+/// to follow in `eligible`, in order.
+NodeKind classify(const ptx::Program& prg, const ExploreOptions& opts,
+                  const sem::Grid& g, std::uint64_t depth,
+                  std::vector<sem::Choice>& eligible,
+                  std::string& stuck_reason);
 
 /// One transition out of the top frame (or the root, with no choice).
 template <typename Key>
@@ -93,9 +97,6 @@ class VerdictDfs {
   bool limits_hit = false;
   std::vector<Frame> stack;
   std::vector<sem::Choice> path;  // choices reaching the top frame
-  /// What reaching an Unexpanded state means: None for a graph cut by
-  /// max_depth, else the budget that stopped the build early.
-  ExploreResult::Limit unexpanded_limit = ExploreResult::Limit::None;
 
   void hit_limit(ExploreResult::Limit l) {
     limits_hit = true;
@@ -151,24 +152,10 @@ class VerdictDfs {
         violate(Violation::Kind::Stuck, std::move(stuck));
         return false;
       case NodeKind::Unexpanded:
-        if (unexpanded_limit != ExploreResult::Limit::None) {
-          // The build stopped on a budget: this state is on the
-          // unexpanded frontier, not past the depth bound.
-          hit_limit(unexpanded_limit);
-          return false;
-        }
-        // Depth-gated.  A graph builder gates by the depth at which it
-        // first met the state; when this path is shorter, the run can
-        // only be flagged non-exhaustive.
         hit_limit(ExploreResult::Limit::MaxDepth);
-        if (path.size() >= opts_.max_depth) depth_exceeded();
+        depth_exceeded();
         return false;
       case NodeKind::Expanded:
-        if (path.size() >= opts_.max_depth) {
-          hit_limit(ExploreResult::Limit::MaxDepth);
-          depth_exceeded();
-          return false;
-        }
         color = Color::OnStack;
         stack.push_back(walk_.open(a.child));
         return true;

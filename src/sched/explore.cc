@@ -1,12 +1,12 @@
 #include "sched/explore.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <memory>
 
 #include "sched/checkpoint.h"
 #include "sched/dfs.h"
-#include "sched/explore_internal.h"
 
 namespace cac::sched {
 
@@ -34,8 +34,8 @@ bool register_local(const ptx::Instr& i) {
 /// failing that, one ExecWarp choice whose pc is in `independent_pcs`
 /// (ExploreOptions::por_independent_pcs, sorted — accesses proven
 /// disjoint from every same-space site by the static analyzer).
-/// Deterministic in the state, so the reduced state graph is the same
-/// whichever engine expands a state.
+/// Deterministic in the state, so a resumed run re-derives the same
+/// reduced choices.
 void reduce_choices(const ptx::Program& prg, const sem::Grid& g,
                     const std::vector<std::uint32_t>& independent_pcs,
                     std::vector<sem::Choice>& eligible) {
@@ -79,23 +79,103 @@ NodeKind classify(const ptx::Program& prg, const ExploreOptions& opts,
   return depth >= opts.max_depth ? NodeKind::Unexpanded : NodeKind::Expanded;
 }
 
-std::uint64_t working_set_bytes(std::uint64_t spilled_bytes) {
-  const std::uint64_t rss = current_rss_bytes();
-  return rss > spilled_bytes ? rss - spilled_bytes : 0;
-}
-
-void CheckpointTally::warn(const CheckpointError& e) {
-  std::fprintf(stderr,
-               "cacval: warning: checkpoint write failed, exploring on: %s\n",
-               e.what());
-}
-
 }  // namespace internal
 
 namespace {
 
 using internal::Arrival;
 using Limit = ExploreResult::Limit;
+
+/// The store's tier knobs, taken from the exploration options.
+StoreOptions store_options(const ExploreOptions& o) {
+  StoreOptions so;
+  so.spill_dir = o.store_spill_dir;
+  so.resident_budget_bytes = o.store_resident_budget_bytes;
+  return so;
+}
+
+/// Resident set size minus the bytes the store has spilled to disk:
+/// spilled segments are reclaimable page cache, and counting them would
+/// let a tripped memory watermark never clear by spilling.
+std::uint64_t working_set_bytes(std::uint64_t spilled_bytes) {
+  const std::uint64_t rss = current_rss_bytes();
+  return rss > spilled_bytes ? rss - spilled_bytes : 0;
+}
+
+/// The graceful-stop budgets of ExploreOptions.  The clock starts at
+/// construction.
+class Budget {
+ public:
+  explicit Budget(const ExploreOptions& opts)
+      : opts_(opts), start_(std::chrono::steady_clock::now()) {}
+
+  /// Is any budget set?  The run skips polling otherwise.
+  [[nodiscard]] bool any() const {
+    return opts_.stop_flag != nullptr || opts_.stop_after_states != 0 ||
+           opts_.deadline_ms != 0 || opts_.mem_limit_bytes != 0;
+  }
+
+  /// The budget that has tripped, or None.  `states` is the number of
+  /// distinct states so far.  The stop flag and the state count are
+  /// always checked; the clock and the memory watermark only when
+  /// `poll_slow` (reading /proc costs microseconds).  `working_set` is
+  /// called for the memory watermark only.
+  template <typename WorkingSet>
+  [[nodiscard]] Limit tripped(std::uint64_t states, bool poll_slow,
+                              WorkingSet&& working_set) const {
+    if (opts_.stop_flag != nullptr &&
+        opts_.stop_flag->load(std::memory_order_relaxed)) {
+      return Limit::Interrupted;
+    }
+    if (opts_.stop_after_states != 0 && states >= opts_.stop_after_states) {
+      return Limit::Interrupted;
+    }
+    if (!poll_slow) return Limit::None;
+    if (opts_.deadline_ms != 0 &&
+        std::chrono::steady_clock::now() - start_ >=
+            std::chrono::milliseconds(opts_.deadline_ms)) {
+      return Limit::Deadline;
+    }
+    if (opts_.mem_limit_bytes != 0 &&
+        working_set() >= opts_.mem_limit_bytes) {
+      return Limit::MemLimit;
+    }
+    return Limit::None;
+  }
+
+ private:
+  const ExploreOptions& opts_;
+  std::chrono::steady_clock::time_point start_;
+};
+
+/// Checkpoint outcomes the run reports in its ExploreResult, and the
+/// one write-failure policy: persistence never decides a verdict, so a
+/// failed write is counted and logged and the run goes on.  Only
+/// resumability is at stake.
+struct CheckpointTally {
+  bool written = false;
+  std::uint64_t failures = 0;
+
+  /// Run `write`, counting and logging a CheckpointError it throws.
+  template <typename Write>
+  void attempt(Write&& write) {
+    try {
+      write();
+      written = true;
+    } catch (const CheckpointError& e) {
+      ++failures;
+      std::fprintf(
+          stderr,
+          "cacval: warning: checkpoint write failed, exploring on: %s\n",
+          e.what());
+    }
+  }
+
+  void report(ExploreResult& r) const {
+    r.checkpointed = written;
+    r.checkpoint_write_failures = failures;
+  }
+};
 
 /// The serial engine's walk.  Frames own their machine; a transition
 /// steps a copy of it and interns the child on the fly, so only the
@@ -266,9 +346,9 @@ ExploreResult explore(const ptx::Program& prg, const sem::KernelConfig& kc,
   // The top of the DFS loop is a clean cut point: stack, path, colours,
   // finals and counters are mutually consistent, so that is where
   // budgets are enforced, checkpoints written and progress reported.
-  const internal::Budget budget(opts);
+  const Budget budget(opts);
   const bool budgeted = budget.any();
-  internal::CheckpointTally tally;
+  CheckpointTally tally;
   const auto checkpoint = [&] {
     tally.attempt([&] {
       snapshot(prg, kc, opts, store, dfs).save(opts.checkpoint_path);
@@ -292,7 +372,7 @@ ExploreResult explore(const ptx::Program& prg, const sem::KernelConfig& kc,
       // /proc RSS read only every 64.
       const Limit stop = budget.tripped(
           dfs.result.states_visited, (iter & 0x3f) == 0, [&] {
-            return internal::working_set_bytes(store->stats().spilled_bytes);
+            return working_set_bytes(store->stats().spilled_bytes);
           });
       if (stop != Limit::None) {
         // Checkpoint first: the transient stop reason must not leak

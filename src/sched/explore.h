@@ -103,11 +103,10 @@ struct ExploreOptions {
     std::uint64_t frontier = 0;
   };
   /// When set, called from the DFS's cut point every
-  /// progress_every_states further distinct states (the distributed
-  /// engine reports completion only).  Transient: never checkpointed,
-  /// never part of resume compatibility, and must not mutate the
-  /// exploration.  `cacval serve` streams these to
-  /// clients as progress events.
+  /// progress_every_states further distinct states.  Transient: never
+  /// checkpointed, never part of resume compatibility, and must not
+  /// mutate the exploration.  `cacval serve` streams these to clients
+  /// as progress events.
   std::function<void(const Progress&)> progress_fn;
   /// Cadence for progress_fn (0 disables even when the hook is set).
   std::uint64_t progress_every_states = 0;
@@ -127,16 +126,6 @@ struct ExploreOptions {
   /// set).  0 keeps everything hot — the pre-tiering behaviour.
   std::uint64_t store_resident_budget_bytes = 0;
 };
-
-/// The StoreOptions an engine derives from ExploreOptions (the serial
-/// DFS and the distributed workers map the knobs the same way, so
-/// tiering behaves identically whichever engine runs).
-[[nodiscard]] inline StoreOptions store_options(const ExploreOptions& o) {
-  StoreOptions so;
-  so.spill_dir = o.store_spill_dir;
-  so.resident_budget_bytes = o.store_resident_budget_bytes;
-  return so;
-}
 
 struct Violation {
   enum class Kind : std::uint8_t { Stuck, Fault, Cycle, DepthExceeded };
@@ -188,9 +177,7 @@ struct ExploreResult {
   std::shared_ptr<const StateStore> store;
 
   /// Snapshot of the store's byte/tier accounting at the end of the
-  /// run (resident vs spilled bytes, evictions, delta fragments).  For
-  /// distributed runs this sums the workers' stores, so it reflects
-  /// where the exploration's memory actually went.
+  /// run (resident vs spilled bytes, evictions, delta fragments).
   StateStore::Stats store_stats;
 
   /// Distinct terminated machine states (DFS first-visit order).  A

@@ -800,94 +800,4 @@ void StateStore::decode(support::BinReader& r) {
   stats_.materialized_bytes = r.u64();
 }
 
-// --- per-state wire codec ---------------------------------------------
-
-void StateStore::encode_state(StateId id, support::BinWriter& w) const {
-  const std::uint32_t* tuple = tuple_at(id, "encode_state");
-  w.u64(hashes_[id.v]);
-  std::size_t k = 0;
-  w.u64(shape_.warps_per_block.size());
-  for (const std::uint32_t n_warps : shape_.warps_per_block) {
-    w.u64(n_warps);
-    for (std::uint32_t i = 0; i < n_warps; ++i) {
-      // Canonical bytes == what Warp::encode would emit, so splicing
-      // them keeps the wire format identical to pre-tiering senders,
-      // independent of this store's tiering.
-      const std::string b = warp_canonical_bytes(tuple[k++]);
-      w.bytes(b.data(), b.size());
-    }
-  }
-  const auto splice_bank = [&](std::uint32_t bank_id) {
-    if (bank_id >= banks_.recs.size()) {
-      throw KernelError("unknown bank fragment");
-    }
-    const std::string b = bank_canonical_bytes(banks_.recs[bank_id]);
-    w.bytes(b.data(), b.size());
-  };
-  w.u64(shape_.shared_banks);
-  for (std::uint32_t i = 0; i < shape_.shared_banks; ++i) {
-    splice_bank(tuple[k++]);
-  }
-  splice_bank(tuple[k++]);  // global
-  splice_bank(tuple[k++]);  // const
-  splice_bank(tuple[k]);    // param
-  w.u64(shape_.shared_per_block);
-}
-
-StateStore::WireIntern StateStore::decode_state(support::BinReader& r,
-                                                std::uint64_t max_states) {
-  WireIntern out;
-  out.hash = r.u64();
-
-  Shape got;  // shape as described by this record, checked against ours
-  tuple_.clear();
-  std::uint64_t full_bytes = sizeof(sem::Machine);
-  std::uint32_t total_warps = 0;
-
-  const std::uint64_t nb = r.count(sizeof(std::uint64_t));
-  got.warps_per_block.reserve(nb);
-  for (std::uint64_t b = 0; b < nb; ++b) {
-    const std::uint64_t nw = r.count(1);
-    got.warps_per_block.push_back(static_cast<std::uint32_t>(nw));
-    total_warps += static_cast<std::uint32_t>(nw);
-    for (std::uint64_t i = 0; i < nw; ++i) {
-      sem::WarpRef warp = std::make_shared<sem::Warp>(sem::Warp::decode(r));
-      // Mirrored states have no parent here; their fresh fragments stay
-      // full-encoded (tiering still applies to them).
-      const Frag f = intern_warp(warp, kNoBase);
-      tuple_.push_back(f.id);
-      full_bytes += f.deep_bytes;
-    }
-  }
-  const auto decode_bank = [&] {
-    auto bank =
-        std::make_shared<mem::Memory::Bank>(mem::Memory::Bank::decode(r));
-    const Frag f = intern_bank(bank, kNoBase);
-    tuple_.push_back(f.id);
-    full_bytes += f.deep_bytes;
-  };
-  const std::uint64_t ns = r.count(1);
-  got.shared_banks = static_cast<std::uint32_t>(ns);
-  for (std::uint64_t i = 0; i < ns; ++i) decode_bank();
-  decode_bank();  // global
-  decode_bank();  // const
-  decode_bank();  // param
-  got.shared_per_block = r.u64();
-  got.tuple_len = total_warps + got.shared_banks + 3;
-
-  // The first record fixes the store's shape; every later one must
-  // agree (all peers of one distributed run explore the same launch).
-  if (shape_.tuple_len == 0) shape_ = got;
-  if (got.warps_per_block != shape_.warps_per_block ||
-      got.shared_banks != shape_.shared_banks ||
-      got.shared_per_block != shape_.shared_per_block ||
-      got.tuple_len != shape_.tuple_len) {
-    throw support::BinError("state record shape mismatch");
-  }
-
-  out.result = register_tuple(out.hash, max_states, full_bytes);
-  maybe_evict();
-  return out;
-}
-
 }  // namespace cac::sched

@@ -53,13 +53,12 @@
 // step — cheap to keep resident.
 //
 // Ownership: a store has a single owner and is not thread-safe.  Every
-// caller interns from one thread — the serial DFS, each distributed
-// worker process (its owned partition and its mirror), the
-// coordinator's merge, and each serve job on its worker thread — and
-// no store leaves the thread that built it, so the store takes no lock
-// and keeps plain counters.  The warp handles it shares never leave
-// that thread either: pool warps are hashed before they are shared,
-// and their memoized hash is not synchronized.
+// caller interns from one thread — the DFS of a local run, or of a
+// serve job on its worker thread — and no store leaves the thread that
+// built it, so the store takes no lock and keeps plain counters.  The
+// warp handles it shares never leave that thread either: pool warps
+// are hashed before they are shared, and their memoized hash is not
+// synchronized.
 #pragma once
 
 #include <cstdint>
@@ -203,6 +202,8 @@ class StateStore {
     /// the cacbench/ harness still reads it, and goes when that read
     /// does.
     [[nodiscard]] double bloom_hit_rate() const { return 0.0; }
+
+    friend bool operator==(const Stats&, const Stats&) = default;
   };
   [[nodiscard]] Stats stats() const { return stats_; }
 
@@ -225,27 +226,6 @@ class StateStore {
   /// or KernelError on misuse.
   void encode(support::BinWriter& w) const;
   void decode(support::BinReader& r);
-
-  /// Per-state wire codec (src/dist frontier exchange).  encode_state
-  /// writes one interned state as a self-contained record — memoized
-  /// machine hash + the *canonical* (full, never delta) fragment
-  /// payloads its tuple references — so a state crosses a process
-  /// boundary without materializing a sem::Machine and independently of
-  /// the sender's tiering.  decode_state interns the record's fragments
-  /// directly into *this* store (same dedup and cap semantics as
-  /// intern(): existence before cap, invalid id when full) and returns
-  /// the sender's machine hash alongside.  Both sides of an exchange
-  /// must explore the same launch: the first decoded record establishes
-  /// this store's shape, later records must match it.  decode_state
-  /// throws support::BinError on malformed input and never leaves a
-  /// partially registered state behind.
-  struct WireIntern {
-    InternResult result;
-    std::uint64_t hash = 0;  // unmasked machine hash, as interned
-  };
-  void encode_state(StateId id, support::BinWriter& w) const;
-  WireIntern decode_state(support::BinReader& r,
-                          std::uint64_t max_states = ~0ull);
 
  private:
   static constexpr std::uint32_t kNoBase = 0xffffffffu;
@@ -406,8 +386,8 @@ class StateStore {
   std::uint64_t evict_pass(std::uint64_t stop_below);
 
   // --- visited-state table --------------------------------------------
-  /// Shared tail of intern()/decode_state(): look `tuple_` up in the
-  /// state table, register it if new and under cap, book the stats.
+  /// intern()'s tail: look `tuple_` up in the state table, register
+  /// it if new and under cap, book the stats.
   InternResult register_tuple(std::uint64_t h, std::uint64_t max_states,
                               std::uint64_t full_bytes);
   /// State `id`'s fragment-id tuple, read in place from the arena.
@@ -438,23 +418,6 @@ class StateStore {
   std::uint64_t resident_budget_ = 0;
   bool spill_failed_ = false;
   mutable Stats stats_;
-};
-
-/// Every StateStore::Stats counter, in declaration order: code that sums
-/// or ships all of them walks this list.  dist::GraphPartMsg sends them
-/// in this order, so reordering it changes the wire format.
-inline constexpr std::uint64_t StateStore::Stats::*kStoreCounters[] = {
-    &StateStore::Stats::states,
-    &StateStore::Stats::warp_fragments,
-    &StateStore::Stats::bank_fragments,
-    &StateStore::Stats::resident_bytes,
-    &StateStore::Stats::materialized_bytes,
-    &StateStore::Stats::spilled_bytes,
-    &StateStore::Stats::hot_evictions,
-    &StateStore::Stats::spills,
-    &StateStore::Stats::rematerializations,
-    &StateStore::Stats::delta_fragments,
-    &StateStore::Stats::degraded_spill,
 };
 
 }  // namespace cac::sched

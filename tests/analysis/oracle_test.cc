@@ -1,8 +1,7 @@
 // The analysis-driven POR oracle (ExploreOptions::por_independent_pcs):
 // verdicts with the oracle must be byte-identical to verdicts without
-// it — serial and distributed — while visiting fewer
-// states, and the oracle list must survive checkpoint round-trips and
-// be policy-checked on resume.
+// it while visiting fewer states, and the oracle list must survive
+// checkpoint round-trips and be policy-checked on resume.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -11,7 +10,6 @@
 
 #include "analysis/disjoint.h"
 #include "common/finals.h"
-#include "dist/coordinator.h"
 #include "programs/corpus.h"
 #include "ptx/lower.h"
 #include "sched/checkpoint.h"
@@ -166,22 +164,6 @@ TEST(PorOracle, OracleNeverFlipsARacyVerdict) {
   const Outcome reduced = summarize(sched::explore(prg, kc, init, oracle));
   expect_same_verdict(full, reduced);
   EXPECT_GT(full.final_memory_hashes.size(), 1u);
-}
-
-TEST(PorOracle, DistributedEngineMatches) {
-  const VecAddScenario s;
-  ExploreOptions oracle = por_opts();
-  oracle.por_independent_pcs = independent_access_pcs(s.prg, s.env);
-  const Outcome serial =
-      summarize(sched::explore(s.prg, s.kc, s.init, oracle));
-  dist::DistOptions dopts;
-  dopts.n_workers = 2;
-  const dist::DistResult d =
-      dist::explore_distributed(s.prg, s.kc, s.init, oracle, dopts);
-  const Outcome distributed = summarize(d.result);
-  EXPECT_EQ(serial.exhaustive, distributed.exhaustive);
-  EXPECT_EQ(serial.violation_kinds, distributed.violation_kinds);
-  EXPECT_EQ(serial.final_memory_hashes, distributed.final_memory_hashes);
 }
 
 TEST(PorOracle, OptionsCodecRoundTripsTheOracleList) {

@@ -378,7 +378,7 @@ TEST(ServeRobust, VanishedClientIsReapedAndItsJobCancelled) {
   // Pin the only worker on a ~2s job...
   std::thread busy([&] {
     Client client = ts.connect();
-    client.call(to_json(Request{racy_check(8)}));
+    client.call(to_json(Request{racy_check(9)}));
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   {
@@ -480,7 +480,7 @@ TEST(ServeRobust, ServerDeathMidWaitIsRetryableAndReattachable) {
   std::thread busy([&] {
     try {
       Client client = Client::connect((dir / "sock").string());
-      client.call(to_json(Request{racy_check(8)}));  // ~2s: pins the worker
+      client.call(to_json(Request{racy_check(9)}));  // ~2s: pins the worker
     } catch (const std::exception&) {
     }
   });

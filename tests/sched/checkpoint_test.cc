@@ -88,6 +88,26 @@ struct Lattice {
         init(sem::Launch(prg, kc, mem::MemSizes{}).machine()) {}
 };
 
+/// Three 4-thread warps through the vector sum.  Its loads and stores
+/// are not register-local, so it still branches under POR.
+struct VectorSum {
+  ptx::Program prg = programs::vector_add_listing2();
+  sem::KernelConfig kc{{1, 1, 1}, {12, 1, 1}, 4};
+  sem::Machine init;
+
+  VectorSum() {
+    const programs::VecAddLayout L;
+    sem::Launch launch(prg, kc, mem::MemSizes{L.global_bytes, 0, 0, 0, 1});
+    launch.param("arr_A", L.a).param("arr_B", L.b).param("arr_C", L.c)
+        .param("size", 12);
+    for (std::uint32_t i = 0; i < 12; ++i) {
+      launch.global_u32(L.a + 4 * i, i);
+      launch.global_u32(L.b + 4 * i, i);
+    }
+    init = launch.machine();
+  }
+};
+
 // ---------------------------------------------------------------------
 // StateStore codec
 
@@ -285,45 +305,53 @@ TEST(CheckpointResume, MidSpillCheckpointResumesByteIdentical) {
   // resume — with the same tier knobs, with different knobs, or with
   // tiering off — to the uninterrupted verdict.  Tier knobs are
   // transient (never in the option fingerprint), so the cross-knob
-  // resumes also pin that they don't poison resume validation.
-  const Lattice w(10);
-  ExploreOptions base;
-  base.stop_at_first_violation = false;
-  const ExploreResult full = explore(w.prg, w.kc, w.init, base);
-  ASSERT_TRUE(full.exhaustive);
+  // resumes also pin that they don't poison resume validation.  POR
+  // collapses the lattice to one path (every step is register-local),
+  // so the POR case runs the vector sum, whose reduced graph still
+  // spills at this budget.
+  const auto check = [](const auto& w, bool por) {
+    SCOPED_TRACE(por ? "por" : "no por");
+    ExploreOptions base;
+    base.partial_order_reduction = por;
+    base.stop_at_first_violation = false;
+    const ExploreResult full = explore(w.prg, w.kc, w.init, base);
+    ASSERT_TRUE(full.exhaustive);
 
-  const std::string path = temp_path("mid_spill");
-  ExploreOptions cut = base;
-  cut.store_spill_dir = testing::TempDir();
-  cut.store_resident_budget_bytes = 16 << 10;
-  cut.stop_after_states = full.states_visited / 2;
-  cut.checkpoint_path = path;
-  const ExploreResult stopped = explore(w.prg, w.kc, w.init, cut);
-  ASSERT_EQ(stopped.limit_hit, ExploreResult::Limit::Interrupted);
-  ASSERT_TRUE(stopped.checkpointed);
-  // The snapshot really was taken mid-spill.
-  ASSERT_GT(stopped.store_stats.spilled_bytes, 0u);
+    const std::string path = temp_path("mid_spill");
+    ExploreOptions cut = base;
+    cut.store_spill_dir = testing::TempDir();
+    cut.store_resident_budget_bytes = 16 << 10;
+    cut.stop_after_states = full.states_visited / 2;
+    cut.checkpoint_path = path;
+    const ExploreResult stopped = explore(w.prg, w.kc, w.init, cut);
+    ASSERT_EQ(stopped.limit_hit, ExploreResult::Limit::Interrupted);
+    ASSERT_TRUE(stopped.checkpointed);
+    // The snapshot really was taken mid-spill.
+    ASSERT_GT(stopped.store_stats.spilled_bytes, 0u);
 
-  struct Variant {
-    const char* what;
-    std::string spill_dir;
-    std::uint64_t budget;
+    struct Variant {
+      const char* what;
+      std::string spill_dir;
+      std::uint64_t budget;
+    };
+    const Variant variants[] = {
+        {"same knobs", testing::TempDir(), 16 << 10},
+        {"tighter budget", testing::TempDir(), 4 << 10},
+        {"tiering off", "", 0},
+    };
+    for (const Variant& v : variants) {
+      const Checkpoint ck = Checkpoint::load(path);
+      ExploreOptions cont = base;
+      cont.store_spill_dir = v.spill_dir;
+      cont.store_resident_budget_bytes = v.budget;
+      const ExploreResult resumed = explore(w.prg, w.kc, w.init, cont, &ck);
+      expect_identical(full, resumed, std::string("mid-spill resume, ") +
+                                          v.what);
+    }
+    std::remove(path.c_str());
   };
-  const Variant variants[] = {
-      {"same knobs", testing::TempDir(), 16 << 10},
-      {"tighter budget", testing::TempDir(), 4 << 10},
-      {"tiering off", "", 0},
-  };
-  for (const Variant& v : variants) {
-    const Checkpoint ck = Checkpoint::load(path);
-    ExploreOptions cont = base;
-    cont.store_spill_dir = v.spill_dir;
-    cont.store_resident_budget_bytes = v.budget;
-    const ExploreResult resumed = explore(w.prg, w.kc, w.init, cont, &ck);
-    expect_identical(full, resumed, std::string("mid-spill resume, ") +
-                                        v.what);
-  }
-  std::remove(path.c_str());
+  check(Lattice(10), false);
+  check(VectorSum(), true);
 }
 
 // ---------------------------------------------------------------------

@@ -18,10 +18,7 @@ Derived convenience fields: every
 BM_StateStoreFootprint instance's interning counters are summarized
 into a top-level `state_store` section, every BM_Checkpoint* /
 BM_ResumeFromCheckpoint instance's counters land in a `checkpoint`
-section, every BM_DistExplore instance (from bench_dist_explore) lands
-in a `distributed` section with per-worker ownership, frontier message
-volume, shard-balance skew, and speedup over the matching workers=0
-serial baseline, every BM_AnalysisOracle* instance (bench_analysis)
+section, every BM_AnalysisOracle* instance (bench_analysis)
 lands in an `analysis` section recording the POR state count with and
 without the static independence oracle and the resulting reduction,
 every BM_BigStore* / BM_BigExplore* / BM_StoreBudgetSweep instance
@@ -120,36 +117,6 @@ def checkpoint_summary(benchmarks: list[dict]) -> list[dict]:
                   "resumed_runs_per_sec", "real_time", "time_unit"):
             if k in b:
                 entry[k] = b[k]
-        out.append(entry)
-    return out
-
-
-def distributed_summary(benchmarks: list[dict]) -> list[dict]:
-    """Summarize BM_DistExplore instances: worker count, per-worker
-    states owned, frontier message volume, shard-balance skew, and the
-    speedup over the matching serial (workers=0) instance with the same
-    por argument (on one core this is the distribution overhead)."""
-    serial = {}
-    for b in benchmarks:
-        if (b.get("name", "").startswith("BM_DistExplore")
-                and b.get("workers") == 0 and b.get("real_time")):
-            serial[b.get("por")] = b["real_time"]
-    out = []
-    for b in benchmarks:
-        if not b.get("name", "").startswith("BM_DistExplore"):
-            continue
-        entry = {"name": b["name"]}
-        for k in ("workers", "por", "states", "states_per_sec",
-                  "frontier_msgs", "shard_skew", "real_time", "time_unit"):
-            if k in b:
-                entry[k] = b[k]
-        owned = {k: v for k, v in b.items() if k.startswith("owned_w")}
-        if owned:
-            entry["states_owned"] = [
-                owned[k] for k in sorted(owned, key=lambda s: int(s[7:]))]
-        base = serial.get(b.get("por"))
-        if base and b.get("workers", 0) > 0 and b.get("real_time"):
-            entry["speedup_vs_serial"] = round(base / b["real_time"], 3)
         out.append(entry)
     return out
 
@@ -310,18 +277,15 @@ def equiv_summary(benchmarks: list[dict]) -> list[dict]:
 def fault_summary(benchmarks: list[dict]) -> list[dict]:
     """Summarize the fault-injection seam guards (bench_serve): the
     disabled fast path (must stay ~1ns — the zero-overhead-when-
-    disabled contract) and the armed-but-missing slow path, plus the
-    fleet-level armed-seam run from bench_dist_explore."""
+    disabled contract) and the armed-but-missing slow path."""
     out = []
     disabled = None
     for b in benchmarks:
         name = b.get("name", "")
-        if not (name.startswith("BM_FaultSeam")
-                or name.startswith("BM_DistExploreSeamArmed")):
+        if not name.startswith("BM_FaultSeam"):
             continue
         entry = {"name": name}
-        for k in ("real_time", "time_unit", "items_per_second",
-                  "states_per_sec"):
+        for k in ("real_time", "time_unit", "items_per_second"):
             if k in b:
                 entry[k] = b[k]
         if name.startswith("BM_FaultSeamDisabled"):
@@ -392,9 +356,6 @@ def main() -> None:
     checkpoints = checkpoint_summary(benchmarks)
     if checkpoints:
         snapshot["checkpoint"] = checkpoints
-    distributed = distributed_summary(benchmarks)
-    if distributed:
-        snapshot["distributed"] = distributed
     analysis = analysis_summary(benchmarks)
     if analysis:
         snapshot["analysis"] = analysis

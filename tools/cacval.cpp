@@ -20,7 +20,6 @@
 //                 [--resume PATH] [--deadline MS] [--mem-limit MIB]
 //   cacval validate FILE.ptx [same flags as check] [--profile]
 //   cacval races  FILE.ptx [launch options]
-//   cacval dist-worker FILE.ptx [launch options] --dist-connect HOST:PORT
 //   cacval equiv  FILE_A.ptx FILE_B.ptx [--kernel K] [--kernel-b K2]
 //                 [--block ...] [--sym-steps N] [--sym-paths N]
 //                 [--mode normalized|lowering] [--no-normalize]
@@ -64,9 +63,6 @@
 // Tiered state store (check/validate; docs/explorer.md):
 //   --store-budget MIB / --spill-dir DIR
 //
-// Distributed exploration (check/validate; docs/distributed.md):
-//   --dist-workers N / --dist-listen H:P / --dist-verbose
-//
 // Exit status (docs/api.md, unified across every subcommand):
 //   0 proved / clean / validated / equivalent,
 //   1 violation / refutation / race / lint finding,
@@ -95,9 +91,7 @@
 
 #include "check/profile.h"
 #include "check/race.h"
-#include "dist/coordinator.h"
 #include "dist/transport.h"
-#include "dist/worker.h"
 #include "front/front.h"
 #include "front/serve.h"
 #include "ptx/emit.h"
@@ -131,15 +125,6 @@ struct Options {
   std::string sched = "first";
   std::uint64_t exact_steps = 0;
   std::string resume_path;
-  /// Distributed exploration (dist/coordinator.h): 0 = in-process.
-  std::uint32_t dist_workers = 0;
-  std::string dist_listen;
-  std::string dist_connect;  // dist-worker command only
-  bool dist_verbose = false;
-  /// Hidden crash-drill seam (--dist-test-die W=N): worker W SIGKILLs
-  /// itself after owning N states.
-  std::uint32_t dist_die_worker = dist::kNoWorker;
-  std::uint64_t dist_die_after = 0;
   bool independent = false;
   bool profile = false;
   bool insert_syncs = true;
@@ -286,17 +271,6 @@ Options parse_args(int argc, char** argv) {
       o.explore.checkpoint_every_states = parse_u64(next());
     }
     else if (a == "--resume") o.resume_path = next();
-    else if (a == "--dist-workers") {
-      o.dist_workers = parse_u32(a, next());
-    }
-    else if (a == "--dist-listen") o.dist_listen = next();
-    else if (a == "--dist-connect") o.dist_connect = next();
-    else if (a == "--dist-verbose") o.dist_verbose = true;
-    else if (a == "--dist-test-die") {
-      const auto [w, n] = split_eq(next());
-      o.dist_die_worker = parse_u32(a, w);
-      o.dist_die_after = parse_u64(n);
-    }
     else if (a == "--deadline") o.explore.deadline_ms = parse_u64(next());
     else if (a == "--mem-limit") {
       o.explore.mem_limit_bytes = parse_mib(a, next());
@@ -538,65 +512,11 @@ int cmd_run(const Options& o, const ptx::LoweredModule& mod) {
 
 /// Load the --resume checkpoint, or null.  CheckpointError propagates
 /// to main's std::exception handler (exit 2) with the structured
-/// "checkpoint: ..." message.  Distributed runs resume from the
-/// coordinator manifest instead (see make_dist_explorer).
+/// "checkpoint: ..." message.
 std::unique_ptr<sched::Checkpoint> load_resume(const Options& o) {
-  if (o.resume_path.empty() || o.dist_workers != 0) return nullptr;
+  if (o.resume_path.empty()) return nullptr;
   return std::make_unique<sched::Checkpoint>(
       sched::Checkpoint::load(o.resume_path));
-}
-
-dist::DistOptions make_dist_options(const Options& o) {
-  dist::DistOptions d;
-  d.n_workers = o.dist_workers;
-  d.listen = o.dist_listen;
-  d.resume_manifest = o.resume_path;  // coordinator manifest, if any
-  d.die_worker = o.dist_die_worker;
-  d.die_after_states = o.dist_die_after;
-  d.verbose = o.dist_verbose;
-  return d;
-}
-
-void print_dist_stats(const dist::DistStats& s) {
-  std::printf("distributed: %zu workers, %llu frontier msgs, "
-              "skew %.2f, %llu restarts (%llu piecemeal), "
-              "%llu checkpoint generations\n",
-              s.workers.size(),
-              static_cast<unsigned long long>(s.frontier_msgs), s.skew(),
-              static_cast<unsigned long long>(s.restarts),
-              static_cast<unsigned long long>(s.piecemeal_restarts),
-              static_cast<unsigned long long>(s.generations));
-  if (s.send_retries != 0 || s.connect_retries != 0) {
-    std::printf("  transport: %llu send retries, %llu connect retries\n",
-                static_cast<unsigned long long>(s.send_retries),
-                static_cast<unsigned long long>(s.connect_retries));
-  }
-  for (std::size_t i = 0; i < s.workers.size(); ++i) {
-    const dist::DistStats::PerWorker& w = s.workers[i];
-    std::printf("  worker %zu: %llu states owned, %llu frontier sent, "
-                "%llu resolves, %llu B out, %llu B in\n",
-                i, static_cast<unsigned long long>(w.owned),
-                static_cast<unsigned long long>(w.frontier_sent),
-                static_cast<unsigned long long>(w.resolves_sent),
-                static_cast<unsigned long long>(w.bytes_sent),
-                static_cast<unsigned long long>(w.bytes_received));
-  }
-}
-
-/// Wrap the distributed coordinator as a ModelCheckOptions::explorer.
-/// The stats land in *stats_out (printed after the verdict).
-check::ModelCheckOptions::explorer_type make_dist_explorer(
-    const Options& o, std::shared_ptr<dist::DistStats> stats_out) {
-  const dist::DistOptions dopts = make_dist_options(o);
-  return [dopts, stats_out](const ptx::Program& prg,
-                            const sem::KernelConfig& kc,
-                            const sem::Machine& initial,
-                            const sched::ExploreOptions& eopts) {
-    dist::DistResult r =
-        dist::explore_distributed(prg, kc, initial, eopts, dopts);
-    *stats_out = std::move(r.stats);
-    return std::move(r.result);
-  };
 }
 
 int cmd_check(const Options& o, bool validate) {
@@ -605,8 +525,6 @@ int cmd_check(const Options& o, bool validate) {
   hooks.stop_flag = &g_stop;
   const auto resume = load_resume(o);
   hooks.resume = resume.get();
-  auto dist_stats = std::make_shared<dist::DistStats>();
-  if (o.dist_workers != 0) hooks.explorer = make_dist_explorer(o, dist_stats);
   if (o.format == "text") {
     // The classic output ordering: the oracle reports before
     // exploration begins.
@@ -618,11 +536,7 @@ int cmd_check(const Options& o, bool validate) {
   const front::Result r = front::run_check(req, hooks);
   std::vector<front::Result> results;
   results.push_back(r);
-  const int code = emit_results(o, results);
-  if (o.dist_workers != 0 && o.format == "text") {
-    print_dist_stats(*dist_stats);
-  }
-  return finish_exit_code(code);
+  return finish_exit_code(emit_results(o, results));
 }
 
 int cmd_races(const Options& o, const ptx::LoweredModule& mod) {
@@ -644,17 +558,6 @@ int cmd_races(const Options& o, const ptx::LoweredModule& mod) {
                 race.tid_b, race.cross_block ? " (cross-block)" : "");
   }
   return r.racy() ? 1 : 0;
-}
-
-int cmd_dist_worker(const Options& o, const ptx::LoweredModule& mod) {
-  if (o.dist_connect.empty()) {
-    usage("dist-worker needs --dist-connect HOST:PORT");
-  }
-  const ptx::Program& prg = pick_kernel(mod, o);
-  const sem::KernelConfig kc = o.launch.to_config();
-  dist::Fd fd = dist::tcp_connect(o.dist_connect);
-  dist::run_worker(fd.get(), prg, kc);
-  return 0;
 }
 
 int cmd_equiv(const Options& o) {
@@ -938,7 +841,6 @@ int main(int argc, char** argv) {
     if (o.command == "emit") return cmd_emit(o, mod);
     if (o.command == "run") return cmd_run(o, mod);
     if (o.command == "races") return cmd_races(o, mod);
-    if (o.command == "dist-worker") return cmd_dist_worker(o, mod);
     usage(("unknown command " + o.command).c_str());
   } catch (const PtxError& e) {
     std::fprintf(stderr, "cacval: PTX error: %s\n", e.what());

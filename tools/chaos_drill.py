@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Chaos drill: seeded random fault plans against the real cacval
 binary, across commands (check / lint / equiv) and execution modes
-(serial / distributed / serve).
+(serial / serial with POR / serve).
 
 The contract (docs/robustness.md): under any injected fault plan a run
 must end, within the watchdog, in exactly one of
@@ -18,8 +18,8 @@ Phases:
   2. serial   — seeded disk-fault plans (checkpoint + spill paths);
                 disk faults are degrade-only, so these must reproduce
                 the baseline bytes AND the baseline exit
-  3. dist     — the same plans plus transport delay rules over
-                `--dist-workers 2`
+  3. por      — the same plans on `check --por`, against its own
+                unfaulted `--por` baseline
   4. static   — lint / equiv under the same seeds (the plans mostly
                 cannot fire; the point is that arming the seam never
                 perturbs a path that does no I/O)
@@ -204,6 +204,8 @@ def main():
     base = {}
     base["check"] = run([cacval, "check", racy] + RACY_ARGS
                         + ["--format=json"])
+    base["por"] = run([cacval, "check", racy] + RACY_ARGS
+                      + ["--por", "--format=json"])
     base["slow"] = run([cacval, "check", racy] + SLOW_ARGS
                        + ["--format=json"])
     base["lint"] = run([cacval, "lint", racy, "--format=json"])
@@ -212,25 +214,25 @@ def main():
     for name, (code, out, _) in sorted(base.items()):
         print("baseline %-5s: exit %d, %d bytes" % (name, code, len(out)))
 
-    # -- 2/3. serial + dist under seeded disk/delay plans --------------
+    # -- 2/3. serial, then serial POR, under seeded disk plans ---------
     for seed in range(1, seeds + 1):
         rng = random.Random(1000 + seed)
-        plan = make_plan(seed, disk_rules(rng))
+        rules = disk_rules(rng)
+        plan = make_plan(seed, rules)
         d = fresh("serial_%d" % seed)
         code, out, _ = run([cacval, "check", racy] + RACY_ARGS
                            + store_args(d) + ["--format=json"], plan)
         check_outcome("serial seed %d" % seed, plan, code, out,
                       base["check"][0], base["check"][1])
 
-        rng = random.Random(2000 + seed)
-        plan = make_plan(seed, disk_rules(rng) + delay_rules(rng))
-        d = fresh("dist_%d" % seed)
+        plan = make_plan(seed, rules)
+        d = fresh("por_%d" % seed)
         code, out, _ = run([cacval, "check", racy] + RACY_ARGS
-                           + store_args(d)
-                           + ["--dist-workers", "2", "--format=json"], plan)
-        check_outcome("dist seed %d" % seed, plan, code, out,
-                      base["check"][0], base["check"][1])
-    print("serial+dist: %d seeded plans, all byte-identical" % (2 * seeds))
+                           + store_args(d) + ["--por", "--format=json"],
+                           plan)
+        check_outcome("por seed %d" % seed, plan, code, out,
+                      base["por"][0], base["por"][1])
+    print("serial+por: %d seeded plans, all byte-identical" % (2 * seeds))
 
     # -- 4. static commands under the same seams -----------------------
     for seed in range(1, seeds // 2 + 1):
