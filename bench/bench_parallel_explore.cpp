@@ -1,8 +1,8 @@
 // Schedule exploration on the paper's vector sum, with and without
-// partial-order reduction.  Reports states/sec (the per-state work —
-// Machine clone + semantics step + hash + intern — is what the DFS
-// spends its time on), the state store's footprint, and the packed
-// Memory representation's clone+hash fast path.
+// partial-order reduction.  Reports states/sec, where a DFS transition's
+// time goes (a successor-cache hit, or a machine clone + semantics step
+// + intern), the state store's footprint, and the packed Memory
+// representation's clone+hash fast path.
 //
 // tools/bench_to_json.py runs this binary and snapshots the results
 // into BENCH_explore.json so successive PRs accumulate a perf
@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -81,9 +82,11 @@ BENCHMARK(BM_ExploreVectorSum)
     ->UseRealTime();
 
 /// The serial DFS's walk (SerialWalk in sched/explore.cc) with a clock
-/// around each of its steps: copying the parent machine, the semantics
-/// step, and interning the child with its parent, per transition; and
-/// classify, once per state.
+/// around each transition, split by how the store's successor cache
+/// answered it — a hit interns the parent's id tuple with the cached
+/// fragments put in (and materializes a new child), anything else
+/// copies the parent machine, steps it and interns the child — and
+/// around classify, once per state.
 class TimedWalk {
  public:
   using Clock = std::chrono::steady_clock;
@@ -108,20 +111,30 @@ class TimedWalk {
     if (top.next >= top.eligible.size()) return false;
     a.choice = top.eligible[top.next++];
     const Clock::time_point t0 = Clock::now();
-    child_ = top.state;
-    const Clock::time_point t1 = Clock::now();
-    const sem::StepResult sr = sem::apply_choice(prg_, kc_, child_, a.choice,
-                                                 opts_.step_opts, nullptr);
-    const Clock::time_point t2 = Clock::now();
-    if (!sr.ok()) throw KernelError("the vector-sum lattice faulted");
-    const auto r = store_.intern(child_, opts_.max_states, top.key);
-    const Clock::time_point t3 = Clock::now();
-    copy_ns += ns(t0, t1);
-    step_ns += ns(t1, t2);
-    intern_ns += ns(t2, t3);
-    if (!r.id.valid()) throw KernelError("the vector-sum lattice overflowed");
-    if (r.inserted) color(r.id) = sched::Color::White;
-    a.child = r.id;
+    const std::optional<sched::StateStore::Step> step =
+        sched::internal::cached_step(prg_, top.state.grid, a.choice);
+    std::optional<sched::StateStore::InternResult> r;
+    if (step) {
+      r = store_.intern_successor(top.key, *step, opts_.max_states, child_);
+    }
+    if (r) {
+      hit_ns += ns(t0, Clock::now());
+      ++hits;
+    } else {
+      child_ = top.state;
+      if (!sem::apply_choice(prg_, kc_, child_, a.choice, opts_.step_opts,
+                             nullptr)
+               .ok()) {
+        throw KernelError("the vector-sum lattice faulted");
+      }
+      r = store_.intern(child_, opts_.max_states, top.key,
+                        step ? &*step : nullptr);
+      miss_ns += ns(t0, Clock::now());
+      ++misses;
+    }
+    if (!r->id.valid()) throw KernelError("the vector-sum lattice overflowed");
+    if (r->inserted) color(r->id) = sched::Color::White;
+    a.child = r->id;
     return true;
   }
 
@@ -147,7 +160,8 @@ class TimedWalk {
     return a;
   }
 
-  double copy_ns = 0, step_ns = 0, intern_ns = 0, classify_ns = 0;
+  double hit_ns = 0, miss_ns = 0, classify_ns = 0;
+  std::uint64_t hits = 0, misses = 0;
 
  private:
   static double ns(Clock::time_point from, Clock::time_point to) {
@@ -164,11 +178,12 @@ class TimedWalk {
 };
 
 /// Where a DFS transition goes, on the acceptance workload (three
-/// 4-thread warps, no POR): copy_ns, step_ns and intern_ns per
-/// transition, classify_ns per state.  cacbench's sem.clone_hash_ns and
-/// sched.intern_ns are proxies (a freshly built machine, no parent);
-/// this is what the DFS pays.  The walk's state and transition counts
-/// are checked against sched::explore.
+/// 4-thread warps, no POR): hit_ns per transition the successor cache
+/// answered, miss_ns per transition stepped, the hit ratio, and
+/// classify_ns per state.  cacbench's sem.step_ns, sem.clone_hash_ns and
+/// sched.intern_ns time a step, a clone+hash and an intern outside the
+/// DFS; this is what the DFS pays.  The walk's state, transition and hit
+/// counts are checked against sched::explore.
 void BM_DfsTransitionSplit(benchmark::State& state) {
   const ptx::Program prg = programs::vector_add_listing2();
   const sem::KernelConfig kc{{1, 1, 1}, {12, 1, 1}, 4};
@@ -176,8 +191,8 @@ void BM_DfsTransitionSplit(benchmark::State& state) {
   const sched::ExploreOptions opts;
   const sched::ExploreResult ref = sched::explore(prg, kc, init, opts);
 
-  double copy = 0, step = 0, intern = 0, classify = 0;
-  std::uint64_t transitions = 0, states = 0;
+  double hit = 0, miss = 0, classify = 0;
+  std::uint64_t hits = 0, misses = 0, states = 0;
   for (auto _ : state) {
     TimedWalk walk(prg, kc, opts);
     sched::internal::VerdictDfs<TimedWalk> dfs(walk, opts);
@@ -186,14 +201,15 @@ void BM_DfsTransitionSplit(benchmark::State& state) {
     dfs.finish();
     if (!dfs.result.exhaustive ||
         dfs.result.states_visited != ref.states_visited ||
-        dfs.result.transitions != ref.transitions) {
+        dfs.result.transitions != ref.transitions ||
+        walk.hits != ref.store_stats.successor_hits) {
       throw KernelError("the timed walk diverged from sched::explore");
     }
-    copy += walk.copy_ns;
-    step += walk.step_ns;
-    intern += walk.intern_ns;
+    hit += walk.hit_ns;
+    miss += walk.miss_ns;
     classify += walk.classify_ns;
-    transitions += dfs.result.transitions;
+    hits += walk.hits;
+    misses += walk.misses;
     states += dfs.result.states_visited;
   }
   const auto per = [](double ns, std::uint64_t n) {
@@ -201,9 +217,12 @@ void BM_DfsTransitionSplit(benchmark::State& state) {
   };
   state.counters["states"] = static_cast<double>(ref.states_visited);
   state.counters["transitions"] = static_cast<double>(ref.transitions);
-  state.counters["copy_ns"] = per(copy, transitions);
-  state.counters["step_ns"] = per(step, transitions);
-  state.counters["intern_ns"] = per(intern, transitions);
+  state.counters["hit_ns"] = per(hit, hits);
+  state.counters["miss_ns"] = per(miss, misses);
+  state.counters["hit_ratio"] =
+      hits + misses == 0 ? 0.0
+                         : static_cast<double>(hits) /
+                               static_cast<double>(hits + misses);
   state.counters["classify_ns"] = per(classify, states);
 }
 BENCHMARK(BM_DfsTransitionSplit)->Unit(benchmark::kMillisecond)->UseRealTime();
@@ -230,8 +249,9 @@ void BM_MemoryCloneHash(benchmark::State& state) {
 }
 BENCHMARK(BM_MemoryCloneHash);
 
-/// Full machine clone + memoized hash — exactly what the explorer does
-/// per transition (the semantics step is benched in bench_fig1).
+/// Full machine clone + hash: what a visited set keyed by Machine::hash
+/// pays per transition (the explorer keys states by fragment-id tuples;
+/// the semantics step is benched in bench_fig1).
 void BM_MachineCloneHash(benchmark::State& state) {
   const ptx::Program prg = programs::vector_add_listing2();
   const sem::KernelConfig kc{{1, 1, 1}, {12, 1, 1}, 4};

@@ -60,12 +60,14 @@ std::string render_exploration(const Result& r) {
     std::snprintf(
         buf, sizeof buf,
         "store: %llu KiB resident, %llu KiB spilled, %llu evictions, "
-        "%llu delta frags, %llu remats\n",
+        "%llu delta frags, %llu remats, %llu successor hits, %llu misses\n",
         static_cast<unsigned long long>(ss.resident_bytes >> 10),
         static_cast<unsigned long long>(ss.spilled_bytes >> 10),
         static_cast<unsigned long long>(ss.hot_evictions),
         static_cast<unsigned long long>(ss.delta_fragments),
-        static_cast<unsigned long long>(ss.rematerializations));
+        static_cast<unsigned long long>(ss.rematerializations),
+        static_cast<unsigned long long>(ss.successor_hits),
+        static_cast<unsigned long long>(ss.successor_misses));
     out += buf;
   }
   // Absorbed degradations (docs/robustness.md): reported here in the

@@ -15,7 +15,7 @@
 //    queue, each under server-enforced ExploreOptions budgets,
 //  * long explorations stream progress events to the client, and
 //  * jobs are crash-safe: the request is journaled and the exploration
-//    checkpoints (format v7) under the state directory, so a server
+//    checkpoints (format v8) under the state directory, so a server
 //    killed mid-job resumes the work at next start and produces a
 //    byte-identical verdict (tools/serve_crash_drill.py drills this
 //    with SIGKILL).

@@ -74,16 +74,19 @@ Memory::Memory(const MemSizes& sizes)
   }
 }
 
+Memory::Memory(BankRef global, BankRef constant, std::vector<BankRef> shared,
+               BankRef param, std::uint64_t shared_per_block)
+    : global_(std::move(global)),
+      constant_(std::move(constant)),
+      shared_(std::move(shared)),
+      param_(std::move(param)),
+      shared_per_block_(shared_per_block) {}
+
 Memory Memory::from_banks(BankRef global, BankRef constant,
                           std::vector<BankRef> shared, BankRef param,
                           std::uint64_t shared_per_block) {
-  Memory m;
-  m.global_ = std::move(global);
-  m.constant_ = std::move(constant);
-  m.shared_ = std::move(shared);
-  m.param_ = std::move(param);
-  m.shared_per_block_ = shared_per_block;
-  return m;
+  return Memory(std::move(global), std::move(constant), std::move(shared),
+                std::move(param), shared_per_block);
 }
 
 const Memory::Bank& Memory::ro(Space ss) const {

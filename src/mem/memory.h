@@ -202,6 +202,9 @@ class Memory {
                                  std::uint32_t len) const;
 
  private:
+  Memory(BankRef global, BankRef constant, std::vector<BankRef> shared,
+         BankRef param, std::uint64_t shared_per_block);
+
   [[nodiscard]] const Bank& ro(Space ss) const;          // non-Shared
   [[nodiscard]] const Bank& shared_ro(std::uint64_t addr,
                                       std::uint64_t& off) const;

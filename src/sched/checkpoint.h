@@ -61,6 +61,8 @@ std::string to_string(CheckpointError::Kind k);
 /// One snapshot of an in-flight exploration.  explore() writes and
 /// resumes these; save()/load() move them to and from disk.
 struct Checkpoint {
+  // v8: the state table holds bare fragment-id tuples; decode rehashes
+  // them (the table is keyed by the tuple hash, not Machine::hash).
   // v7: the store section holds one warp pool, one bank pool and one
   // state table (no shards), with no per-state stride word and only the
   // materialized-bytes counter.  v6: one payload, the DFS's; the engine
@@ -68,7 +70,7 @@ struct Checkpoint {
   // nodes used a separate graph-node codec.  v4: warp fragments are the
   // dense per-warp encoding (sem/warp.h).  Older files are rejected
   // with VersionMismatch rather than misdecoded.
-  static constexpr std::uint32_t kFormatVersion = 7;
+  static constexpr std::uint32_t kFormatVersion = 8;
 
   /// fnv1a over the canonical program text / config fields; resume
   /// refuses a checkpoint whose fingerprints do not match the run's.

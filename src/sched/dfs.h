@@ -10,8 +10,9 @@
 // accumulates the finals, the violations with their replayable traces,
 // the min/max schedule lengths and the state/transition counts.  How a
 // transition's child is obtained is the Walk parameter: the serial
-// engine (explore.cc) steps its frame's machine and interns the child
-// on the fly, and the bench's walk does the same under timers.
+// engine (explore.cc) takes it from the store's successor cache or
+// else steps its frame's machine and interns the child on the fly, and
+// the bench's walk does the same under timers.
 //
 // A Walk provides
 //
@@ -28,6 +29,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -67,6 +69,13 @@ NodeKind classify(const ptx::Program& prg, const ExploreOptions& opts,
                   const sem::Grid& g, std::uint64_t depth,
                   std::vector<sem::Choice>& eligible,
                   std::string& stuck_reason);
+
+/// What choice `c` in grid `g` reads, as the successor cache's key: the
+/// warp an ExecWarp steps and the space of its ld/st/atom.  nullopt for
+/// lift-bar, which steps a whole block and is never cached.
+std::optional<StateStore::Step> cached_step(const ptx::Program& prg,
+                                            const sem::Grid& g,
+                                            const sem::Choice& c);
 
 /// One transition out of the top frame (or the root, with no choice).
 template <typename Key>

@@ -79,6 +79,15 @@ NodeKind classify(const ptx::Program& prg, const ExploreOptions& opts,
   return depth >= opts.max_depth ? NodeKind::Unexpanded : NodeKind::Expanded;
 }
 
+std::optional<StateStore::Step> cached_step(const ptx::Program& prg,
+                                            const sem::Grid& g,
+                                            const sem::Choice& c) {
+  if (c.kind != sem::Choice::Kind::ExecWarp) return std::nullopt;
+  return StateStore::Step{
+      c.block, c.warp,
+      sem::step_space(prg, *g.blocks[c.block].warps[c.warp])};
+}
+
 }  // namespace internal
 
 namespace {
@@ -177,11 +186,15 @@ struct CheckpointTally {
   }
 };
 
-/// The serial engine's walk.  Frames own their machine; a transition
-/// steps a copy of it and interns the child on the fly, so only the
-/// states on the DFS stack are ever held as full machines.  Interning
-/// compares structurally, so a revisit is detected across paths and a
-/// hash collision cannot fake one.
+/// The serial engine's walk.  Frames own their machine.  A transition
+/// whose step the store has cached interns the child's id tuple
+/// directly, and only a new child is materialized; any other transition
+/// steps a copy of the frame's machine and interns the child on the
+/// fly, recording an ExecWarp step that did not fault.  So only the
+/// states on the DFS stack and the child being entered are ever held as
+/// full machines.  Interning compares id tuples of interned fragments,
+/// so a revisit is detected across paths and a hash collision cannot
+/// fake one.
 class SerialWalk {
  public:
   using Key = StateId;
@@ -208,6 +221,17 @@ class SerialWalk {
   bool next(Frame& top, Arrival<StateId>& a) {
     if (top.next >= top.eligible.size()) return false;
     a.choice = top.eligible[top.next++];
+    const std::optional<StateStore::Step> step =
+        internal::cached_step(prg_, top.state.grid, a.choice);
+    if (step) {
+      // A hit leaves child_ alone unless the child is new, and only a
+      // new child is ever classified or opened.
+      if (const auto hit = store_.intern_successor(top.key, *step,
+                                                   opts_.max_states, child_)) {
+        land(*hit, a);
+        return true;
+      }
+    }
     child_ = top.state;
     const sem::StepResult sr = sem::apply_choice(prg_, kc_, child_, a.choice,
                                                  opts_.step_opts, nullptr);
@@ -217,7 +241,11 @@ class SerialWalk {
       a.fault = &fault_;
       return true;
     }
-    intern(top.key, a);
+    // The parent seeds delta encoding: the child's warp fragments are
+    // stored as deltas against the parent's where that pays.
+    land(store_.intern(child_, opts_.max_states, top.key,
+                       step ? &*step : nullptr),
+         a);
     return true;
   }
 
@@ -233,15 +261,12 @@ class SerialWalk {
   Arrival<StateId> root(const sem::Machine& initial) {
     child_ = initial;
     Arrival<StateId> a;
-    intern(StateId{}, a);
+    land(store_.intern(child_, opts_.max_states), a);
     return a;
   }
 
  private:
-  /// The parent seeds delta encoding: the child's warp fragments are
-  /// stored as deltas against the parent's where that pays.
-  void intern(StateId parent, Arrival<StateId>& a) {
-    const auto r = store_.intern(child_, opts_.max_states, parent);
+  void land(const StateStore::InternResult& r, Arrival<StateId>& a) {
     if (!r.id.valid()) {
       a.kind = EdgeKind::Overflow;
       return;
@@ -254,7 +279,7 @@ class SerialWalk {
   const sem::KernelConfig& kc_;
   const ExploreOptions& opts_;
   StateStore& store_;
-  sem::Machine child_;  // the state the last transition reached
+  sem::Machine child_;  // the last child stepped or materialized
   std::vector<sem::Choice> eligible_;
   std::string fault_;
   std::vector<Color> colors_;

@@ -53,6 +53,31 @@ std::uint64_t state_record_bytes(std::uint32_t tuple_len) {
          sizeof(std::uint32_t);
 }
 
+/// Bytes of one successor-cache entry: its key, value and slot.
+constexpr std::uint64_t kSuccessorRecordBytes =
+    2 * sizeof(std::uint64_t) + sizeof(std::uint32_t);
+
+/// The state table's key: exact, because fragments are interned.
+std::uint64_t tuple_hash(const std::uint32_t* tuple, std::uint32_t len) {
+  return Hasher().mix_words(tuple, len * sizeof(std::uint32_t)).value();
+}
+
+/// The footprint a full copy of `m` would have (Stats::materialized_bytes).
+std::uint64_t machine_bytes(const sem::Machine& m) {
+  std::uint64_t n = sizeof(sem::Machine);
+  for (const sem::Block& b : m.grid.blocks) {
+    for (const sem::WarpRef& w : b.warps) n += w->deep_bytes();
+  }
+  for (const mem::Memory::BankRef& b : m.memory.shared_bank_refs()) {
+    n += b->deep_bytes();
+  }
+  for (const mem::Space ss :
+       {mem::Space::Global, mem::Space::Const, mem::Space::Param}) {
+    n += m.memory.bank_ref(ss)->deep_bytes();
+  }
+  return n;
+}
+
 }  // namespace
 
 // --- spill segment ----------------------------------------------------
@@ -196,6 +221,16 @@ void StateStore::configure(const StoreOptions& opts) {
 
 // --- shape ------------------------------------------------------------
 
+void StateStore::Shape::index() {
+  std::uint32_t warps = 0;
+  first_warp.clear();
+  for (const std::uint32_t n : warps_per_block) {
+    first_warp.push_back(warps);
+    warps += n;
+  }
+  tuple_len = warps + shared_banks + 3;
+}
+
 void StateStore::ensure_shape(const sem::Machine& m) {
   if (shape_.tuple_len != 0) {
     const std::vector<sem::Block>& blocks = m.grid.blocks;
@@ -208,17 +243,40 @@ void StateStore::ensure_shape(const sem::Machine& m) {
     if (!same) throw KernelError("machine shape does not match state store");
     return;
   }
-  std::uint32_t warps = 0;
   shape_.warps_per_block.reserve(m.grid.blocks.size());
   for (const sem::Block& b : m.grid.blocks) {
-    const auto n = static_cast<std::uint32_t>(b.warps.size());
-    shape_.warps_per_block.push_back(n);
-    warps += n;
+    shape_.warps_per_block.push_back(
+        static_cast<std::uint32_t>(b.warps.size()));
   }
   shape_.shared_banks =
       static_cast<std::uint32_t>(m.memory.shared_bank_refs().size());
   shape_.shared_per_block = m.memory.shared_size();
-  shape_.tuple_len = warps + shape_.shared_banks + 3;
+  shape_.index();
+}
+
+std::optional<StateStore::Positions> StateStore::positions(
+    const Step& s) const {
+  if (s.block >= shape_.warps_per_block.size() ||
+      s.warp >= shape_.warps_per_block[s.block]) {
+    return std::nullopt;
+  }
+  Positions at;
+  at.warp = shape_.first_warp[s.block] + s.warp;
+  if (!s.space) return at;
+  // Banks follow the warps: one Shared bank per block, then Global,
+  // Const and Param.
+  const std::uint32_t shared = shape_.tuple_len - shape_.shared_banks - 3;
+  const std::uint32_t global = shared + shape_.shared_banks;
+  switch (*s.space) {
+    case mem::Space::Shared:
+      if (s.block >= shape_.shared_banks) return std::nullopt;
+      at.bank = shared + s.block;
+      break;
+    case mem::Space::Global: at.bank = global; break;
+    case mem::Space::Const: at.bank = global + 1; break;
+    case mem::Space::Param: at.bank = global + 2; break;
+  }
+  return at;
 }
 
 // --- warp fragment pool -----------------------------------------------
@@ -499,7 +557,12 @@ void StateStore::maybe_evict() {
   // fragments) and retrying would only spin.
   for (int pass = 0; pass < 4; ++pass) {
     if (stats_.resident_bytes <= target) return;
-    if (evict_pass(target) == 0) return;
+    if (evict_pass(target) == 0) {
+      // Nothing left to demote.  The successor cache only saves time,
+      // so it goes before the budget is overrun.
+      drop_successors();
+      return;
+    }
   }
 }
 
@@ -521,19 +584,18 @@ void StateStore::degrade_spill(const char* why) {
 
 // --- visited-state table ----------------------------------------------
 
-StateStore::InternResult StateStore::register_tuple(std::uint64_t h,
-                                                    std::uint64_t max_states,
-                                                    std::uint64_t full_bytes) {
+StateStore::InternResult StateStore::register_tuple(
+    std::uint64_t max_states) {
   const std::uint32_t stride = shape_.tuple_len;
   if (tuple_.size() != stride) {
     throw KernelError("state tuple length does not match store shape");
   }
+  const std::uint64_t h = tuple_hash(tuple_.data(), stride);
   const std::uint32_t found =
       slots_.find(h & hash_mask_, [&](std::uint32_t id) {
         // Tuple equality is the decider: fragments are interned, so
         // equal tuples <=> structurally equal machines.  The hash
-        // compare is only a fast path (equal machines always hash
-        // equal).
+        // compare is only a fast path.
         return hashes_[id] == h &&
                std::memcmp(tuples_.data() + std::size_t{id} * stride,
                            tuple_.data(), stride * sizeof(std::uint32_t)) == 0;
@@ -548,7 +610,6 @@ StateStore::InternResult StateStore::register_tuple(std::uint64_t h,
   slots_.add(id, [&](std::uint32_t i) { return hashes_[i] & hash_mask_; });
   ++stats_.states;
   stats_.resident_bytes += state_record_bytes(stride);
-  stats_.materialized_bytes += full_bytes;
   return {StateId{id}, true};
 }
 
@@ -560,11 +621,51 @@ const std::uint32_t* StateStore::tuple_at(StateId id, const char* who) const {
   return tuples_.data() + std::size_t{id.v} * shape_.tuple_len;
 }
 
+// --- successor cache --------------------------------------------------
+
+std::uint64_t StateStore::pack(const std::uint32_t* tuple, Positions at) {
+  const std::uint32_t bank = at.bank == kNoBase ? kNoBase : tuple[at.bank];
+  return tuple[at.warp] | std::uint64_t{bank} << 32;
+}
+
+std::uint32_t StateStore::find_successor(std::uint64_t key) const {
+  return succ_index_.find(
+      key, [&](std::uint32_t e) { return succ_keys_[e] == key; });
+}
+
+void StateStore::record_successor(const std::uint32_t* parent_tuple,
+                                  const Step& s) {
+  const std::optional<Positions> at = positions(s);
+  if (!at) return;
+  // The cache is sound only because a warp step writes nothing but its
+  // key's fragments; a step that did is a semantics bug, not a miss.
+  for (std::uint32_t j = 0; j < shape_.tuple_len; ++j) {
+    if (j != at->warp && j != at->bank && tuple_[j] != parent_tuple[j]) {
+      throw KernelError("a warp step changed a fragment it does not read");
+    }
+  }
+  const std::uint64_t key = pack(parent_tuple, *at);
+  if (find_successor(key) != 0) return;
+  const auto e = static_cast<std::uint32_t>(succ_keys_.size());
+  succ_keys_.push_back(key);
+  succ_vals_.push_back(pack(tuple_.data(), *at));
+  succ_index_.add(e, [&](std::uint32_t i) { return succ_keys_[i]; });
+  stats_.resident_bytes += kSuccessorRecordBytes;
+}
+
+void StateStore::drop_successors() {
+  stats_.resident_bytes -= succ_keys_.size() * kSuccessorRecordBytes;
+  succ_keys_ = {};
+  succ_vals_ = {};
+  succ_index_ = {};
+}
+
 // --- public API -------------------------------------------------------
 
 StateStore::InternResult StateStore::intern(sem::Machine& m,
                                             std::uint64_t max_states,
-                                            StateId parent) {
+                                            StateId parent,
+                                            const Step* step) {
   ensure_shape(m);
 
   // The parent's tuple supplies, position by position, the fragment a
@@ -600,18 +701,49 @@ StateStore::InternResult StateStore::intern(sem::Machine& m,
   add_bank(m.memory.bank_ref(mem::Space::Const));
   add_bank(m.memory.bank_ref(mem::Space::Param));
 
-  const InternResult res = register_tuple(m.hash(), max_states, full_bytes);
+  // Recorded before register_tuple, which may move the parent's tuple.
+  if (step != nullptr && parent_tuple != nullptr) {
+    record_successor(parent_tuple, *step);
+  }
+  const InternResult res = register_tuple(max_states);
+  if (res.inserted) stats_.materialized_bytes += full_bytes;
   maybe_evict();
+  return res;
+}
+
+std::optional<StateStore::InternResult> StateStore::intern_successor(
+    StateId parent, const Step& step, std::uint64_t max_states,
+    sem::Machine& child) {
+  const std::uint32_t* from = tuple_at(parent, "intern_successor");
+  const std::optional<Positions> at = positions(step);
+  const std::uint32_t e = at ? find_successor(pack(from, *at)) : 0;
+  if (e == 0) {
+    ++stats_.successor_misses;
+    return std::nullopt;
+  }
+  ++stats_.successor_hits;
+  const std::uint64_t to = succ_vals_[e - 1];
+  tuple_.assign(from, from + shape_.tuple_len);
+  tuple_[at->warp] = static_cast<std::uint32_t>(to);
+  if (at->bank != kNoBase) {
+    tuple_[at->bank] = static_cast<std::uint32_t>(to >> 32);
+  }
+  const InternResult res = register_tuple(max_states);
+  if (res.inserted) {
+    child = materialize(res.id);
+    stats_.materialized_bytes += machine_bytes(child);
+    maybe_evict();
+  }
   return res;
 }
 
 sem::Machine StateStore::materialize(StateId id) const {
   const std::uint32_t* tuple = tuple_at(id, "materialize");
-  sem::Machine m;
+  sem::Grid grid;
   std::size_t k = 0;
-  m.grid.blocks.resize(shape_.warps_per_block.size());
+  grid.blocks.resize(shape_.warps_per_block.size());
   for (std::size_t b = 0; b < shape_.warps_per_block.size(); ++b) {
-    std::vector<sem::WarpRef>& warps = m.grid.blocks[b].warps;
+    std::vector<sem::WarpRef>& warps = grid.blocks[b].warps;
     warps.reserve(shape_.warps_per_block[b]);
     for (std::uint32_t i = 0; i < shape_.warps_per_block[b]; ++i) {
       warps.push_back(warp_ref(tuple[k++]));
@@ -625,19 +757,18 @@ sem::Machine StateStore::materialize(StateId id) const {
   mem::Memory::BankRef global = bank_ref(tuple[k++]);
   mem::Memory::BankRef constant = bank_ref(tuple[k++]);
   mem::Memory::BankRef param = bank_ref(tuple[k]);
-  m.memory =
+  return sem::Machine(
+      std::move(grid),
       mem::Memory::from_banks(std::move(global), std::move(constant),
                               std::move(shared), std::move(param),
-                              shape_.shared_per_block);
-  return m;
+                              shape_.shared_per_block));
 }
 
 std::uint64_t StateStore::machine_hash(StateId id) const {
-  (void)tuple_at(id, "machine_hash");
-  return hashes_[id.v];
+  return materialize(id).hash();
 }
 
-// --- checkpoint codec (format v7) -------------------------------------
+// --- checkpoint codec (format v8) -------------------------------------
 
 void StateStore::encode(support::BinWriter& w) const {
   w.u64(hash_mask_);
@@ -673,10 +804,7 @@ void StateStore::encode(support::BinWriter& w) const {
     w.str(bank_canonical_bytes(rec));
   }
   w.u64(hashes_.size());
-  for (std::size_t id = 0; id < hashes_.size(); ++id) {
-    w.u64(hashes_[id]);
-    w.words(tuples_.data() + id * shape_.tuple_len, shape_.tuple_len);
-  }
+  w.words(tuples_.data(), tuples_.size());
   w.u64(stats_.materialized_bytes);
 }
 
@@ -703,6 +831,7 @@ void StateStore::decode(support::BinReader& r) {
     if (shape_.tuple_len != n_warp_slots + shape_.shared_banks + 3) {
       throw support::BinError("state store shape inconsistent");
     }
+    shape_.index();
   }
   // Fragments and states are appended in the serialized (= original
   // insertion) order, so every id comes out exactly as it was.  Every
@@ -769,17 +898,16 @@ void StateStore::decode(support::BinReader& r) {
   stats_.bank_fragments = banks_.recs.size();
 
   const std::uint32_t stride = shape_.tuple_len;
-  const std::uint64_t n_states =
-      r.count(sizeof(std::uint64_t) + stride * sizeof(std::uint32_t));
+  const std::uint64_t n_states = r.count(stride * sizeof(std::uint32_t));
   if (n_states != 0 && stride == 0) {
     throw support::BinError("state store holds states but no shape");
   }
   hashes_.resize(n_states);
   tuples_.resize(n_states * stride);
+  r.words(tuples_.data(), tuples_.size());
   for (std::uint64_t id = 0; id < n_states; ++id) {
-    hashes_[id] = r.u64();
-    std::uint32_t* tuple = tuples_.data() + id * stride;
-    r.words(tuple, stride);
+    const std::uint32_t* tuple = tuples_.data() + id * stride;
+    hashes_[id] = tuple_hash(tuple, stride);
     // Every tuple id must resolve inside its pool: the first
     // sum(warps_per_block) positions are warp fragments, the rest banks.
     // (The checksum already covers integrity; this keeps even a

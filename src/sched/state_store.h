@@ -31,6 +31,21 @@
 // by pointer — no hash probe, no value compare.  Banks take the same
 // parent pointer path.
 //
+// The state table is keyed by a hash of the fragment-id tuple, which is
+// exact because fragments are interned.  That lets the store skip the
+// machine altogether on a repeated step: an ExecWarp step (Fig. 3
+// execb) reads one warp and, for ld/st/atom, the one bank its space
+// selects, and writes only those (sem::step_space).  For the fixed
+// program, KernelConfig and StepOptions of one exploration its result
+// is a function of those fragments, so the *successor cache* maps the
+// ids the step read to the ids it wrote.  A transition whose key is
+// cached interns the parent's tuple with those ids put in
+// (intern_successor), with no step, no machine copy and no hash of a
+// warp; only a new child is materialized.  Lift-bar and faulting steps
+// are never recorded.  The cache is never checkpointed (a resumed run
+// starts with it empty), its bytes count in `resident_bytes`, and
+// eviction drops it when demoting fragments cannot meet the budget.
+//
 // Beyond 10^6 states even the deduplicated fragments outgrow RAM, so
 // each fragment lives in one of three tiers:
 //
@@ -64,6 +79,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -129,6 +145,16 @@ class StateStore {
     bool inserted = false;  // true iff `m` was not present before
   };
 
+  /// One ExecWarp step, named by what it reads: warp `warp` of block
+  /// `block` and, when `space` is set (the ld/st/atom space,
+  /// sem::step_space), the bank that space selects — for Shared, block
+  /// `block`'s own.  The successor cache's key is those fragments' ids.
+  struct Step {
+    std::uint32_t block = 0;
+    std::uint32_t warp = 0;
+    std::optional<mem::Space> space;
+  };
+
   /// Find the state structurally equal to `m`, or intern it.  Dedup is
   /// exact: hash-equal candidates are confirmed by fragment-id tuple
   /// equality, which (fragments being interned) is machine structural
@@ -148,8 +174,28 @@ class StateStore {
   /// machine fixes the store's shape — blocks, warps per block, shared
   /// banks and their size; a machine of another shape throws
   /// KernelError before any pool is touched.
+  ///
+  /// `step`, with `parent`, names the ExecWarp step that took the
+  /// parent state to `m`: the ids `m` holds at the step's positions are
+  /// recorded in the successor cache as what stepping the parent's
+  /// fragments there writes.  The caller vouches that the step did not
+  /// fault and ran under the program, KernelConfig and StepOptions of
+  /// every other recorded step.  A step that changed any other position
+  /// throws KernelError.
   InternResult intern(sem::Machine& m, std::uint64_t max_states = ~0ull,
-                      StateId parent = StateId{});
+                      StateId parent = StateId{},
+                      const Step* step = nullptr);
+
+  /// The successor cache's hit path.  When `step` has been recorded
+  /// from the fragments `parent` holds at its positions, intern
+  /// `parent`'s tuple with the recorded fragments put in — the result
+  /// intern() would give the stepped machine, with no machine and no
+  /// hash of one — and materialize a new child into `child`.  Otherwise
+  /// return nullopt, having changed nothing but the miss count.
+  std::optional<InternResult> intern_successor(StateId parent,
+                                               const Step& step,
+                                               std::uint64_t max_states,
+                                               sem::Machine& child);
 
   /// Rebuild a full machine from its handle — for replay, verdict
   /// construction, counterexample traces.  Warps and memory banks are
@@ -161,20 +207,21 @@ class StateStore {
   /// the machine that was interned.
   [[nodiscard]] sem::Machine materialize(StateId id) const;
 
-  /// The memoized structural hash the machine had when interned.
+  /// The interned machine's Machine::hash(), computed through
+  /// materialize() (the state table keys on the id tuple instead).
   [[nodiscard]] std::uint64_t machine_hash(StateId id) const;
 
   [[nodiscard]] std::uint64_t size() const { return stats_.states; }
 
   /// Byte/dedup accounting.  `resident_bytes` is what the store
   /// actually holds in RAM (hot objects + warm payloads + per-state
-  /// tuple records); `spilled_bytes` is what has been appended to the
-  /// on-disk spill segment (mmap-read, so the kernel may cache it, but
-  /// it is reclaimable and must not count against a resident-memory
-  /// budget); `materialized_bytes` is what the same visited set would
-  /// cost as full per-state sem::Machine copies (the pre-StateStore
-  /// explorer representation).  Heap overheads are estimated, not
-  /// measured.
+  /// tuple records + successor-cache entries); `spilled_bytes` is what
+  /// has been appended to the on-disk spill segment (mmap-read, so the
+  /// kernel may cache it, but it is reclaimable and must not count
+  /// against a resident-memory budget); `materialized_bytes` is what
+  /// the same visited set would cost as full per-state sem::Machine
+  /// copies (the pre-StateStore explorer representation).  Heap
+  /// overheads are estimated, not measured.
   struct Stats {
     std::uint64_t states = 0;
     std::uint64_t warp_fragments = 0;
@@ -191,6 +238,10 @@ class StateStore {
     /// resident-only from that point — a capacity warning, never a
     /// verdict change.
     std::uint64_t degraded_spill = 0;
+    /// intern_successor calls that found their step cached, and those
+    /// that did not (the caller then steps and interns the machine).
+    std::uint64_t successor_hits = 0;
+    std::uint64_t successor_misses = 0;
 
     [[nodiscard]] double dedup_ratio() const {
       return resident_bytes == 0
@@ -213,12 +264,14 @@ class StateStore {
   /// budget-triggered eviction inside intern() instead.
   void evict_all();
 
-  /// Checkpoint codec (sched/checkpoint.h, format v7).  encode
+  /// Checkpoint codec (sched/checkpoint.h, format v8).  encode
   /// preserves the insertion order of both fragment pools and of the
   /// state table, so decode reproduces the exact same fragment and
   /// state ids — the property that lets a resumed exploration keep
-  /// using StateIds from before the crash.  Fragment payloads are
-  /// written in their stored form (delta chains round-trip; cold
+  /// using StateIds from before the crash.  States are written as bare
+  /// id tuples (decode rehashes them), and the successor cache is not
+  /// written: a decoded store starts with it empty.  Fragment payloads
+  /// are written in their stored form (delta chains round-trip; cold
   /// payloads are read back from the spill segment), so a checkpoint
   /// taken mid-spill is byte-for-byte restorable.  decode requires
   /// `*this` to be empty and a matching hash mask, lands every payload
@@ -332,11 +385,25 @@ class StateStore {
     std::uint32_t shared_banks = 0;
     std::uint64_t shared_per_block = 0;
     std::uint32_t tuple_len = 0;
+    /// Tuple position of each block's warp 0 (derived).
+    std::vector<std::uint32_t> first_warp;
+
+    /// Derive first_warp and tuple_len from the fields above.
+    void index();
   };
 
   /// Fix the shape from the first machine; throw KernelError when a
   /// later one differs from it.
   void ensure_shape(const sem::Machine& m);
+
+  /// The tuple positions a step reads and writes: its warp's, and its
+  /// bank's (kNoBase when it touches no memory).  nullopt when the step
+  /// lies outside the store's shape, which leaves it uncached.
+  struct Positions {
+    std::uint32_t warp = 0;
+    std::uint32_t bank = kNoBase;
+  };
+  [[nodiscard]] std::optional<Positions> positions(const Step& s) const;
 
   // --- fragment pools -------------------------------------------------
   /// Intern the warp in `w`, and point `w` at the pool's object when
@@ -380,20 +447,32 @@ class StateStore {
     return spill_.ready() && !spill_failed_;
   }
   void degrade_spill(const char* why);
-  /// Budget check + clock sweeps; called after every insert.
+  /// Budget check + clock sweeps; called after every insert.  When a
+  /// sweep demotes nothing and the store is still over budget, the
+  /// successor cache goes too.
   void maybe_evict();
   /// One bounded sweep over both fragment pools; returns demotions.
   std::uint64_t evict_pass(std::uint64_t stop_below);
 
   // --- visited-state table --------------------------------------------
-  /// intern()'s tail: look `tuple_` up in the state table, register
-  /// it if new and under cap, book the stats.
-  InternResult register_tuple(std::uint64_t h, std::uint64_t max_states,
-                              std::uint64_t full_bytes);
+  /// Look `tuple_` up in the state table and register it if new and
+  /// under cap.  The caller books the new state's materialized bytes.
+  InternResult register_tuple(std::uint64_t max_states);
   /// State `id`'s fragment-id tuple, read in place from the arena.
   /// Throws KernelError naming `who` if `id` is invalid or unknown.
   [[nodiscard]] const std::uint32_t* tuple_at(StateId id,
                                               const char* who) const;
+
+  // --- successor cache ------------------------------------------------
+  /// The ids `tuple` holds at `at`: warp in the low, bank (or kNoBase)
+  /// in the high 32 bits.  Keys and values share this packing.
+  static std::uint64_t pack(const std::uint32_t* tuple, Positions at);
+  /// The entry recorded under `key`, + 1; 0 when there is none.
+  [[nodiscard]] std::uint32_t find_successor(std::uint64_t key) const;
+  /// intern()'s recording half: `tuple_` is the stepped child of
+  /// `parent_tuple`.
+  void record_successor(const std::uint32_t* parent_tuple, const Step& s);
+  void drop_successors();
 
   const std::uint64_t hash_mask_ = ~0ull;
   Shape shape_;
@@ -404,8 +483,8 @@ class StateStore {
   mutable Pool<BankRec> banks_;
 
   // The visited-state table: flat arenas indexed by state id (unmasked
-  // hash, fragment-id tuple) and the slot index over them — about 30
-  // bytes of bookkeeping per state.
+  // hash of the tuple, fragment-id tuple) and the slot index over them
+  // — about 30 bytes of bookkeeping per state.
   std::vector<std::uint64_t> hashes_;
   std::vector<std::uint32_t> tuples_;  // stride = shape_.tuple_len
   Slots slots_;
@@ -413,6 +492,13 @@ class StateStore {
   /// `tuples_`, so the parent's tuple is read in place until
   /// register_tuple copies this one in.
   std::vector<std::uint32_t> tuple_;
+
+  // The successor cache: entry i maps succ_keys_[i] (the ids a step
+  // read) to succ_vals_[i] (the ids it wrote), both pack()ed, indexed
+  // by key.
+  std::vector<std::uint64_t> succ_keys_;
+  std::vector<std::uint64_t> succ_vals_;
+  Slots succ_index_;
 
   SpillFile spill_;
   std::uint64_t resident_budget_ = 0;

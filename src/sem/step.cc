@@ -714,6 +714,14 @@ StepResult step_warp(const ptx::Program& prg, const KernelConfig& kc,
   return LeafExec(prg, kc, block, w, mu, opts, events).run(instr);
 }
 
+std::optional<Space> step_space(const ptx::Program& prg, const Warp& w) {
+  const Instr& instr = prg.fetch(w.pc());
+  if (const auto* i = std::get_if<ptx::ILd>(&instr)) return i->space;
+  if (const auto* i = std::get_if<ptx::ISt>(&instr)) return i->space;
+  if (const auto* i = std::get_if<ptx::IAtom>(&instr)) return i->space;
+  return std::nullopt;
+}
+
 std::vector<Choice> eligible_choices(const ptx::Program& prg, const Grid& g) {
   std::vector<Choice> out;
   for (std::uint32_t b = 0; b < g.blocks.size(); ++b) {

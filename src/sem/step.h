@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -92,6 +93,15 @@ StepResult step_warp(const ptx::Program& prg, const KernelConfig& kc,
                      std::uint32_t block, Warp& w, mem::Memory& mu,
                      const StepOptions& opts = {},
                      StepEvents* events = nullptr);
+
+/// The state space of the one memory bank step_warp reads or writes
+/// besides the warp: that of the ld/st/atom at w.pc() (for Shared, the
+/// stepped block's own bank); nullopt for every other instruction,
+/// which reads and writes the warp alone.  For a fixed program,
+/// KernelConfig and StepOptions, the step's result is a function of the
+/// warp and that bank (the state store's successor cache keys on both,
+/// sched/state_store.h).
+std::optional<ptx::Space> step_space(const ptx::Program& prg, const Warp& w);
 
 /// A scheduler choice: one applicable derivation-rule instance of
 /// Fig. 3.  The set of choices in a state is the source of scheduler

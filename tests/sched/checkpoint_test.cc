@@ -26,6 +26,7 @@
 #include "common/finals.h"
 #include "programs/corpus.h"
 #include "ptx/lower.h"
+#include "sched/dfs.h"
 #include "sched/explore.h"
 #include "sem/launch.h"
 #include "support/binio.h"
@@ -354,6 +355,52 @@ TEST(CheckpointResume, MidSpillCheckpointResumesByteIdentical) {
   check(VectorSum(), true);
 }
 
+TEST(CheckpointResume, SuccessorCacheStartsEmptyAfterResume) {
+  // The successor cache is never checkpointed.  A run cut halfway has
+  // cached the steps out of its stacked states; the restored store has
+  // none of them, and the resumed run re-steps what it meets and still
+  // reaches the uninterrupted verdict.
+  const VectorSum w;
+  ExploreOptions base;
+  base.stop_at_first_violation = false;
+  const ExploreResult full = explore(w.prg, w.kc, w.init, base);
+  ASSERT_TRUE(full.exhaustive);
+
+  const std::string path = temp_path("successor_cache");
+  ExploreOptions cut = base;
+  cut.stop_after_states = full.states_visited / 2;
+  cut.checkpoint_path = path;
+  const ExploreResult stopped = explore(w.prg, w.kc, w.init, cut);
+  ASSERT_EQ(stopped.limit_hit, ExploreResult::Limit::Interrupted);
+  ASSERT_TRUE(stopped.checkpointed);
+  ASSERT_GT(stopped.store_stats.successor_hits, 0u);
+
+  {
+    // The last step the stopped run took out of a stacked state was
+    // recorded (the vector sum never lifts a barrier or faults); the
+    // restored store misses it.
+    const Checkpoint ck = Checkpoint::load(path);
+    ASSERT_GE(ck.stack.size(), 2u);
+    const Checkpoint::Frame& from = ck.stack[ck.stack.size() - 2];
+    ASSERT_GT(from.next, 0u);
+    sem::Machine m = ck.store->materialize(from.id);
+    const sem::Choice taken =
+        sem::eligible_choices(w.prg, m.grid)[from.next - 1];
+    const std::optional<StateStore::Step> step =
+        internal::cached_step(w.prg, m.grid, taken);
+    ASSERT_TRUE(step.has_value());
+    EXPECT_EQ(ck.store->stats().successor_hits, 0u);
+    EXPECT_FALSE(ck.store->intern_successor(from.id, *step, ~0ull, m));
+    EXPECT_EQ(ck.store->stats().successor_misses, 1u);
+  }
+
+  const Checkpoint ck = Checkpoint::load(path);
+  const ExploreResult resumed = explore(w.prg, w.kc, w.init, base, &ck);
+  expect_identical(full, resumed, "resume with an empty successor cache");
+  EXPECT_GT(resumed.store_stats.successor_misses, 0u);
+  std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------
 // Budgets: graceful stop with the precise limit and a usable snapshot.
 
@@ -584,6 +631,24 @@ TEST_F(CorruptionTest, V6FilesRejectedWithVersionMismatch) {
   } catch (const CheckpointError& e) {
     EXPECT_EQ(e.kind(), CheckpointError::Kind::VersionMismatch);
     EXPECT_NE(std::string(e.what()).find("version 6"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(CorruptionTest, V7FilesRejectedWithVersionMismatch) {
+  // Format v8 writes each state as its bare id tuple, without the v7
+  // per-state hash, so a v7 file's state table would be misread from
+  // its first record; it must be refused, not misdecoded.
+  std::string bad = good_;
+  bad[8] = 7;  // header version field; the checksum covers payload only
+  spit(path_, bad);
+  try {
+    Checkpoint::load(path_);
+    FAIL() << "v7 file loaded by a v" << Checkpoint::kFormatVersion
+           << " reader";
+  } catch (const CheckpointError& e) {
+    EXPECT_EQ(e.kind(), CheckpointError::Kind::VersionMismatch);
+    EXPECT_NE(std::string(e.what()).find("version 7"), std::string::npos)
         << e.what();
   }
 }
