@@ -1,7 +1,7 @@
 // Schedule exploration on the paper's vector sum, with and without
 // partial-order reduction.  Reports states/sec, where a DFS transition's
-// time goes (a successor-cache hit, or a machine clone + semantics step
-// + intern), the state store's footprint, and the packed Memory
+// time goes (a successor-cache hit, or a materialization + semantics
+// step + intern), the state store's footprint, and the packed Memory
 // representation's clone+hash fast path.
 //
 // tools/bench_to_json.py runs this binary and snapshots the results
@@ -11,7 +11,6 @@
 
 #include <chrono>
 #include <cstring>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -81,85 +80,57 @@ BENCHMARK(BM_ExploreVectorSum)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-/// The serial DFS's walk (SerialWalk in sched/explore.cc) with a clock
-/// around each transition, split by how the store's successor cache
-/// answered it — a hit interns the parent's id tuple with the cached
-/// fragments put in (and materializes a new child), anything else
-/// copies the parent machine, steps it and interns the child — and
-/// around classify, once per state.
+/// The serial DFS's own walk (sched::internal::SerialWalk) with a clock
+/// around each transition and each classify.  A transition whose
+/// clock saw the store's successor_hits move was a hit: it interned the
+/// cached child's id tuple and built no machine.  Any other one
+/// materialized the parent, stepped it and interned the child.
 class TimedWalk {
  public:
   using Clock = std::chrono::steady_clock;
   using Key = sched::StateId;
-  struct Frame {
-    sched::StateId key;
-    sem::Machine state;
-    std::vector<sem::Choice> eligible;
-    std::size_t next = 0;
-  };
+  using Frame = sched::internal::SerialWalk::Frame;
 
   TimedWalk(const ptx::Program& prg, const sem::KernelConfig& kc,
             const sched::ExploreOptions& opts)
-      : prg_(prg), kc_(kc), opts_(opts) {}
+      : walk_(prg, kc, opts, store) {}
 
-  sched::Color& color(sched::StateId id) {
-    if (id.v >= colors_.size()) colors_.resize(id.v + 1, sched::Color::Done);
-    return colors_[id.v];
-  }
+  sched::Color& color(sched::StateId id) { return walk_.color(id); }
 
   bool next(Frame& top, sched::internal::Arrival<sched::StateId>& a) {
-    if (top.next >= top.eligible.size()) return false;
-    a.choice = top.eligible[top.next++];
+    const std::uint64_t hits_before = store.stats().successor_hits;
     const Clock::time_point t0 = Clock::now();
-    const std::optional<sched::StateStore::Step> step =
-        sched::internal::cached_step(prg_, top.state.grid, a.choice);
-    std::optional<sched::StateStore::InternResult> r;
-    if (step) {
-      r = store_.intern_successor(top.key, *step, opts_.max_states, child_);
+    const bool more = walk_.next(top, a);
+    const double dt = ns(t0, Clock::now());
+    if (!more) return false;
+    if (a.kind != sched::EdgeKind::Child) {
+      throw KernelError("the vector-sum lattice faulted or overflowed");
     }
-    if (r) {
-      hit_ns += ns(t0, Clock::now());
+    if (store.stats().successor_hits != hits_before) {
+      hit_ns += dt;
       ++hits;
     } else {
-      child_ = top.state;
-      if (!sem::apply_choice(prg_, kc_, child_, a.choice, opts_.step_opts,
-                             nullptr)
-               .ok()) {
-        throw KernelError("the vector-sum lattice faulted");
-      }
-      r = store_.intern(child_, opts_.max_states, top.key,
-                        step ? &*step : nullptr);
-      miss_ns += ns(t0, Clock::now());
+      miss_ns += dt;
       ++misses;
     }
-    if (!r->id.valid()) throw KernelError("the vector-sum lattice overflowed");
-    if (r->inserted) color(r->id) = sched::Color::White;
-    a.child = r->id;
     return true;
   }
 
-  sched::NodeKind classify(sched::StateId, std::uint64_t depth,
+  sched::NodeKind classify(sched::StateId id, std::uint64_t depth,
                            std::string& stuck) {
     const Clock::time_point t0 = Clock::now();
-    const sched::NodeKind kind = sched::internal::classify(
-        prg_, opts_, child_.grid, depth, eligible_, stuck);
+    const sched::NodeKind kind = walk_.classify(id, depth, stuck);
     classify_ns += ns(t0, Clock::now());
     return kind;
   }
 
-  Frame open(sched::StateId id) {
-    return Frame{id, std::move(child_), std::move(eligible_), 0};
-  }
+  Frame open(sched::StateId id) { return walk_.open(id); }
 
   sched::internal::Arrival<sched::StateId> root(const sem::Machine& initial) {
-    child_ = initial;
-    sched::internal::Arrival<sched::StateId> a;
-    const auto r = store_.intern(child_);
-    color(r.id) = sched::Color::White;
-    a.child = r.id;
-    return a;
+    return walk_.root(initial);
   }
 
+  sched::StateStore store;
   double hit_ns = 0, miss_ns = 0, classify_ns = 0;
   std::uint64_t hits = 0, misses = 0;
 
@@ -168,22 +139,17 @@ class TimedWalk {
     return std::chrono::duration<double, std::nano>(to - from).count();
   }
 
-  const ptx::Program& prg_;
-  const sem::KernelConfig& kc_;
-  const sched::ExploreOptions& opts_;
-  sched::StateStore store_;
-  sem::Machine child_;
-  std::vector<sem::Choice> eligible_;
-  std::vector<sched::Color> colors_;
+  sched::internal::SerialWalk walk_;
 };
 
 /// Where a DFS transition goes, on the acceptance workload (three
 /// 4-thread warps, no POR): hit_ns per transition the successor cache
-/// answered, miss_ns per transition stepped, the hit ratio, and
-/// classify_ns per state.  cacbench's sem.step_ns, sem.clone_hash_ns and
-/// sched.intern_ns time a step, a clone+hash and an intern outside the
-/// DFS; this is what the DFS pays.  The walk's state, transition and hit
-/// counts are checked against sched::explore.
+/// answered, miss_ns per transition stepped, the hit ratio, classify_ns
+/// per state, and machines materialized per state.  cacbench's
+/// sem.step_ns, sem.clone_hash_ns and sched.intern_ns time a step, a
+/// clone+hash and an intern outside the DFS; this is what the DFS pays.
+/// The walk's state, transition and hit counts are checked against
+/// sched::explore.
 void BM_DfsTransitionSplit(benchmark::State& state) {
   const ptx::Program prg = programs::vector_add_listing2();
   const sem::KernelConfig kc{{1, 1, 1}, {12, 1, 1}, 4};
@@ -192,7 +158,7 @@ void BM_DfsTransitionSplit(benchmark::State& state) {
   const sched::ExploreResult ref = sched::explore(prg, kc, init, opts);
 
   double hit = 0, miss = 0, classify = 0;
-  std::uint64_t hits = 0, misses = 0, states = 0;
+  std::uint64_t hits = 0, misses = 0, states = 0, materializations = 0;
   for (auto _ : state) {
     TimedWalk walk(prg, kc, opts);
     sched::internal::VerdictDfs<TimedWalk> dfs(walk, opts);
@@ -211,6 +177,7 @@ void BM_DfsTransitionSplit(benchmark::State& state) {
     hits += walk.hits;
     misses += walk.misses;
     states += dfs.result.states_visited;
+    materializations += walk.store.stats().materializations;
   }
   const auto per = [](double ns, std::uint64_t n) {
     return n == 0 ? 0.0 : ns / static_cast<double>(n);
@@ -224,6 +191,8 @@ void BM_DfsTransitionSplit(benchmark::State& state) {
                          : static_cast<double>(hits) /
                                static_cast<double>(hits + misses);
   state.counters["classify_ns"] = per(classify, states);
+  state.counters["materializations_per_state"] =
+      per(static_cast<double>(materializations), states);
 }
 BENCHMARK(BM_DfsTransitionSplit)->Unit(benchmark::kMillisecond)->UseRealTime();
 

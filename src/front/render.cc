@@ -56,18 +56,20 @@ std::string render_exploration(const Result& r) {
   }
   const sched::StateStore::Stats& ss = r.stats.store;
   if (ss.states != 0) {
-    char buf[256];
+    char buf[320];
     std::snprintf(
         buf, sizeof buf,
         "store: %llu KiB resident, %llu KiB spilled, %llu evictions, "
-        "%llu delta frags, %llu remats, %llu successor hits, %llu misses\n",
+        "%llu delta frags, %llu remats, %llu successor hits, %llu misses, "
+        "%llu materializations\n",
         static_cast<unsigned long long>(ss.resident_bytes >> 10),
         static_cast<unsigned long long>(ss.spilled_bytes >> 10),
         static_cast<unsigned long long>(ss.hot_evictions),
         static_cast<unsigned long long>(ss.delta_fragments),
         static_cast<unsigned long long>(ss.rematerializations),
         static_cast<unsigned long long>(ss.successor_hits),
-        static_cast<unsigned long long>(ss.successor_misses));
+        static_cast<unsigned long long>(ss.successor_misses),
+        static_cast<unsigned long long>(ss.materializations));
     out += buf;
   }
   // Absorbed degradations (docs/robustness.md): reported here in the

@@ -1,7 +1,8 @@
 // The verdict DFS: the one place where an exploration's verdict is
-// decided, and the one state classification it applies.  Internal to
+// decided, and the serial engine's walk that drives it.  Internal to
 // src/sched (BM_DfsTransitionSplit in bench/bench_parallel_explore.cpp
-// drives both with a timed walk).
+// wraps the walk in timers, and tests/sched/successor_cache_test.cc
+// drives the DFS with a walk that steps every transition).
 //
 // The paper's theorems quantify over every scheduler (Fig. 3).  Here
 // that quantifier is decided by a depth-first walk of the state graph:
@@ -9,10 +10,9 @@
 // classifies it (terminal, stuck, unexpanded, expandable), and the walk
 // accumulates the finals, the violations with their replayable traces,
 // the min/max schedule lengths and the state/transition counts.  How a
-// transition's child is obtained is the Walk parameter: the serial
-// engine (explore.cc) takes it from the store's successor cache or
-// else steps its frame's machine and interns the child on the fly, and
-// the bench's walk does the same under timers.
+// transition's child is obtained, and how a state is classified, is the
+// Walk parameter: the serial engine's SerialWalk (below) works on state
+// ids and builds a machine only where the kernel must run.
 //
 // A Walk provides
 //
@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "sched/explore.h"
+#include "sem/step.h"
 
 namespace cac::sched {
 
@@ -61,21 +62,16 @@ enum class Color : std::uint8_t { White, OnStack, Done };
 
 namespace cac::sched::internal {
 
-/// The one state classification: Terminal; Stuck (no eligible choice
-/// after POR; the reason goes to `stuck_reason`); Unexpanded when
-/// `depth` has reached opts.max_depth; else Expanded, with the choices
-/// to follow in `eligible`, in order.
+/// The one state classification, here of a machine's grid: Terminal
+/// when every warp is complete; Stuck when no choice is eligible after
+/// POR (the reason goes to `stuck_reason`); Unexpanded when `depth` has
+/// reached opts.max_depth; else Expanded, with the choices to follow in
+/// `eligible`, in order.  SerialWalk applies the same rule to the warp
+/// statuses it caches by fragment id.
 NodeKind classify(const ptx::Program& prg, const ExploreOptions& opts,
                   const sem::Grid& g, std::uint64_t depth,
                   std::vector<sem::Choice>& eligible,
                   std::string& stuck_reason);
-
-/// What choice `c` in grid `g` reads, as the successor cache's key: the
-/// warp an ExecWarp steps and the space of its ld/st/atom.  nullopt for
-/// lift-bar, which steps a whole block and is never cached.
-std::optional<StateStore::Step> cached_step(const ptx::Program& prg,
-                                            const sem::Grid& g,
-                                            const sem::Choice& c);
 
 /// One transition out of the top frame (or the root, with no choice).
 template <typename Key>
@@ -211,6 +207,70 @@ class VerdictDfs {
 
   Walk& walk_;
   const ExploreOptions& opts_;
+};
+
+/// The serial engine's walk, over state ids.  A frame holds a state's
+/// id and its eligible choices, and no machine.
+///
+/// A state is classified from its warps' sem::WarpStatus, which the
+/// walk computes once per warp fragment: a status is a function of the
+/// program and the warp's value, and fragments are interned (equal ids
+/// <=> equal warps), so a status cached by id is exact.  The statuses
+/// also give each ExecWarp choice its successor-cache key.  A cached
+/// step interns the child's id tuple directly.  Anything else — a cache
+/// miss, a lift-bar, a faulting step — materializes the parent, steps
+/// it with sem::apply_choice and interns the child, recording an
+/// ExecWarp step that did not fault; a stuck state is materialized for
+/// sem::stuck_reason.  Interning compares id tuples of interned
+/// fragments, so a revisit is detected across paths and a hash
+/// collision cannot fake one.
+class SerialWalk {
+ public:
+  using Key = StateId;
+  struct Frame {
+    StateId key;
+    std::vector<sem::Choice> eligible;
+    std::size_t next = 0;
+  };
+
+  SerialWalk(const ptx::Program& prg, const sem::KernelConfig& kc,
+             const ExploreOptions& opts, StateStore& store);
+
+  /// DFS colours by StateId.v.  A state the store held before this
+  /// transition was entered when it was interned, so it is Done unless
+  /// it is on the stack; that is also how a resumed run's colours come
+  /// back without being stored.
+  Color& color(StateId id) {
+    if (id.v >= colors_.size()) colors_.resize(id.v + 1, Color::Done);
+    return colors_[id.v];
+  }
+
+  bool next(Frame& top, Arrival<StateId>& a);
+  NodeKind classify(StateId id, std::uint64_t depth, std::string& stuck);
+  /// The frame of the state classify() last saw.
+  Frame open(StateId id);
+  Arrival<StateId> root(const sem::Machine& initial);
+
+ private:
+  /// Fragment `frag`'s status, computed the first time it is seen.
+  /// The reference lasts until the table next grows.
+  const sem::WarpStatus& status(std::uint32_t frag);
+  /// Tuple positions of each block's warp 0, once the store has a shape.
+  void index_shape();
+  void land(const StateStore::InternResult& r, Arrival<StateId>& a);
+
+  const ptx::Program& prg_;
+  const sem::KernelConfig& kc_;
+  const ExploreOptions& opts_;
+  StateStore& store_;
+  /// By warp fragment id.  They depend on the program, so they live
+  /// here and not in the store.
+  std::vector<std::optional<sem::WarpStatus>> statuses_;
+  std::vector<std::uint32_t> first_warp_;
+  std::uint32_t warp_slots_ = 0;  // warps per state
+  std::vector<sem::Choice> eligible_;  // of the last state classified
+  std::string fault_;
+  std::vector<Color> colors_;
 };
 
 }  // namespace cac::sched::internal

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <span>
 
 #include "sched/checkpoint.h"
 #include "sched/dfs.h"
@@ -34,15 +35,16 @@ bool register_local(const ptx::Instr& i) {
 /// failing that, one ExecWarp choice whose pc is in `independent_pcs`
 /// (ExploreOptions::por_independent_pcs, sorted — accesses proven
 /// disjoint from every same-space site by the static analyzer).
+/// `pc_of(c)` is the pc of the warp ExecWarp choice `c` steps.
 /// Deterministic in the state, so a resumed run re-derives the same
 /// reduced choices.
-void reduce_choices(const ptx::Program& prg, const sem::Grid& g,
+template <typename PcOf>
+void reduce_choices(const ptx::Program& prg,
                     const std::vector<std::uint32_t>& independent_pcs,
-                    std::vector<sem::Choice>& eligible) {
+                    PcOf&& pc_of, std::vector<sem::Choice>& eligible) {
   for (const sem::Choice& c : eligible) {
     if (c.kind != sem::Choice::Kind::ExecWarp) continue;
-    const sem::Warp& w = *g.blocks[c.block].warps[c.warp];
-    if (register_local(prg.fetch(w.pc()))) {
+    if (register_local(prg.fetch(pc_of(c)))) {
       const sem::Choice keep = c;
       eligible.assign(1, keep);
       return;
@@ -51,14 +53,47 @@ void reduce_choices(const ptx::Program& prg, const sem::Grid& g,
   if (independent_pcs.empty()) return;
   for (const sem::Choice& c : eligible) {
     if (c.kind != sem::Choice::Kind::ExecWarp) continue;
-    const sem::Warp& w = *g.blocks[c.block].warps[c.warp];
     if (std::binary_search(independent_pcs.begin(), independent_pcs.end(),
-                           w.pc())) {
+                           pc_of(c))) {
       const sem::Choice keep = c;
       eligible.assign(1, keep);
       return;
     }
   }
+}
+
+/// The one state classification (see the grid form in dfs.h), from a
+/// state's warp statuses: block b has `warps_per_block[b]` warps, and
+/// `status(b, w)` is warp w's.  A Stuck state's reason is left to the
+/// caller, which needs the machine for it.
+template <typename StatusOf>
+NodeKind classify_warps(const ptx::Program& prg, const ExploreOptions& opts,
+                        const std::vector<std::uint32_t>& warps_per_block,
+                        StatusOf&& status, std::uint64_t depth,
+                        std::vector<sem::Choice>& eligible) {
+  eligible.clear();
+  const auto blocks = static_cast<std::uint32_t>(warps_per_block.size());
+  bool terminal = true;
+  for (std::uint32_t b = 0; terminal && b < blocks; ++b) {
+    for (std::uint32_t w = 0; terminal && w < warps_per_block[b]; ++w) {
+      terminal = status(b, w).complete;
+    }
+  }
+  if (terminal) return NodeKind::Terminal;
+  for (std::uint32_t b = 0; b < blocks; ++b) {
+    sem::append_block_choices(
+        b, warps_per_block[b],
+        [&](std::uint32_t w) -> decltype(auto) { return status(b, w); },
+        eligible);
+  }
+  if (opts.partial_order_reduction) {
+    reduce_choices(
+        prg, opts.por_independent_pcs,
+        [&](const sem::Choice& c) { return status(c.block, c.warp).pc; },
+        eligible);
+  }
+  if (eligible.empty()) return NodeKind::Stuck;
+  return depth >= opts.max_depth ? NodeKind::Unexpanded : NodeKind::Expanded;
 }
 
 }  // namespace
@@ -67,32 +102,120 @@ NodeKind classify(const ptx::Program& prg, const ExploreOptions& opts,
                   const sem::Grid& g, std::uint64_t depth,
                   std::vector<sem::Choice>& eligible,
                   std::string& stuck_reason) {
-  if (sem::terminated(prg, g)) return NodeKind::Terminal;
-  eligible = sem::eligible_choices(prg, g);
-  if (opts.partial_order_reduction) {
-    reduce_choices(prg, g, opts.por_independent_pcs, eligible);
+  std::vector<std::uint32_t> warps_per_block;
+  for (const sem::Block& b : g.blocks) {
+    warps_per_block.push_back(static_cast<std::uint32_t>(b.warps.size()));
   }
-  if (eligible.empty()) {
-    stuck_reason = sem::stuck_reason(prg, g);
-    return NodeKind::Stuck;
-  }
-  return depth >= opts.max_depth ? NodeKind::Unexpanded : NodeKind::Expanded;
+  const NodeKind kind = classify_warps(
+      prg, opts, warps_per_block,
+      [&](std::uint32_t b, std::uint32_t w) {
+        return sem::warp_status(prg, *g.blocks[b].warps[w]);
+      },
+      depth, eligible);
+  if (kind == NodeKind::Stuck) stuck_reason = sem::stuck_reason(prg, g);
+  return kind;
 }
 
-std::optional<StateStore::Step> cached_step(const ptx::Program& prg,
-                                            const sem::Grid& g,
-                                            const sem::Choice& c) {
-  if (c.kind != sem::Choice::Kind::ExecWarp) return std::nullopt;
-  return StateStore::Step{
-      c.block, c.warp,
-      sem::step_space(prg, *g.blocks[c.block].warps[c.warp])};
+SerialWalk::SerialWalk(const ptx::Program& prg, const sem::KernelConfig& kc,
+                       const ExploreOptions& opts, StateStore& store)
+    : prg_(prg), kc_(kc), opts_(opts), store_(store) {
+  index_shape();  // a resumed store has its shape already
+}
+
+bool SerialWalk::next(Frame& top, Arrival<StateId>& a) {
+  if (top.next >= top.eligible.size()) return false;
+  a.choice = top.eligible[top.next++];
+  std::optional<StateStore::Step> step;
+  if (a.choice.kind == sem::Choice::Kind::ExecWarp) {
+    const std::uint32_t frag =
+        store_.tuple(top.key)[first_warp_[a.choice.block] + a.choice.warp];
+    step = StateStore::Step{a.choice.block, a.choice.warp,
+                            status(frag).space};
+    if (const auto hit =
+            store_.intern_successor(top.key, *step, opts_.max_states)) {
+      land(*hit, a);
+      return true;
+    }
+  }
+  sem::Machine child = store_.materialize(top.key);
+  const sem::StepResult sr = sem::apply_choice(prg_, kc_, child, a.choice,
+                                               opts_.step_opts, nullptr);
+  if (!sr.ok()) {
+    fault_ = sr.fault;
+    a.kind = EdgeKind::Fault;
+    a.fault = &fault_;
+    return true;
+  }
+  // The parent seeds delta encoding: the child's warp fragments are
+  // stored as deltas against the parent's where that pays.
+  land(store_.intern(child, opts_.max_states, top.key,
+                     step ? &*step : nullptr),
+       a);
+  return true;
+}
+
+NodeKind SerialWalk::classify(StateId id, std::uint64_t depth,
+                              std::string& stuck) {
+  const std::span<const std::uint32_t> tuple = store_.tuple(id);
+  // Fill first: a lookup below must not grow the table under another's
+  // reference.
+  for (std::uint32_t k = 0; k < warp_slots_; ++k) (void)status(tuple[k]);
+  const NodeKind kind = classify_warps(
+      prg_, opts_, store_.warps_per_block(),
+      [&](std::uint32_t b, std::uint32_t w) -> const sem::WarpStatus& {
+        return *statuses_[tuple[first_warp_[b] + w]];
+      },
+      depth, eligible_);
+  if (kind == NodeKind::Stuck) {
+    stuck = sem::stuck_reason(prg_, store_.materialize(id).grid);
+  }
+  return kind;
+}
+
+SerialWalk::Frame SerialWalk::open(StateId id) {
+  // A copy, so eligible_ keeps its capacity for the next state.
+  return Frame{id, eligible_, 0};
+}
+
+Arrival<StateId> SerialWalk::root(const sem::Machine& initial) {
+  sem::Machine m = initial;
+  Arrival<StateId> a;
+  land(store_.intern(m, opts_.max_states), a);
+  index_shape();
+  return a;
+}
+
+const sem::WarpStatus& SerialWalk::status(std::uint32_t frag) {
+  if (frag >= statuses_.size()) statuses_.resize(frag + 1);
+  std::optional<sem::WarpStatus>& s = statuses_[frag];
+  if (!s) s = sem::warp_status(prg_, *store_.warp(frag));
+  return *s;
+}
+
+void SerialWalk::index_shape() {
+  first_warp_.clear();
+  warp_slots_ = 0;
+  for (const std::uint32_t n : store_.warps_per_block()) {
+    first_warp_.push_back(warp_slots_);
+    warp_slots_ += n;
+  }
+}
+
+void SerialWalk::land(const StateStore::InternResult& r,
+                      Arrival<StateId>& a) {
+  if (!r.id.valid()) {
+    a.kind = EdgeKind::Overflow;
+    return;
+  }
+  if (r.inserted) color(r.id) = Color::White;
+  a.child = r.id;
 }
 
 }  // namespace internal
 
 namespace {
 
-using internal::Arrival;
+using internal::SerialWalk;
 using Limit = ExploreResult::Limit;
 
 /// The store's tier knobs, taken from the exploration options.
@@ -186,105 +309,6 @@ struct CheckpointTally {
   }
 };
 
-/// The serial engine's walk.  Frames own their machine.  A transition
-/// whose step the store has cached interns the child's id tuple
-/// directly, and only a new child is materialized; any other transition
-/// steps a copy of the frame's machine and interns the child on the
-/// fly, recording an ExecWarp step that did not fault.  So only the
-/// states on the DFS stack and the child being entered are ever held as
-/// full machines.  Interning compares id tuples of interned fragments,
-/// so a revisit is detected across paths and a hash collision cannot
-/// fake one.
-class SerialWalk {
- public:
-  using Key = StateId;
-  struct Frame {
-    StateId key;
-    sem::Machine state;
-    std::vector<sem::Choice> eligible;
-    std::size_t next = 0;
-  };
-
-  SerialWalk(const ptx::Program& prg, const sem::KernelConfig& kc,
-             const ExploreOptions& opts, StateStore& store)
-      : prg_(prg), kc_(kc), opts_(opts), store_(store) {}
-
-  /// DFS colours by StateId.v.  A state the store held before this
-  /// transition was entered when it was interned, so it is Done unless
-  /// it is on the stack; that is also how a resumed run's colours come
-  /// back without being stored.
-  Color& color(StateId id) {
-    if (id.v >= colors_.size()) colors_.resize(id.v + 1, Color::Done);
-    return colors_[id.v];
-  }
-
-  bool next(Frame& top, Arrival<StateId>& a) {
-    if (top.next >= top.eligible.size()) return false;
-    a.choice = top.eligible[top.next++];
-    const std::optional<StateStore::Step> step =
-        internal::cached_step(prg_, top.state.grid, a.choice);
-    if (step) {
-      // A hit leaves child_ alone unless the child is new, and only a
-      // new child is ever classified or opened.
-      if (const auto hit = store_.intern_successor(top.key, *step,
-                                                   opts_.max_states, child_)) {
-        land(*hit, a);
-        return true;
-      }
-    }
-    child_ = top.state;
-    const sem::StepResult sr = sem::apply_choice(prg_, kc_, child_, a.choice,
-                                                 opts_.step_opts, nullptr);
-    if (!sr.ok()) {
-      fault_ = sr.fault;
-      a.kind = EdgeKind::Fault;
-      a.fault = &fault_;
-      return true;
-    }
-    // The parent seeds delta encoding: the child's warp fragments are
-    // stored as deltas against the parent's where that pays.
-    land(store_.intern(child_, opts_.max_states, top.key,
-                       step ? &*step : nullptr),
-         a);
-    return true;
-  }
-
-  NodeKind classify(StateId, std::uint64_t depth, std::string& stuck) {
-    return internal::classify(prg_, opts_, child_.grid, depth, eligible_,
-                              stuck);
-  }
-
-  Frame open(StateId id) {
-    return Frame{id, std::move(child_), std::move(eligible_), 0};
-  }
-
-  Arrival<StateId> root(const sem::Machine& initial) {
-    child_ = initial;
-    Arrival<StateId> a;
-    land(store_.intern(child_, opts_.max_states), a);
-    return a;
-  }
-
- private:
-  void land(const StateStore::InternResult& r, Arrival<StateId>& a) {
-    if (!r.id.valid()) {
-      a.kind = EdgeKind::Overflow;
-      return;
-    }
-    if (r.inserted) color(r.id) = Color::White;
-    a.child = r.id;
-  }
-
-  const ptx::Program& prg_;
-  const sem::KernelConfig& kc_;
-  const ExploreOptions& opts_;
-  StateStore& store_;
-  sem::Machine child_;  // the last child stepped or materialized
-  std::vector<sem::Choice> eligible_;
-  std::string fault_;
-  std::vector<Color> colors_;
-};
-
 using SerialDfs = internal::VerdictDfs<SerialWalk>;
 
 Checkpoint snapshot(const ptx::Program& prg, const sem::KernelConfig& kc,
@@ -308,12 +332,10 @@ Checkpoint snapshot(const ptx::Program& prg, const sem::KernelConfig& kc,
 }
 
 /// Continue a checkpointed run: the store comes back with every id
-/// intact, frames rematerialize their machines from it, and the
-/// eligible-choice lists are recomputed (a deterministic function of
-/// the state, so frame.next indexes the same choice it did before).
-void restore(const ptx::Program& prg, const ExploreOptions& opts,
-             const Checkpoint& ck, const StateStore& store, SerialWalk& walk,
-             SerialDfs& dfs) {
+/// intact, and each stacked frame's eligible choices are re-derived
+/// from its warps' statuses (a deterministic function of the state, so
+/// frame.next indexes the same choice it did before).
+void restore(const Checkpoint& ck, SerialWalk& walk, SerialDfs& dfs) {
   dfs.result = ck.verdict;
   dfs.result.final_ids.swap(dfs.finals);
   dfs.limits_hit = ck.limits_hit;
@@ -321,11 +343,10 @@ void restore(const ptx::Program& prg, const ExploreOptions& opts,
   try {
     dfs.stack.reserve(ck.stack.size());
     for (const Checkpoint::Frame& f : ck.stack) {
-      SerialWalk::Frame frame{f.id, store.materialize(f.id), {}, 0};
       std::string unused;
       // A stacked state was Expanded when it was pushed.
-      (void)internal::classify(prg, opts, frame.state.grid, 0,
-                               frame.eligible, unused);
+      (void)walk.classify(f.id, 0, unused);
+      SerialWalk::Frame frame = walk.open(f.id);
       if (f.next > frame.eligible.size()) {
         throw CheckpointError(CheckpointError::Kind::Corrupt,
                               "stack frame choice index out of range");
@@ -363,7 +384,7 @@ ExploreResult explore(const ptx::Program& prg, const sem::KernelConfig& kc,
   SerialWalk walk(prg, kc, opts, *store);
   SerialDfs dfs(walk, opts);
   if (resume != nullptr) {
-    restore(prg, opts, *resume, *store, walk, dfs);
+    restore(*resume, walk, dfs);
   } else {
     dfs.arrive(walk.root(initial));
   }

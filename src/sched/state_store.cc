@@ -62,22 +62,6 @@ std::uint64_t tuple_hash(const std::uint32_t* tuple, std::uint32_t len) {
   return Hasher().mix_words(tuple, len * sizeof(std::uint32_t)).value();
 }
 
-/// The footprint a full copy of `m` would have (Stats::materialized_bytes).
-std::uint64_t machine_bytes(const sem::Machine& m) {
-  std::uint64_t n = sizeof(sem::Machine);
-  for (const sem::Block& b : m.grid.blocks) {
-    for (const sem::WarpRef& w : b.warps) n += w->deep_bytes();
-  }
-  for (const mem::Memory::BankRef& b : m.memory.shared_bank_refs()) {
-    n += b->deep_bytes();
-  }
-  for (const mem::Space ss :
-       {mem::Space::Global, mem::Space::Const, mem::Space::Param}) {
-    n += m.memory.bank_ref(ss)->deep_bytes();
-  }
-  return n;
-}
-
 }  // namespace
 
 // --- spill segment ----------------------------------------------------
@@ -265,7 +249,7 @@ std::optional<StateStore::Positions> StateStore::positions(
   if (!s.space) return at;
   // Banks follow the warps: one Shared bank per block, then Global,
   // Const and Param.
-  const std::uint32_t shared = shape_.tuple_len - shape_.shared_banks - 3;
+  const std::uint32_t shared = shape_.warp_slots();
   const std::uint32_t global = shared + shape_.shared_banks;
   switch (*s.space) {
     case mem::Space::Shared:
@@ -318,7 +302,7 @@ std::string StateStore::warp_canonical_bytes(std::uint32_t id,
   return bytes;
 }
 
-sem::WarpRef StateStore::warp_ref(std::uint32_t id) const {
+sem::WarpRef StateStore::warp(std::uint32_t id) const {
   if (id >= warps_.recs.size()) throw KernelError("unknown warp fragment");
   WarpRec& rec = warps_.recs[id];
   touch(warps_, rec);
@@ -326,7 +310,9 @@ sem::WarpRef StateStore::warp_ref(std::uint32_t id) const {
   const std::string bytes = warp_canonical_bytes(id);
   ++stats_.rematerializations;
   support::BinReader r(bytes);
-  return std::make_shared<sem::Warp>(sem::Warp::decode(r));
+  sem::WarpRef w = std::make_shared<sem::Warp>(sem::Warp::decode(r));
+  if (rec.hot_bytes == 0) rec.hot_bytes = w->deep_bytes();
+  return w;
 }
 
 StateStore::Frag StateStore::intern_warp(sem::WarpRef& w,
@@ -712,8 +698,7 @@ StateStore::InternResult StateStore::intern(sem::Machine& m,
 }
 
 std::optional<StateStore::InternResult> StateStore::intern_successor(
-    StateId parent, const Step& step, std::uint64_t max_states,
-    sem::Machine& child) {
+    StateId parent, const Step& step, std::uint64_t max_states) {
   const std::uint32_t* from = tuple_at(parent, "intern_successor");
   const std::optional<Positions> at = positions(step);
   const std::uint32_t e = at ? find_successor(pack(from, *at)) : 0;
@@ -730,8 +715,16 @@ std::optional<StateStore::InternResult> StateStore::intern_successor(
   }
   const InternResult res = register_tuple(max_states);
   if (res.inserted) {
-    child = materialize(res.id);
-    stats_.materialized_bytes += machine_bytes(child);
+    // The records' byte counts.  A pooled object never changes, so on
+    // an unbudgeted run, where every fragment stays hot, this is what
+    // intern() books for the stepped machine.
+    std::uint64_t full_bytes = sizeof(sem::Machine);
+    const std::uint32_t warps = shape_.warp_slots();
+    for (std::uint32_t j = 0; j < shape_.tuple_len; ++j) {
+      full_bytes += j < warps ? warps_.recs[tuple_[j]].hot_bytes
+                              : banks_.recs[tuple_[j]].hot_bytes;
+    }
+    stats_.materialized_bytes += full_bytes;
     maybe_evict();
   }
   return res;
@@ -739,6 +732,7 @@ std::optional<StateStore::InternResult> StateStore::intern_successor(
 
 sem::Machine StateStore::materialize(StateId id) const {
   const std::uint32_t* tuple = tuple_at(id, "materialize");
+  ++stats_.materializations;
   sem::Grid grid;
   std::size_t k = 0;
   grid.blocks.resize(shape_.warps_per_block.size());
@@ -746,7 +740,7 @@ sem::Machine StateStore::materialize(StateId id) const {
     std::vector<sem::WarpRef>& warps = grid.blocks[b].warps;
     warps.reserve(shape_.warps_per_block[b]);
     for (std::uint32_t i = 0; i < shape_.warps_per_block[b]; ++i) {
-      warps.push_back(warp_ref(tuple[k++]));
+      warps.push_back(warp(tuple[k++]));
     }
   }
   std::vector<mem::Memory::BankRef> shared;
@@ -766,6 +760,10 @@ sem::Machine StateStore::materialize(StateId id) const {
 
 std::uint64_t StateStore::machine_hash(StateId id) const {
   return materialize(id).hash();
+}
+
+std::span<const std::uint32_t> StateStore::tuple(StateId id) const {
+  return {tuple_at(id, "tuple"), shape_.tuple_len};
 }
 
 // --- checkpoint codec (format v8) -------------------------------------

@@ -24,12 +24,12 @@
 // tuples and vice versa.
 //
 // Warps are copy-on-write handles too (sem::WarpRef), and the store
-// shares them with the machines it interns: intern() rewrites the
-// machine's warp handles to the pool's objects.  A DFS frame then holds
-// pool handles, a child copied from it shares every warp the step left
-// alone, and interning the child with its parent recognises those warps
-// by pointer — no hash probe, no value compare.  Banks take the same
-// parent pointer path.
+// shares them with the machines it interns and materializes: intern()
+// rewrites the machine's warp handles to the pool's objects, and
+// materialize() hands them out.  A child stepped from a materialized
+// parent then shares every warp the step left alone, and interning the
+// child with its parent recognises those warps by pointer — no hash
+// probe, no value compare.  Banks take the same parent pointer path.
 //
 // The state table is keyed by a hash of the fragment-id tuple, which is
 // exact because fragments are interned.  That lets the store skip the
@@ -40,8 +40,10 @@
 // is a function of those fragments, so the *successor cache* maps the
 // ids the step read to the ids it wrote.  A transition whose key is
 // cached interns the parent's tuple with those ids put in
-// (intern_successor), with no step, no machine copy and no hash of a
-// warp; only a new child is materialized.  Lift-bar and faulting steps
+// (intern_successor), with no step, no machine and no hash of a warp;
+// a new state's materialized bytes are summed from its fragments'
+// records.  The caller reads the new state back as ids (tuple(),
+// warp()), so a hit materializes nothing.  Lift-bar and faulting steps
 // are never recorded.  The cache is never checkpointed (a resumed run
 // starts with it empty), its bytes count in `resident_bytes`, and
 // eviction drops it when demoting fragments cannot meet the budget.
@@ -80,6 +82,7 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -189,23 +192,41 @@ class StateStore {
   /// The successor cache's hit path.  When `step` has been recorded
   /// from the fragments `parent` holds at its positions, intern
   /// `parent`'s tuple with the recorded fragments put in — the result
-  /// intern() would give the stepped machine, with no machine and no
-  /// hash of one — and materialize a new child into `child`.  Otherwise
-  /// return nullopt, having changed nothing but the miss count.
+  /// intern() would give the stepped machine, with no machine, no step
+  /// and no hash of one; a new state's materialized bytes are summed
+  /// from its fragments' records.  Otherwise return nullopt, having
+  /// changed nothing but the miss count.
   std::optional<InternResult> intern_successor(StateId parent,
                                                const Step& step,
-                                               std::uint64_t max_states,
-                                               sem::Machine& child);
+                                               std::uint64_t max_states);
 
-  /// Rebuild a full machine from its handle — for replay, verdict
-  /// construction, counterexample traces.  Warps and memory banks are
-  /// the store's own objects, shared by refcount (copy-on-write on
-  /// mutation).  Fragments demoted to the warm or cold tier are
-  /// transparently decoded (banks are re-promoted to hot so refcount
-  /// sharing keeps working; a warp is decoded into a fresh handle that
-  /// only the result holds).  The result compares structurally equal to
-  /// the machine that was interned.
+  /// Rebuild a full machine from its handle — for a step the successor
+  /// cache cannot answer, replay, verdict construction, counterexample
+  /// traces.  Warps and memory banks are the store's own objects,
+  /// shared by refcount (copy-on-write on mutation).  Fragments demoted
+  /// to the warm or cold tier are transparently decoded (banks are
+  /// re-promoted to hot so refcount sharing keeps working; a warp is
+  /// decoded into a fresh handle that only the result holds).  The
+  /// result compares structurally equal to the machine that was
+  /// interned.  Counted in Stats::materializations.
   [[nodiscard]] sem::Machine materialize(StateId id) const;
+
+  /// State `id`'s fragment-id tuple: its warps' fragments block-major
+  /// (warps_per_block()), then one Shared bank per block, Global, Const
+  /// and Param.  It is read in place, so the next intern may move it.
+  /// Throws KernelError for an unknown id.
+  [[nodiscard]] std::span<const std::uint32_t> tuple(StateId id) const;
+
+  /// Warp fragment `id` as materialize() hands it out: the pool's
+  /// object when hot, else a fresh decode.  Throws KernelError for an
+  /// unknown id.
+  [[nodiscard]] sem::WarpRef warp(std::uint32_t id) const;
+
+  /// Warps per block of every state's machine; empty until the first
+  /// intern fixes the shape.
+  [[nodiscard]] const std::vector<std::uint32_t>& warps_per_block() const {
+    return shape_.warps_per_block;
+  }
 
   /// The interned machine's Machine::hash(), computed through
   /// materialize() (the state table keys on the id tuple instead).
@@ -221,7 +242,8 @@ class StateStore {
   /// against a resident-memory budget); `materialized_bytes` is what
   /// the same visited set would cost as full per-state sem::Machine
   /// copies (the pre-StateStore explorer representation).  Heap
-  /// overheads are estimated, not measured.
+  /// overheads are estimated, not measured; a fragment decoded from a
+  /// checkpoint counts 0 bytes toward it until it is decoded again.
   struct Stats {
     std::uint64_t states = 0;
     std::uint64_t warp_fragments = 0;
@@ -242,6 +264,8 @@ class StateStore {
     /// that did not (the caller then steps and interns the machine).
     std::uint64_t successor_hits = 0;
     std::uint64_t successor_misses = 0;
+    /// materialize() calls.
+    std::uint64_t materializations = 0;
 
     [[nodiscard]] double dedup_ratio() const {
       return resident_bytes == 0
@@ -315,8 +339,10 @@ class StateStore {
   struct WarpRec {
     sem::WarpRef hot;
     std::shared_ptr<const std::string> warm;
-    std::uint64_t hash = 0;       // unmasked structural hash
-    std::uint64_t hot_bytes = 0;  // deep-footprint estimate of `hot`
+    std::uint64_t hash = 0;  // unmasked structural hash
+    /// Deep-footprint estimate of `hot`, kept after demotion.  A record
+    /// decoded from a checkpoint has 0 until warp() first decodes it.
+    std::uint64_t hot_bytes = 0;
     std::uint64_t cold_off = 0;
     std::uint32_t cold_len = 0;
     std::uint32_t base = kNoBase;  // warp fragment id
@@ -331,6 +357,7 @@ class StateStore {
     mem::Memory::BankRef hot;
     std::shared_ptr<const std::string> warm;
     std::uint64_t hash = 0;
+    /// As WarpRec's; a decoded record has 0 until bank_ref re-promotes it.
     std::uint64_t hot_bytes = 0;
     std::uint64_t cold_off = 0;
     std::uint32_t cold_len = 0;
@@ -390,6 +417,10 @@ class StateStore {
 
     /// Derive first_warp and tuple_len from the fields above.
     void index();
+    /// Tuple positions holding warps; the banks follow them.
+    [[nodiscard]] std::uint32_t warp_slots() const {
+      return tuple_len - shared_banks - 3;
+    }
   };
 
   /// Fix the shape from the first machine; throw KernelError when a
@@ -417,9 +448,6 @@ class StateStore {
   [[nodiscard]] std::string warp_canonical_bytes(std::uint32_t id,
                                                  std::uint8_t* depth_out =
                                                      nullptr) const;
-  /// The hot object, or a fresh decode of the resolved canonical bytes
-  /// when the fragment is not hot.
-  [[nodiscard]] sem::WarpRef warp_ref(std::uint32_t id) const;
   [[nodiscard]] std::string bank_canonical_bytes(const BankRec& rec) const;
   [[nodiscard]] mem::Memory::BankRef bank_ref(std::uint32_t id) const;
 

@@ -714,27 +714,33 @@ StepResult step_warp(const ptx::Program& prg, const KernelConfig& kc,
   return LeafExec(prg, kc, block, w, mu, opts, events).run(instr);
 }
 
+WarpStatus warp_status(const ptx::Program& prg, const Warp& w) {
+  WarpStatus s;
+  s.pc = w.pc();
+  const Instr& instr = prg.fetch(s.pc);
+  if (const auto* i = std::get_if<ptx::ILd>(&instr)) s.space = i->space;
+  if (const auto* i = std::get_if<ptx::ISt>(&instr)) s.space = i->space;
+  if (const auto* i = std::get_if<ptx::IAtom>(&instr)) s.space = i->space;
+  const bool bar = ptx::is_bar(instr);
+  const bool exit = ptx::is_exit(instr);
+  s.runnable = !bar && !exit;
+  // A uniform tree's left-most leaf is its only one, so pc is its pc.
+  s.at_barrier = bar && !w.divergent();
+  s.complete = exit && !w.divergent();
+  return s;
+}
+
 std::optional<Space> step_space(const ptx::Program& prg, const Warp& w) {
-  const Instr& instr = prg.fetch(w.pc());
-  if (const auto* i = std::get_if<ptx::ILd>(&instr)) return i->space;
-  if (const auto* i = std::get_if<ptx::ISt>(&instr)) return i->space;
-  if (const auto* i = std::get_if<ptx::IAtom>(&instr)) return i->space;
-  return std::nullopt;
+  return warp_status(prg, w).space;
 }
 
 std::vector<Choice> eligible_choices(const ptx::Program& prg, const Grid& g) {
   std::vector<Choice> out;
   for (std::uint32_t b = 0; b < g.blocks.size(); ++b) {
-    const Block& blk = g.blocks[b];
-    for (std::uint32_t wi = 0; wi < blk.warps.size(); ++wi) {
-      const Instr& i = prg.fetch(blk.warps[wi]->pc());
-      if (!ptx::is_bar(i) && !ptx::is_exit(i)) {
-        out.push_back({Choice::Kind::ExecWarp, b, wi});
-      }
-    }
-    if (block_at_barrier(prg, blk)) {
-      out.push_back({Choice::Kind::LiftBar, b, 0});
-    }
+    const std::vector<WarpRef>& warps = g.blocks[b].warps;
+    append_block_choices(
+        b, static_cast<std::uint32_t>(warps.size()),
+        [&](std::uint32_t w) { return warp_status(prg, *warps[w]); }, out);
   }
   return out;
 }
@@ -754,10 +760,10 @@ StepResult apply_choice(const ptx::Program& prg, const KernelConfig& kc,
     if (c.warp >= blk.warps.size()) {
       throw KernelError("choice references nonexistent warp");
     }
-    const Instr& i = prg.fetch(blk.warps[c.warp]->pc());
-    if (ptx::is_bar(i) || ptx::is_exit(i)) {
+    const Warp& w = *blk.warps[c.warp];
+    if (!warp_status(prg, w).runnable) {
       throw KernelError("ExecWarp choice is not eligible (warp at " +
-                        ptx::to_string(i) + ")");
+                        ptx::to_string(prg.fetch(w.pc())) + ")");
     }
     // Only the stepped warp is unshared; the others stay shared with
     // the machine this one was copied from.
@@ -777,7 +783,7 @@ StepResult apply_choice(const ptx::Program& prg, const KernelConfig& kc,
 }
 
 bool warp_complete(const ptx::Program& prg, const Warp& w) {
-  return !w.divergent() && ptx::is_exit(prg.fetch(w.uni_pc()));
+  return warp_status(prg, w).complete;
 }
 
 bool block_complete(const ptx::Program& prg, const Block& b) {
@@ -795,7 +801,7 @@ bool terminated(const ptx::Program& prg, const Grid& g) {
 bool block_at_barrier(const ptx::Program& prg, const Block& b) {
   if (b.warps.empty()) return false;
   return std::all_of(b.warps.begin(), b.warps.end(), [&](const WarpRef& w) {
-    return !w->divergent() && ptx::is_bar(prg.fetch(w->uni_pc()));
+    return warp_status(prg, *w).at_barrier;
   });
 }
 

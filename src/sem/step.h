@@ -94,12 +94,29 @@ StepResult step_warp(const ptx::Program& prg, const KernelConfig& kc,
                      const StepOptions& opts = {},
                      StepEvents* events = nullptr);
 
-/// The state space of the one memory bank step_warp reads or writes
-/// besides the warp: that of the ld/st/atom at w.pc() (for Shared, the
-/// stepped block's own bank); nullopt for every other instruction,
-/// which reads and writes the warp alone.  For a fixed program,
-/// KernelConfig and StepOptions, the step's result is a function of the
-/// warp and that bank (the state store's successor cache keys on both,
+/// What one warp contributes to the rules of Fig. 3.  It is a function
+/// of the program and the warp's value alone, so an engine that interns
+/// warps may compute it once per distinct warp (sched/explore.cc does).
+struct WarpStatus {
+  std::uint32_t pc = 0;  // ωpc, the left-most leaf's pc
+  /// The state space of the one memory bank step_warp reads or writes
+  /// besides the warp: that of the ld/st/atom at pc (for Shared, the
+  /// stepped block's own bank); nullopt for every other instruction,
+  /// which reads and writes the warp alone.
+  std::optional<ptx::Space> space;
+  /// execb's premise: the instruction at pc is neither Bar nor Exit.
+  bool runnable = false;
+  /// Uniform at Bar: this warp's part of lift-bar's premise.
+  bool at_barrier = false;
+  /// Uniform at Exit (warp_complete).
+  bool complete = false;
+};
+
+WarpStatus warp_status(const ptx::Program& prg, const Warp& w);
+
+/// warp_status(prg, w).space.  For a fixed program, KernelConfig and
+/// StepOptions, a step's result is a function of the warp and that
+/// bank (the state store's successor cache keys on both,
 /// sched/state_store.h).
 std::optional<ptx::Space> step_space(const ptx::Program& prg, const Warp& w);
 
@@ -115,11 +132,28 @@ struct Choice {
   friend bool operator==(const Choice&, const Choice&) = default;
 };
 
-/// Every rule instance applicable in the current state:
-///  * ExecWarp(b,w)  — execb: warp w of block b whose next instruction
-///                     is neither Bar nor Exit;
-///  * LiftBar(b)     — lift-bar: every warp of block b is *uniform* at
-///                     a Bar instruction.
+/// Block `block`'s rule instances, from the statuses of its `warps`
+/// warps (`status(w)` is warp w's), appended to `out` in the one order
+/// every engine follows:
+///  * ExecWarp(b,w)  — execb: each runnable warp, in order;
+///  * LiftBar(b)     — lift-bar: last, when the block has warps and
+///                     every one is uniform at a Bar instruction.
+/// eligible_choices applies it to a grid; the explorer applies it to
+/// statuses it caches per interned warp, so neither re-derives the rule.
+template <typename StatusOf>
+void append_block_choices(std::uint32_t block, std::uint32_t warps,
+                          StatusOf&& status, std::vector<Choice>& out) {
+  bool lift = warps != 0;
+  for (std::uint32_t w = 0; w < warps; ++w) {
+    const WarpStatus& s = status(w);
+    if (s.runnable) out.push_back({Choice::Kind::ExecWarp, block, w});
+    lift = lift && s.at_barrier;
+  }
+  if (lift) out.push_back({Choice::Kind::LiftBar, block, 0});
+}
+
+/// Every rule instance applicable in the current state, block by block
+/// (append_block_choices).
 std::vector<Choice> eligible_choices(const ptx::Program& prg, const Grid& g);
 
 /// Apply one choice to the machine (Fig. 3 execb / lift-bar / execg).

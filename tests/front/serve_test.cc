@@ -44,6 +44,17 @@ CheckRequest racy_check(std::uint32_t grid_x) {
   return r;
 }
 
+/// A check that keeps a worker busy for 1.5 s: its deadline stops it
+/// long before its 4^12-state lattice is done (about 450k states in on
+/// a 4-core x86-64 VM).  A job sized to finish instead gets shorter
+/// with every explorer speedup, until it no longer outlasts the
+/// test's waits.
+CheckRequest pinning_check() {
+  CheckRequest r = racy_check(12);
+  r.explore.deadline_ms = 1500;
+  return r;
+}
+
 /// A running server on a fresh socket (and optional state dir) that
 /// tears itself down.
 struct TestServer {
@@ -375,10 +386,10 @@ TEST(ServeRobust, StatsReplyReportsHealthCounters) {
 
 TEST(ServeRobust, VanishedClientIsReapedAndItsJobCancelled) {
   TestServer ts(false, /*workers=*/1);
-  // Pin the only worker on a ~2s job...
+  // Pin the only worker...
   std::thread busy([&] {
     Client client = ts.connect();
-    client.call(to_json(Request{racy_check(9)}));
+    client.call(to_json(Request{pinning_check()}));
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   {
@@ -480,7 +491,7 @@ TEST(ServeRobust, ServerDeathMidWaitIsRetryableAndReattachable) {
   std::thread busy([&] {
     try {
       Client client = Client::connect((dir / "sock").string());
-      client.call(to_json(Request{racy_check(9)}));  // ~2s: pins the worker
+      client.call(to_json(Request{pinning_check()}));
     } catch (const std::exception&) {
     }
   });

@@ -21,12 +21,12 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "common/finals.h"
 #include "programs/corpus.h"
 #include "ptx/lower.h"
-#include "sched/dfs.h"
 #include "sched/explore.h"
 #include "sem/launch.h"
 #include "support/binio.h"
@@ -383,14 +383,19 @@ TEST(CheckpointResume, SuccessorCacheStartsEmptyAfterResume) {
     ASSERT_GE(ck.stack.size(), 2u);
     const Checkpoint::Frame& from = ck.stack[ck.stack.size() - 2];
     ASSERT_GT(from.next, 0u);
-    sem::Machine m = ck.store->materialize(from.id);
+    const sem::Machine m = ck.store->materialize(from.id);
     const sem::Choice taken =
         sem::eligible_choices(w.prg, m.grid)[from.next - 1];
     const std::optional<StateStore::Step> step =
-        internal::cached_step(w.prg, m.grid, taken);
+        taken.kind == sem::Choice::Kind::ExecWarp
+            ? std::optional(StateStore::Step{
+                  taken.block, taken.warp,
+                  sem::step_space(
+                      w.prg, *m.grid.blocks[taken.block].warps[taken.warp])})
+            : std::nullopt;
     ASSERT_TRUE(step.has_value());
     EXPECT_EQ(ck.store->stats().successor_hits, 0u);
-    EXPECT_FALSE(ck.store->intern_successor(from.id, *step, ~0ull, m));
+    EXPECT_FALSE(ck.store->intern_successor(from.id, *step, ~0ull));
     EXPECT_EQ(ck.store->stats().successor_misses, 1u);
   }
 

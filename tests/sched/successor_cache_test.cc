@@ -8,8 +8,9 @@
 // agree id by id — every state id materializes to the same machine —
 // and on transitions, finals and violations with their paths, on
 // corpus kernels with and without POR and the static oracle, per-block
-// Shared banks, atomics, a faulting store, random programs and a
-// budgeted, spilling store.
+// Shared banks, atomics, a faulting store, stuck and racy refutations,
+// a depth cut, random programs and a budgeted, spilling store.  It
+// also pins where explore() builds machines, and the bytes it books.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -108,6 +109,17 @@ class SteppingWalk {
   std::vector<Color> colors_;
 };
 
+/// The successor-cache key of choice `c` in `m`: the warp an ExecWarp
+/// steps and the space of its ld/st/atom; none for lift-bar.
+std::optional<StateStore::Step> step_of(const ptx::Program& prg,
+                                        const sem::Machine& m,
+                                        const sem::Choice& c) {
+  if (c.kind != sem::Choice::Kind::ExecWarp) return std::nullopt;
+  return StateStore::Step{
+      c.block, c.warp,
+      sem::step_space(prg, *m.grid.blocks[c.block].warps[c.warp])};
+}
+
 /// Explore with and without the cache and require the same outcome, id
 /// by id.  Returns explore()'s result.
 ExploreResult expect_same_as_stepping(const ptx::Program& prg,
@@ -147,6 +159,22 @@ ExploreResult expect_same_as_stepping(const ptx::Program& prg,
   // Every ExecWarp transition consulted the cache; lift-bar never did.
   EXPECT_EQ(got.store_stats.successor_hits + got.store_stats.successor_misses,
             walk.exec_steps);
+  // explore() builds a machine only where the kernel must run: once
+  // per miss, per lift-bar and per stuck state's reason.  A hit builds
+  // none.
+  std::uint64_t stuck = 0;
+  for (const Violation& v : got.violations) {
+    stuck += v.kind == Violation::Kind::Stuck ? 1 : 0;
+  }
+  EXPECT_EQ(got.store_stats.materializations,
+            got.store_stats.successor_misses +
+                (got.transitions - walk.exec_steps) + stuck);
+  // A hit books a new state's bytes from its fragments' records, which
+  // is what intern() books for the machine while every fragment is hot.
+  if (opts.store_resident_budget_bytes == 0) {
+    EXPECT_EQ(got.store_stats.materialized_bytes,
+              walk.store.stats().materialized_bytes);
+  }
   return got;
 }
 
@@ -253,6 +281,63 @@ TEST(SuccessorCache, FaultingStoreIsNeverCached) {
   EXPECT_GE(r.store_stats.successor_misses, faults);
 }
 
+TEST(SuccessorCache, StuckRefutations) {
+  // Barrier divergence, and a divergent warp at Exit (built directly,
+  // so no Sync is inserted to repair it): explore() names each stuck
+  // state's reason from a machine it materializes for that alone.
+  const ptx::Program barrier =
+      ptx::load_ptx(programs::barrier_divergence_ptx())
+          .kernel("barrier_divergence");
+  const ptx::Program div_exit = programs::divergent_exit_program();
+  for (const ptx::Program* prg : {&barrier, &div_exit}) {
+    SCOPED_TRACE(prg->name());
+    const sem::KernelConfig kc{{1, 1, 1}, {4, 1, 1}, 2};
+    const sem::Machine init = sem::Launch(*prg, kc, mem::MemSizes{}).machine();
+    for (const bool por : {false, true}) {
+      ExploreOptions opts;
+      opts.stop_at_first_violation = false;
+      opts.partial_order_reduction = por;
+      const ExploreResult r = expect_same_as_stepping(*prg, kc, init, opts);
+      EXPECT_TRUE(r.exhaustive);
+      ASSERT_FALSE(r.violations.empty());
+      EXPECT_EQ(r.violations.front().kind, Violation::Kind::Stuck);
+    }
+  }
+}
+
+TEST(SuccessorCache, RaceStoreRefutation) {
+  // Two warps store their tids to one word: the finals differ by
+  // schedule.
+  const ptx::Program prg =
+      ptx::load_ptx(programs::race_store_ptx()).kernel("race_store");
+  const sem::KernelConfig kc{{1, 1, 1}, {4, 1, 1}, 2};
+  sem::Launch launch(prg, kc, mem::MemSizes{16, 0, 0, 0, 1});
+  launch.param("out", 0);
+  ExploreOptions opts;
+  opts.stop_at_first_violation = false;
+  const ExploreResult r =
+      expect_same_as_stepping(prg, kc, launch.machine(), opts);
+  EXPECT_TRUE(r.exhaustive);
+  EXPECT_FALSE(r.schedule_independent());
+}
+
+TEST(SuccessorCache, DepthCut) {
+  // The reduction under a depth bound: states at the bound are left
+  // unexpanded, each with a depth-exceeded violation.
+  const ptx::Program prg =
+      ptx::load_ptx(pin_source("reduce")).kernel("reduce");
+  const sem::Launch launch = pin_launch("reduce").to_launch(prg);
+  ExploreOptions opts;
+  opts.stop_at_first_violation = false;
+  opts.max_depth = 12;
+  const ExploreResult r = expect_same_as_stepping(
+      prg, launch.config(), launch.machine(), opts);
+  EXPECT_FALSE(r.exhaustive);
+  EXPECT_EQ(r.limit_hit, ExploreResult::Limit::MaxDepth);
+  ASSERT_FALSE(r.violations.empty());
+  EXPECT_EQ(r.violations.front().kind, Violation::Kind::DepthExceeded);
+}
+
 TEST(SuccessorCache, RandomPrograms) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
@@ -312,8 +397,7 @@ TEST(SuccessorCache, NotEncoded) {
   StateStore store;
   const StateId root = store.intern(m).id;
   const sem::Choice c{sem::Choice::Kind::ExecWarp, 0, 1};
-  const std::optional<StateStore::Step> step =
-      internal::cached_step(prg, m.grid, c);
+  const std::optional<StateStore::Step> step = step_of(prg, m, c);
   ASSERT_TRUE(step.has_value());
   sem::Machine child = m;
   ASSERT_TRUE(sem::apply_choice(prg, kc, child, c).ok());
@@ -321,8 +405,7 @@ TEST(SuccessorCache, NotEncoded) {
       store.intern(child, ~0ull, root, &*step);
   ASSERT_TRUE(stepped.inserted);
 
-  sem::Machine scratch;
-  const auto hit = store.intern_successor(root, *step, ~0ull, scratch);
+  const auto hit = store.intern_successor(root, *step, ~0ull);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->id, stepped.id);
   EXPECT_FALSE(hit->inserted);
@@ -333,7 +416,7 @@ TEST(SuccessorCache, NotEncoded) {
   support::BinReader r(bytes);
   StateStore copy;
   copy.decode(r);
-  EXPECT_FALSE(copy.intern_successor(root, *step, ~0ull, scratch));
+  EXPECT_FALSE(copy.intern_successor(root, *step, ~0ull));
   EXPECT_EQ(copy.stats().successor_misses, 1u);
   EXPECT_EQ(copy.materialize(stepped.id), child);
 }
