@@ -21,9 +21,11 @@
 // tools/bench_to_json.py snapshots these counters into
 // BENCH_explore.json under "store_tiers".
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -40,6 +42,26 @@ using namespace cac;
 using programs::VecAddLayout;
 
 bool g_big = false;  // --big: run the 10^7-state acceptance configs
+
+/// A fresh spill directory under the temp directory (TMPDIR), removed
+/// with everything spilled into it when the bench is done.
+struct SpillDir {
+  SpillDir()
+      : path(std::filesystem::temp_directory_path() /
+             ("cac_bench_bigstore_" + std::to_string(::getpid()) + "_" +
+              std::to_string(counter++))) {
+    std::filesystem::create_directories(path);
+  }
+  ~SpillDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+  SpillDir(const SpillDir&) = delete;
+  SpillDir& operator=(const SpillDir&) = delete;
+
+  std::filesystem::path path;
+  static inline int counter = 0;
+};
 
 sem::Machine vecadd_machine(const ptx::Program& prg,
                             const sem::KernelConfig& kc, std::uint32_t size) {
@@ -94,9 +116,10 @@ void BM_BigStoreIntern(benchmark::State& state) {
   const sem::KernelConfig kc{{1, 1, 1}, {8, 1, 1}, 4};
   sem::Machine m = vecadd_machine(prg, kc, 8);
 
+  const SpillDir spill;
   for (auto _ : state) {
     sched::StoreOptions so;
-    so.spill_dir = "/tmp";
+    so.spill_dir = spill.path;
     so.resident_budget_bytes = budget;
     sched::StateStore store(so);
 
@@ -154,7 +177,8 @@ void BM_BigExploreLattice(benchmark::State& state) {
   sched::ExploreOptions opts;
   opts.stop_at_first_violation = false;
   opts.max_states = 4u << 20;  // the default 2^20 sits below the lattice
-  opts.store_spill_dir = "/tmp";
+  const SpillDir spill;
+  opts.store_spill_dir = spill.path;
   opts.store_resident_budget_bytes = 256ull << 20;
 
   sched::StateStore::Stats st;
@@ -229,7 +253,8 @@ void BM_StoreBudgetSweep(benchmark::State& state) {
   if (!full.exhaustive) throw KernelError("unbounded run not exhaustive");
 
   sched::ExploreOptions opts = unbounded;
-  opts.store_spill_dir = "/tmp";
+  const SpillDir spill;
+  opts.store_spill_dir = spill.path;
   opts.store_resident_budget_bytes =
       pct >= 100 ? 0 : full.store_stats.resident_bytes * pct / 100;
 

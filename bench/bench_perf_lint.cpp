@@ -6,7 +6,10 @@
 // cost on the embedded corpus (clean kernels: the common case in a
 // lint sweep) and on an offender kernel that produces findings of all
 // three kinds, so a pricing regression and an interpreter regression
-// are distinguishable.  Results land in BENCH_explore.json's
+// are distinguishable.  BM_PerfLintStraightLine runs the whole
+// `cacval lint --perf` analysis (races included) over unrolled kernels
+// of growing length, so a pass that turns quadratic in the number of
+// access sites shows as a curve.  Results land in BENCH_explore.json's
 // `perf_lint` section (tools/bench_to_json.py).
 #include <benchmark/benchmark.h>
 
@@ -14,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/lint.h"
 #include "analysis/perf.h"
 #include "programs/corpus.h"
 #include "ptx/lower.h"
@@ -124,6 +128,35 @@ void BM_PerfLintOffender(benchmark::State& state) {
   run_perf_bench(state, ks, 3);
 }
 BENCHMARK(BM_PerfLintOffender);
+
+/// A full lint_kernel (races and perf) over programs::unrolled_ptx of
+/// `copies` blocks: 7 instructions and 2 Global access sites per block,
+/// no finding.
+void BM_PerfLintStraightLine(benchmark::State& state) {
+  const Kernel k = load(
+      programs::unrolled_ptx(static_cast<unsigned>(state.range(0))),
+      "unrolled");
+  analysis::LintOptions opts;
+  opts.perf = true;
+  std::size_t findings = 0;
+  for (auto _ : state) {
+    const analysis::LintReport r = analysis::lint_kernel(k.prg, k.locs, opts);
+    findings = r.findings.size();
+    if (findings != 0) throw KernelError("unrolled kernel has findings");
+    benchmark::DoNotOptimize(r.findings.data());
+  }
+  state.counters["findings"] = static_cast<double>(findings);
+  state.counters["sites"] =
+      static_cast<double>(analysis::analyze_addresses(k.prg).size());
+  state.counters["kernels_per_sec"] =
+      benchmark::Counter(1, benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_PerfLintStraightLine)
+    ->Arg(12)
+    ->Arg(40)
+    ->Arg(85)
+    ->Arg(400)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -6,6 +6,7 @@
 #include <map>
 
 #include "ptx/cfg.h"
+#include "ptx/defuse.h"
 
 namespace cac::analysis {
 
@@ -606,12 +607,9 @@ std::optional<Guard> edge_fact(const ptx::IPBra& pbra, std::uint32_t pbra_pc,
   return std::nullopt;
 }
 
-}  // namespace
-
-ProgramFacts analyze_program(const ptx::Program& prg, const LaunchEnv& env) {
+ProgramFacts analyze_over(const ptx::Program& prg, const ptx::Cfg& cfg,
+                          const LaunchEnv& env) {
   ProgramFacts out;
-  if (prg.empty()) return out;
-  const ptx::Cfg cfg(prg.code());
   const auto& blocks = cfg.blocks();
 
   // Forward fixpoint on block-entry states.  The join only ever
@@ -671,6 +669,40 @@ ProgramFacts analyze_program(const ptx::Program& prg, const LaunchEnv& env) {
               return a.pc < b.pc;
             });
   return out;
+}
+
+}  // namespace
+
+ProgramFacts analyze_program(const ptx::Program& prg, const LaunchEnv& env) {
+  if (prg.empty()) return {};
+  return analyze_over(prg, ptx::Cfg(prg.code()), env);
+}
+
+KernelAnalysis::KernelAnalysis(const ptx::Program& prg,
+                               const LaunchEnv& launch)
+    : env(launch),
+      cfg(prg.code()),
+      ipostdom(cfg.ipostdom()),
+      divergent(ptx::divergent_pbras(prg.code())),
+      facts(analyze_over(prg, cfg, env)) {}
+
+std::vector<std::uint32_t> KernelAnalysis::divergent_region(
+    std::uint32_t branch_pc) const {
+  const std::uint32_t branch_block = cfg.block_of(branch_pc);
+  const std::uint32_t join = ipostdom[branch_block];
+  std::vector<bool> seen(cfg.blocks().size(), false);
+  std::vector<std::uint32_t> region;  // also the BFS queue
+  auto visit_succs = [&](std::uint32_t b) {
+    for (const std::uint32_t s : cfg.blocks()[b].succs) {
+      if (s != join && s != cfg.exit_id() && !seen[s]) {
+        seen[s] = true;
+        region.push_back(s);
+      }
+    }
+  };
+  visit_succs(branch_block);
+  for (std::size_t i = 0; i < region.size(); ++i) visit_succs(region[i]);
+  return region;
 }
 
 std::vector<AccessSite> analyze_addresses(const ptx::Program& prg,

@@ -26,6 +26,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "ptx/cfg.h"
 #include "ptx/program.h"
 
 namespace cac::analysis {
@@ -179,6 +180,25 @@ struct ProgramFacts {
 
 ProgramFacts analyze_program(const ptx::Program& prg,
                              const LaunchEnv& env = {});
+
+/// Everything the lint passes read of one non-empty kernel under one
+/// launch, worked out once (analysis::lint_kernel builds one and hands
+/// it to every pass).
+struct KernelAnalysis {
+  KernelAnalysis(const ptx::Program& prg, const LaunchEnv& launch);
+
+  /// Blocks reachable from the predicated branch at `branch_pc` before
+  /// its ipostdom join, in BFS order: where the warp runs diverged.
+  /// The join itself is warp-uniform again and not part of it.
+  [[nodiscard]] std::vector<std::uint32_t> divergent_region(
+      std::uint32_t branch_pc) const;
+
+  LaunchEnv env;
+  ptx::Cfg cfg;
+  std::vector<std::uint32_t> ipostdom;  // cfg.ipostdom()
+  std::vector<bool> divergent;          // ptx::divergent_pbras, by pc
+  ProgramFacts facts;                   // analyze_program(prg, env)
+};
 
 /// Run the abstract interpreter and collect every Shared/Global
 /// Ld/St/Atom site in pc order (analyze_program().sites).

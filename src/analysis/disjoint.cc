@@ -168,12 +168,16 @@ bool uniform_in(Sym::Kind k, Space space) {
   return false;
 }
 
-struct Split {
+/// A site with its classification key: the address terms split into
+/// the part every thread in the conflict scope shares and the part
+/// that varies per thread.  Worked out once per site.
+struct KeyedSite {
+  const AccessSite& site;
   std::vector<Term> uniform, varying;
 };
 
-Split split_terms(const AccessSite& s) {
-  Split out;
+KeyedSite split_terms(const AccessSite& s) {
+  KeyedSite out{s, {}, {}};
   for (const Term& t : s.addr.terms()) {
     (uniform_in(t.sym.kind, s.space) ? out.uniform : out.varying)
         .push_back(t);
@@ -181,10 +185,17 @@ Split split_terms(const AccessSite& s) {
   return out;
 }
 
-PairVerdict classify_static(const AccessSite& a, const AccessSite& b) {
+std::vector<KeyedSite> split_terms(const std::vector<AccessSite>& sites) {
+  std::vector<KeyedSite> out;
+  out.reserve(sites.size());
+  for (const AccessSite& s : sites) out.push_back(split_terms(s));
+  return out;
+}
+
+PairVerdict classify_static(const KeyedSite& sa, const KeyedSite& sb) {
+  const AccessSite& a = sa.site;
+  const AccessSite& b = sb.site;
   if (a.addr.is_top() || b.addr.is_top()) return PairVerdict::MayConflict;
-  const Split sa = split_terms(a);
-  const Split sb = split_terms(b);
   // The uniform parts must cancel exactly for the offset argument to
   // say anything about the difference of the two addresses.
   if (sa.uniform != sb.uniform) return PairVerdict::MayConflict;
@@ -238,19 +249,13 @@ std::uint64_t scope_threads(Space space, const LaunchEnv& env) {
   return n;
 }
 
-}  // namespace
-
-std::string to_string(PairVerdict v) {
-  switch (v) {
-    case PairVerdict::Disjoint: return "disjoint";
-    case PairVerdict::MayConflict: return "may-conflict";
-    case PairVerdict::ProvablyRacing: return "provably-racing";
-  }
-  return "?";
-}
-
-PairVerdict classify_pair(const AccessSite& a, const AccessSite& b,
-                          const LaunchEnv& env) {
+/// classify_pair on keyed sites: exact enumeration when the launch
+/// allows it, else the window/stride rules.  Either way ProvablyRacing
+/// needs a conflicting pair (a write, not two atomics).
+PairVerdict classify(const KeyedSite& ka, const KeyedSite& kb,
+                     const LaunchEnv& env) {
+  const AccessSite& a = ka.site;
+  const AccessSite& b = kb.site;
   if (a.space != b.space) return PairVerdict::Disjoint;
   const EnumPlan plan = plan_enumeration(a, b, env);
   if (plan.feasible) {
@@ -264,7 +269,7 @@ PairVerdict classify_pair(const AccessSite& a, const AccessSite& b,
         break;
     }
   }
-  PairVerdict v = classify_static(a, b);
+  PairVerdict v = classify_static(ka, kb);
   if (v == PairVerdict::ProvablyRacing && env.known &&
       scope_threads(a.space, env) < 2) {
     // The "all threads hit one address" argument needs two threads.
@@ -273,7 +278,21 @@ PairVerdict classify_pair(const AccessSite& a, const AccessSite& b,
   return v;
 }
 
-namespace {
+/// Whether classify can find a pair holding `s` ProvablyRacing at all:
+/// the window rule needs an address with no thread-varying term, and
+/// enumeration (plan_enumeration) a known launch and an address over
+/// tid/ctaid alone.
+bool may_race(const KeyedSite& s, const LaunchEnv& env) {
+  const AffineExpr& addr = s.site.addr;
+  if (addr.is_top()) return false;
+  if (s.varying.empty()) return true;
+  return env.known &&
+         std::all_of(addr.terms().begin(), addr.terms().end(),
+                     [](const Term& t) {
+                       return t.sym.kind == Sym::Kind::Tid ||
+                              t.sym.kind == Sym::Kind::CtaId;
+                     });
+}
 
 /// Instruction-level reachability that refuses to traverse a barrier:
 /// returns the pcs reachable from `from` (exclusive of paths through
@@ -310,54 +329,67 @@ std::vector<bool> bar_free_reach(const ptx::Program& prg,
 
 }  // namespace
 
-std::vector<SitePair> RaceCandidateReport::racing() const {
-  std::vector<SitePair> out;
-  std::copy_if(pairs.begin(), pairs.end(), std::back_inserter(out),
-               [](const SitePair& p) {
-                 return p.verdict == PairVerdict::ProvablyRacing;
-               });
-  return out;
+std::string to_string(PairVerdict v) {
+  switch (v) {
+    case PairVerdict::Disjoint: return "disjoint";
+    case PairVerdict::MayConflict: return "may-conflict";
+    case PairVerdict::ProvablyRacing: return "provably-racing";
+  }
+  return "?";
 }
 
-bool RaceCandidateReport::any_racing() const {
-  return std::any_of(pairs.begin(), pairs.end(), [](const SitePair& p) {
-    return p.verdict == PairVerdict::ProvablyRacing;
-  });
+PairVerdict classify_pair(const AccessSite& a, const AccessSite& b,
+                          const LaunchEnv& env) {
+  return classify(split_terms(a), split_terms(b), env);
 }
 
 RaceCandidateReport analyze_races(const ptx::Program& prg,
                                   const LaunchEnv& env) {
+  if (prg.empty()) return {};
+  return analyze_races(prg, KernelAnalysis(prg, env));
+}
+
+RaceCandidateReport analyze_races(const ptx::Program& prg,
+                                  const KernelAnalysis& ka) {
   RaceCandidateReport report;
-  const std::vector<AccessSite> sites = analyze_addresses(prg, env);
-  if (sites.empty()) return report;
+  const std::vector<AccessSite>& sites = ka.facts.sites;
+  const std::vector<KeyedSite> keys = split_terms(sites);
 
   // Blocks every thread is guaranteed to execute: the post-dominator
   // chain of the entry block.
-  const ptx::Cfg cfg(prg.code());
-  const std::vector<std::uint32_t> ipd = cfg.ipostdom();
-  std::vector<bool> on_spine(cfg.blocks().size() + 1, false);
-  for (std::uint32_t b = 0; b != cfg.exit_id(); b = ipd[b]) {
+  std::vector<bool> on_spine(ka.cfg.blocks().size() + 1, false);
+  for (std::uint32_t b = 0; b != ka.cfg.exit_id(); b = ka.ipostdom[b]) {
     on_spine[b] = true;
   }
+  // Bar-free reachability from a site, worked out on first use: only
+  // the sites of a pair with a proven overlap ever need it.
   std::vector<std::vector<bool>> reach(sites.size());
-  for (std::size_t i = 0; i < sites.size(); ++i) {
-    reach[i] = bar_free_reach(prg, sites[i].pc);
-  }
+  auto reaches = [&](std::size_t from, std::uint32_t to_pc) {
+    if (reach[from].empty()) {
+      reach[from] = bar_free_reach(prg, sites[from].pc);
+    }
+    return reach[from][to_pc];
+  };
 
   for (std::size_t i = 0; i < sites.size(); ++i) {
+    // Skipping a site no pair can race through keeps the common case,
+    // per-thread addresses under an unknown launch, linear.
+    if (!may_race(keys[i], ka.env)) continue;
     for (std::size_t j = i; j < sites.size(); ++j) {
       const AccessSite& a = sites[i];
       const AccessSite& b = sites[j];
-      if (a.space != b.space) continue;
-      PairVerdict v = classify_pair(a, b, env);
-      if (v == PairVerdict::ProvablyRacing) {
-        const bool bar_free =
-            i == j || reach[i][b.pc] || reach[j][a.pc];
-        const bool always_executed = on_spine[cfg.block_of(a.pc)] &&
-                                     on_spine[cfg.block_of(b.pc)];
-        if (!bar_free || !always_executed) v = PairVerdict::MayConflict;
+      // Without a write, or with two atomics, the pair cannot race.
+      if (a.space != b.space || !conflicting(a, b)) continue;
+      if (classify(keys[i], keys[j], ka.env) !=
+          PairVerdict::ProvablyRacing) {
+        continue;
       }
-      report.pairs.push_back(SitePair{a, b, v});
+      const bool always_executed = on_spine[ka.cfg.block_of(a.pc)] &&
+                                   on_spine[ka.cfg.block_of(b.pc)];
+      if (always_executed &&
+          (i == j || reaches(i, b.pc) || reaches(j, a.pc))) {
+        report.pairs.push_back(SitePair{a, b});
+      }
     }
   }
   return report;
@@ -366,18 +398,19 @@ RaceCandidateReport analyze_races(const ptx::Program& prg,
 std::vector<std::uint32_t> independent_access_pcs(const ptx::Program& prg,
                                                   const LaunchEnv& env) {
   const std::vector<AccessSite> sites = analyze_addresses(prg, env);
+  const std::vector<KeyedSite> keys = split_terms(sites);
   std::vector<std::uint32_t> out;
-  for (const AccessSite& a : sites) {
+  for (const KeyedSite& a : keys) {
     bool independent = true;
-    for (const AccessSite& b : sites) {
-      if (a.space != b.space) continue;
-      if (!a.write && !b.write) continue;  // reads always commute
-      if (classify_pair(a, b, env) != PairVerdict::Disjoint) {
+    for (const KeyedSite& b : keys) {
+      if (a.site.space != b.site.space) continue;
+      if (!a.site.write && !b.site.write) continue;  // reads always commute
+      if (classify(a, b, env) != PairVerdict::Disjoint) {
         independent = false;
         break;
       }
     }
-    if (independent) out.push_back(a.pc);
+    if (independent) out.push_back(a.site.pc);
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());

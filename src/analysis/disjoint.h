@@ -38,32 +38,38 @@ std::string to_string(PairVerdict v);
 PairVerdict classify_pair(const AccessSite& a, const AccessSite& b,
                           const LaunchEnv& env = {});
 
-/// A classified same-space site pair (a.pc <= b.pc; a.pc == b.pc is the
-/// self-pair: two distinct threads at one instruction).
+/// A ProvablyRacing same-space site pair (a.pc <= b.pc; a.pc == b.pc
+/// is the self-pair: two distinct threads at one instruction).
 struct SitePair {
   AccessSite a, b;
-  PairVerdict verdict = PairVerdict::MayConflict;
 };
 
 /// The static analogue of check::RaceReport.
 struct RaceCandidateReport {
-  std::vector<SitePair> pairs;  // every Shared/Global same-space pair
+  /// The ProvablyRacing pairs only, ordered by a's site index, then
+  /// b's (sites in pc order).
+  std::vector<SitePair> pairs;
 
-  [[nodiscard]] std::vector<SitePair> racing() const;
-  [[nodiscard]] bool any_racing() const;
+  [[nodiscard]] std::vector<SitePair> racing() const { return pairs; }
+  [[nodiscard]] bool any_racing() const { return !pairs.empty(); }
 };
 
-/// Classify every same-space pair of Shared/Global sites in `prg`.
-/// A ProvablyRacing verdict additionally requires, beyond footprint
-/// overlap with a non-atomic write:
+/// Classify the same-space pairs of Shared/Global sites in `prg` and
+/// keep the ProvablyRacing ones.  A ProvablyRacing verdict
+/// additionally requires, beyond footprint overlap with a non-atomic
+/// write:
 ///  * a bar-free control-flow path between the two sites (in either
 ///    direction; trivial for the self-pair), and
 ///  * both sites post-dominating entry (every thread executes them),
 ///    so the conflicting threads are known to reach the sites.
 /// With an unknown launch the report assumes at least two threads in
-/// scope; pairs failing a gate degrade to MayConflict.
+/// scope; pairs failing a gate are MayConflict and left out.
 RaceCandidateReport analyze_races(const ptx::Program& prg,
                                   const LaunchEnv& env = {});
+
+/// The same report from an analysis already made (lint_kernel).
+RaceCandidateReport analyze_races(const ptx::Program& prg,
+                                  const KernelAnalysis& ka);
 
 /// Pcs of Shared/Global access instructions proven independent of every
 /// same-space site in the program (including their own self-pair):

@@ -24,32 +24,17 @@ SourceLoc loc_of(const std::vector<SourceLoc>& locs, std::uint32_t pc) {
 
 // --- barrier divergence -------------------------------------------------
 
-void lint_barriers(const ptx::Program& prg, const Cfg& cfg,
+void lint_barriers(const ptx::Program& prg, const KernelAnalysis& ka,
                    const std::vector<SourceLoc>& locs,
                    std::vector<Finding>& out) {
-  const std::vector<bool> divergent = ptx::divergent_pbras(prg.code());
-  const std::vector<std::uint32_t> ipd = cfg.ipostdom();
   std::set<std::uint32_t> flagged;  // bar pcs, reported once
   for (std::uint32_t pc = 0; pc < prg.size(); ++pc) {
-    if (!divergent[pc]) continue;
-    const std::uint32_t branch_block = cfg.block_of(pc);
-    const std::uint32_t join = ipd[branch_block];
-    // Blocks reachable from the branch before reconvergence.  The join
-    // itself is warp-uniform again; a bar there is fine (the corpus
-    // reductions place theirs exactly at joins).
-    std::vector<bool> seen(cfg.blocks().size(), false);
-    std::deque<std::uint32_t> work;
-    for (const std::uint32_t s : cfg.blocks()[branch_block].succs) {
-      if (s != join && s != cfg.exit_id() && !seen[s]) {
-        seen[s] = true;
-        work.push_back(s);
-      }
-    }
-    while (!work.empty()) {
-      const std::uint32_t b = work.front();
-      work.pop_front();
-      for (std::uint32_t p = cfg.blocks()[b].first; p < cfg.blocks()[b].last;
-           ++p) {
+    if (!ka.divergent[pc]) continue;
+    // A bar at the join is fine: the warp is uniform again there (the
+    // corpus reductions place theirs exactly at joins).
+    for (const std::uint32_t b : ka.divergent_region(pc)) {
+      const Cfg::Block& block = ka.cfg.blocks()[b];
+      for (std::uint32_t p = block.first; p < block.last; ++p) {
         if (std::holds_alternative<ptx::IBar>(prg.code()[p]) &&
             flagged.insert(p).second) {
           out.push_back(Finding{
@@ -59,12 +44,6 @@ void lint_barriers(const ptx::Program& prg, const Cfg& cfg,
                   std::to_string(pc) +
                   ": threads that take the other side never arrive, the "
                   "block deadlocks"});
-        }
-      }
-      for (const std::uint32_t s : cfg.blocks()[b].succs) {
-        if (s != join && s != cfg.exit_id() && !seen[s]) {
-          seen[s] = true;
-          work.push_back(s);
         }
       }
     }
@@ -172,11 +151,10 @@ void lint_shared_overflow(const std::vector<AccessSite>& sites,
   }
 }
 
-void lint_races(const ptx::Program& prg, const LintOptions& opts,
+void lint_races(const RaceCandidateReport& report,
                 const std::vector<SourceLoc>& locs,
                 std::vector<Finding>& out) {
-  const RaceCandidateReport report = analyze_races(prg, opts.launch);
-  for (const SitePair& p : report.racing()) {
+  for (const SitePair& p : report.pairs) {
     const char* what = p.a.write && p.b.write ? "write/write" : "read/write";
     std::string where = "pc " + std::to_string(p.b.pc);
     if (const SourceLoc l = loc_of(locs, p.b.pc); l.valid()) {
@@ -223,9 +201,7 @@ namespace {
 
 /// Fold the perf passes' typed findings into lint findings: always
 /// warnings, the structured cost carried alongside the message.
-void fold_perf(const ptx::Program& prg, const std::vector<SourceLoc>& locs,
-               const LintOptions& opts, std::vector<Finding>& out) {
-  const PerfReport perf = analyze_perf(prg, locs, opts.launch);
+void fold_perf(const PerfReport& perf, std::vector<Finding>& out) {
   for (const PerfFinding& p : perf.findings) {
     Finding f;
     f.severity = Severity::Warning;
@@ -259,13 +235,14 @@ LintReport lint_kernel(const ptx::Program& prg,
                        const LintOptions& opts) {
   LintReport report;
   if (prg.empty()) return report;
-  const Cfg cfg(prg.code());
-  lint_barriers(prg, cfg, locs, report.findings);
-  lint_uninit(prg, cfg, locs, report.findings);
-  const std::vector<AccessSite> sites = analyze_addresses(prg, opts.launch);
-  lint_shared_overflow(sites, opts, locs, report.findings);
-  if (opts.check_races) lint_races(prg, opts, locs, report.findings);
-  if (opts.perf) fold_perf(prg, locs, opts, report.findings);
+  const KernelAnalysis ka(prg, opts.launch);
+  lint_barriers(prg, ka, locs, report.findings);
+  lint_uninit(prg, ka.cfg, locs, report.findings);
+  lint_shared_overflow(ka.facts.sites, opts, locs, report.findings);
+  if (opts.check_races) {
+    lint_races(analyze_races(prg, ka), locs, report.findings);
+  }
+  if (opts.perf) fold_perf(analyze_perf(prg, locs, ka), report.findings);
   std::stable_sort(report.findings.begin(), report.findings.end(),
                    [](const Finding& a, const Finding& b) {
                      return a.pc != b.pc

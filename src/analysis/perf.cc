@@ -1,11 +1,9 @@
 #include "analysis/perf.h"
 
 #include <algorithm>
-#include <deque>
 
 #include "analysis/costmodel.h"
 #include "ptx/cfg.h"
-#include "ptx/defuse.h"
 
 namespace cac::analysis {
 
@@ -99,39 +97,21 @@ bool oscillates(const Guard& g) {
   return false;
 }
 
-void perf_divergence(const ptx::Program& prg, const ptx::Cfg& cfg,
-                     const ProgramFacts& facts,
+void perf_divergence(const ptx::Program& prg, const KernelAnalysis& ka,
                      const std::vector<SourceLoc>& locs,
                      std::vector<PerfFinding>& out) {
-  const std::vector<bool> divergent = ptx::divergent_pbras(prg.code());
-  const std::vector<std::uint32_t> ipd = cfg.ipostdom();
+  const auto& taken_facts = ka.facts.taken_facts;
   for (std::uint32_t pc = 0; pc < prg.size(); ++pc) {
-    if (!divergent[pc]) continue;
+    if (!ka.divergent[pc]) continue;
     // Affine predicates are monotone in tid.x: at most one transition
     // per warp.  Flag only provably-oscillating guards (modulo over
     // tid.x) and guards beyond the domain (may-report).
-    const auto fact = facts.taken_facts.find(pc);
-    if (fact != facts.taken_facts.end() && !oscillates(fact->second)) {
-      continue;
-    }
-    // Walk the divergent region: blocks reachable from the branch
-    // before the ipostdom join (the join itself is uniform again).
-    const std::uint32_t branch_block = cfg.block_of(pc);
-    const std::uint32_t join = ipd[branch_block];
-    std::vector<bool> seen(cfg.blocks().size(), false);
-    std::deque<std::uint32_t> work;
-    for (const std::uint32_t s : cfg.blocks()[branch_block].succs) {
-      if (s != join && s != cfg.exit_id() && !seen[s]) {
-        seen[s] = true;
-        work.push_back(s);
-      }
-    }
+    const auto fact = taken_facts.find(pc);
+    if (fact != taken_facts.end() && !oscillates(fact->second)) continue;
     unsigned insns = 0, loads = 0;
-    while (!work.empty()) {
-      const std::uint32_t b = work.front();
-      work.pop_front();
-      for (std::uint32_t p = cfg.blocks()[b].first; p < cfg.blocks()[b].last;
-           ++p) {
+    for (const std::uint32_t b : ka.divergent_region(pc)) {
+      const ptx::Cfg::Block& block = ka.cfg.blocks()[b];
+      for (std::uint32_t p = block.first; p < block.last; ++p) {
         const ptx::Instr& ins = prg.code()[p];
         // Mechanically inserted reconvergence Syncs and Nops are not
         // executed work.
@@ -142,12 +122,6 @@ void perf_divergence(const ptx::Program& prg, const ptx::Cfg& cfg,
         ++insns;
         if (const auto* ld = std::get_if<ptx::ILd>(&ins)) {
           if (ld->space == ptx::Space::Global) ++loads;
-        }
-      }
-      for (const std::uint32_t s : cfg.blocks()[b].succs) {
-        if (s != join && s != cfg.exit_id() && !seen[s]) {
-          seen[s] = true;
-          work.push_back(s);
         }
       }
     }
@@ -184,13 +158,17 @@ std::string to_string(PerfKind k) {
 PerfReport analyze_perf(const ptx::Program& prg,
                         const std::vector<SourceLoc>& locs,
                         const LaunchEnv& env) {
+  if (prg.empty()) return {};
+  return analyze_perf(prg, locs, KernelAnalysis(prg, env));
+}
+
+PerfReport analyze_perf(const ptx::Program& prg,
+                        const std::vector<SourceLoc>& locs,
+                        const KernelAnalysis& ka) {
   PerfReport report;
-  if (prg.empty()) return report;
-  const ptx::Cfg cfg(prg.code());
-  const ProgramFacts facts = analyze_program(prg, env);
-  perf_memory(facts, env, locs, report.findings);
+  perf_memory(ka.facts, ka.env, locs, report.findings);
   std::vector<PerfFinding> divergence;
-  perf_divergence(prg, cfg, facts, locs, divergence);
+  perf_divergence(prg, ka, locs, divergence);
   // Hotspot ranking: biggest divergent region first, pc breaks ties.
   std::stable_sort(divergence.begin(), divergence.end(),
                    [](const PerfFinding& a, const PerfFinding& b) {

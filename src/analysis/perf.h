@@ -70,4 +70,9 @@ PerfReport analyze_perf(const ptx::Program& prg,
                         const std::vector<SourceLoc>& locs,
                         const LaunchEnv& env = {});
 
+/// The same passes over an analysis already made (lint_kernel).
+PerfReport analyze_perf(const ptx::Program& prg,
+                        const std::vector<SourceLoc>& locs,
+                        const KernelAnalysis& ka);
+
 }  // namespace cac::analysis

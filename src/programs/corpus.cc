@@ -631,4 +631,21 @@ ptx::Program straightline_program(unsigned n_ops) {
   return Program("straightline", std::move(code));
 }
 
+std::string unrolled_ptx(unsigned copies) {
+  std::string s =
+      ".version 6.0\n.target sm_30\n.address_size 64\n\n"
+      ".visible .entry unrolled(\n  .param .u64 in,\n  .param .u64 out\n)\n"
+      "{\n  .reg .u32 %r<8>;\n  .reg .u64 %rd<8>;\n\n"
+      "  ld.param.u64 %rd1, [in];\n  ld.param.u64 %rd2, [out];\n"
+      "  mov.u32 %r1, %tid.x;\n  mov.u32 %r2, %ntid.x;\n";
+  for (unsigned j = 0; j < copies; ++j) {
+    const std::string k = std::to_string(j);
+    s += "  mad.lo.u32 %r3, %r2, " + k + ", %r1;\n" +
+         "  mul.wide.u32 %rd3, %r3, 4;\n  add.u64 %rd4, %rd1, %rd3;\n" +
+         "  ld.global.u32 %r4, [%rd4];\n  add.u32 %r4, %r4, " + k + ";\n" +
+         "  add.u64 %rd5, %rd2, %rd3;\n  st.global.u32 [%rd5], %r4;\n";
+  }
+  return s + "  ret;\n}\n";
+}
+
 }  // namespace cac::programs

@@ -93,4 +93,10 @@ ptx::Program divergent_exit_program();
 /// memory), handy for scheduler-transparency sweeps.
 ptx::Program straightline_program(unsigned n_ops);
 
+/// Kernel `unrolled`: `copies` blocks of 7 instructions, block j
+/// computing out[j*ntid + tid] = in[j*ntid + tid] + j.  Straight-line
+/// code with 2*copies Global access sites that lints clean, perf
+/// passes included: the shape of a long unrolled kernel.
+std::string unrolled_ptx(unsigned copies);
+
 }  // namespace cac::programs

@@ -156,15 +156,16 @@ def analysis_summary(benchmarks: list[dict]) -> list[dict]:
 def perf_lint_summary(benchmarks: list[dict]) -> list[dict]:
     """Summarize BM_PerfLint* instances (bench_perf_lint): kernels
     priced per second by the static performance passes, split into the
-    clean-corpus common case and the all-offender kernel, with the
-    per-run finding counts re-asserted by the bench itself."""
+    clean-corpus common case and the all-offender kernel, plus whole
+    lints of unrolled kernels by access-site count, with the per-run
+    finding counts re-asserted by the bench itself."""
     out = []
     for b in benchmarks:
         name = b.get("name", "")
         if not name.startswith("BM_PerfLint"):
             continue
         entry = {"name": name}
-        for k in ("kernels", "findings", "kernels_per_sec",
+        for k in ("kernels", "findings", "kernels_per_sec", "sites",
                   "real_time", "time_unit"):
             if k in b:
                 entry[k] = b[k]
