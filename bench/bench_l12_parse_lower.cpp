@@ -6,8 +6,12 @@
 // structure, 20 vs 23 instructions (the three cvta Movs the authors
 // dropped by hand are kept by the mechanical lowering).  Benchmarks
 // cover the lexer, parser, CFG/post-dominator analysis and lowering.
+// BM_FrontEnd/{12,40,85,400} times parse + lower of unrolled kernels
+// of growing length and splits the cost per instruction into lex,
+// parse and lower counters.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdio>
 
 #include "programs/corpus.h"
@@ -96,6 +100,47 @@ void BM_FullFrontEndAllKernels(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(instrs));
 }
 BENCHMARK(BM_FullFrontEndAllKernels);
+
+// Iteration time is parse_module + lower of programs::unrolled_ptx(n).
+// Counters, in ns per lowered instruction: `lex_ns` a stand-alone
+// ptx::lex of the source, `parse_ns` parse_module (which lexes as it
+// goes), `lower_ns` lower.
+void BM_FrontEnd(benchmark::State& state) {
+  using Clock = std::chrono::steady_clock;
+  const std::string src =
+      programs::unrolled_ptx(static_cast<unsigned>(state.range(0)));
+  const std::size_t instrs = ptx::load_ptx(src).kernels.at(0).size();
+  double lex_ns = 0;
+  double parse_ns = 0;
+  double lower_ns = 0;
+  for (auto _ : state) {
+    const auto t0 = Clock::now();
+    benchmark::DoNotOptimize(ptx::lex(src));
+    const auto t1 = Clock::now();
+    const ptx::AstModule ast = ptx::parse_module(src);
+    const auto t2 = Clock::now();
+    const ptx::LoweredModule m = ptx::lower(ast);
+    const auto t3 = Clock::now();
+    benchmark::DoNotOptimize(m.kernels.data());
+    const auto ns = [](auto a, auto b) {
+      return std::chrono::duration<double, std::nano>(b - a).count();
+    };
+    lex_ns += ns(t0, t1);
+    parse_ns += ns(t1, t2);
+    lower_ns += ns(t2, t3);
+    state.SetIterationTime(ns(t1, t3) * 1e-9);
+  }
+  const double per = static_cast<double>(instrs);
+  state.counters["instrs"] = per;
+  state.counters["lex_ns"] =
+      benchmark::Counter(lex_ns / per, benchmark::Counter::kAvgIterations);
+  state.counters["parse_ns"] =
+      benchmark::Counter(parse_ns / per, benchmark::Counter::kAvgIterations);
+  state.counters["lower_ns"] =
+      benchmark::Counter(lower_ns / per, benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_FrontEnd)->Arg(12)->Arg(40)->Arg(85)->Arg(400)->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
 
 struct Banner {
   Banner() { print_diff(); }

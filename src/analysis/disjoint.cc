@@ -49,11 +49,13 @@ EnumPlan plan_enumeration(const AccessSite& a, const AccessSite& b,
   EnumPlan p;
   if (!env.known || a.addr.is_top() || b.addr.is_top()) return p;
   for (const AccessSite* s : {&a, &b}) {
-    for (const Term& t : s->addr.terms()) {
-      switch (t.sym.kind) {
-        case Sym::Kind::Tid: p.tid_dim[t.sym.dim] = true; break;
-        case Sym::Kind::CtaId: p.cta_dim[t.sym.dim] = true; break;
-        default: return p;  // symbolic param / unfolded launch symbol
+    for (const auto* terms : {&s->addr.terms(), &s->addr.mod_terms()}) {
+      for (const Term& t : *terms) {
+        switch (t.sym.kind) {
+          case Sym::Kind::Tid: p.tid_dim[t.sym.dim] = true; break;
+          case Sym::Kind::CtaId: p.cta_dim[t.sym.dim] = true; break;
+          default: return p;  // symbolic param / unfolded launch symbol
+        }
       }
     }
   }
@@ -77,18 +79,36 @@ EnumPlan plan_enumeration(const AccessSite& a, const AccessSite& b,
   return p;
 }
 
-/// c + Σ k·v with the per-side values for appearing dims.  Returns
-/// false on int64 overflow.
-bool eval(const AffineExpr& e, const std::int64_t tid[3],
-          const std::int64_t cta[3], std::int64_t& out) {
-  out = e.constant_term();
-  for (const Term& t : e.terms()) {
+/// c + Σ k·v over `terms` with the per-side values for appearing dims.
+/// Returns false on int64 overflow.
+bool eval_sum(std::int64_t c, const std::vector<Term>& terms,
+              const std::int64_t tid[3], const std::int64_t cta[3],
+              std::int64_t& out) {
+  out = c;
+  for (const Term& t : terms) {
     const std::int64_t v =
         t.sym.kind == Sym::Kind::Tid ? tid[t.sym.dim] : cta[t.sym.dim];
     std::int64_t prod = 0;
     if (!mul_ck(t.coeff, v, prod) || !add_ck(out, prod, out)) return false;
   }
   return true;
+}
+
+/// The address, modulo component included.  Returns false on int64
+/// overflow.
+bool eval(const AffineExpr& e, const std::int64_t tid[3],
+          const std::int64_t cta[3], std::int64_t& out) {
+  if (!eval_sum(e.constant_term(), e.terms(), tid, cta, out)) return false;
+  if (!e.has_mod()) return true;
+  std::int64_t inner = 0;
+  if (!eval_sum(e.mod_constant(), e.mod_terms(), tid, cta, inner)) {
+    return false;
+  }
+  // The inner value is nonnegative by construction (affine.h), where
+  // `%` is the mathematical mod; anything else is left unevaluated.
+  std::int64_t prod = 0;
+  return inner >= 0 && mul_ck(e.mod_scale(), inner % e.modulus(), prod) &&
+         add_ck(out, prod, out);
 }
 
 /// Iterate assignments of the flagged dims (others pinned to 0);
@@ -196,6 +216,9 @@ PairVerdict classify_static(const KeyedSite& sa, const KeyedSite& sb) {
   const AccessSite& a = sa.site;
   const AccessSite& b = sb.site;
   if (a.addr.is_top() || b.addr.is_top()) return PairVerdict::MayConflict;
+  // The window and stride rules read the affine terms only; a modulo
+  // component (`tid % 4`) varies per thread outside them.
+  if (a.addr.has_mod() || b.addr.has_mod()) return PairVerdict::MayConflict;
   // The uniform parts must cancel exactly for the offset argument to
   // say anything about the difference of the two addresses.
   if (sa.uniform != sb.uniform) return PairVerdict::MayConflict;
@@ -281,11 +304,11 @@ PairVerdict classify(const KeyedSite& ka, const KeyedSite& kb,
 /// Whether classify can find a pair holding `s` ProvablyRacing at all:
 /// the window rule needs an address with no thread-varying term, and
 /// enumeration (plan_enumeration) a known launch and an address over
-/// tid/ctaid alone.
+/// tid/ctaid alone.  A site with a modulo component is never skipped.
 bool may_race(const KeyedSite& s, const LaunchEnv& env) {
   const AffineExpr& addr = s.site.addr;
   if (addr.is_top()) return false;
-  if (s.varying.empty()) return true;
+  if (s.varying.empty() || addr.has_mod()) return true;
   return env.known &&
          std::all_of(addr.terms().begin(), addr.terms().end(),
                      [](const Term& t) {

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <deque>
-#include <map>
-#include <optional>
 #include <set>
 
 #include "analysis/perf.h"
@@ -56,7 +54,72 @@ std::uint32_t pred_key(const ptx::Pred& p) {
   return 0x80000000u | p.index;
 }
 
-using KeySet = std::set<std::uint32_t>;
+/// The register or predicate a key names (inverse of Reg::key and
+/// pred_key).
+std::string key_name(std::uint32_t key) {
+  if (key & 0x80000000u) {
+    return to_string(ptx::Pred{static_cast<std::uint16_t>(key)});
+  }
+  return to_string(ptx::Reg{static_cast<ptx::TypeClass>(key >> 24),
+                            static_cast<std::uint8_t>(key >> 16),
+                            static_cast<std::uint16_t>(key)});
+}
+
+/// Per-pc register and predicate keys read and written (ptx::def_use,
+/// worked out once per instruction), each key renumbered densely so a
+/// set of keys is a flat bit set.
+struct KeyedDefUse {
+  std::vector<std::uint32_t> keys;  // dense index -> key, ascending
+  // Flattened per-pc lists of dense indices; pc's reads are
+  // reads[read_at[pc], read_at[pc + 1]), register reads first.
+  std::vector<std::uint32_t> reads, writes, read_at, write_at;
+
+  explicit KeyedDefUse(const std::vector<Instr>& code) {
+    for (const Instr& i : code) {
+      const ptx::DefUse du = ptx::def_use(i);
+      read_at.push_back(static_cast<std::uint32_t>(reads.size()));
+      write_at.push_back(static_cast<std::uint32_t>(writes.size()));
+      for (const ptx::Reg& r : du.reads) reads.push_back(r.key());
+      for (const ptx::Pred& p : du.pred_reads) reads.push_back(pred_key(p));
+      for (const ptx::Reg& r : du.writes) writes.push_back(r.key());
+      for (const ptx::Pred& p : du.pred_writes) writes.push_back(pred_key(p));
+    }
+    read_at.push_back(static_cast<std::uint32_t>(reads.size()));
+    write_at.push_back(static_cast<std::uint32_t>(writes.size()));
+    keys = reads;
+    keys.insert(keys.end(), writes.begin(), writes.end());
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    for (std::vector<std::uint32_t>* list : {&reads, &writes}) {
+      for (std::uint32_t& k : *list) {
+        k = static_cast<std::uint32_t>(
+            std::lower_bound(keys.begin(), keys.end(), k) - keys.begin());
+      }
+    }
+  }
+};
+
+/// A set of dense key indices.
+class KeySet {
+ public:
+  explicit KeySet(std::size_t n) : words_((n + 63) / 64, 0) {}
+  [[nodiscard]] bool has(std::uint32_t i) const {
+    return (words_[i / 64] >> (i % 64)) & 1;
+  }
+  void add(std::uint32_t i) { words_[i / 64] |= std::uint64_t{1} << (i % 64); }
+  /// this |= o; whether that added a key.
+  bool merge(const KeySet& o) {
+    bool grew = false;
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      grew |= (o.words_[w] & ~words_[w]) != 0;
+      words_[w] |= o.words_[w];
+    }
+    return grew;
+  }
+
+ private:
+  std::vector<std::uint64_t> words_;
+};
 
 void lint_uninit(const ptx::Program& prg, const Cfg& cfg,
                  const std::vector<SourceLoc>& locs,
@@ -64,62 +127,61 @@ void lint_uninit(const ptx::Program& prg, const Cfg& cfg,
   // May-initialized analysis: the set of keys with at least one write
   // reaching block entry over the union of paths.  A read outside the
   // set has *zero* reaching definitions — guaranteed-garbage use.
+  const KeyedDefUse du(prg.code());
+  const std::size_t nkeys = du.keys.size();
   const auto& blocks = cfg.blocks();
-  std::vector<std::optional<KeySet>> in(blocks.size());
+  std::vector<KeySet> in(blocks.size(), KeySet(nkeys));
+  std::vector<bool> reached(blocks.size(), false);
+  std::vector<bool> queued(blocks.size(), false);
   std::deque<std::uint32_t> work;
-  in[0] = KeySet{};
+  reached[0] = queued[0] = true;
   work.push_back(0);
-  auto block_out = [&](std::uint32_t b) {
-    KeySet s = *in[b];
-    for (std::uint32_t pc = blocks[b].first; pc < blocks[b].last; ++pc) {
-      const ptx::DefUse du = ptx::def_use(prg.code()[pc]);
-      for (const ptx::Reg& r : du.writes) s.insert(r.key());
-      for (const ptx::Pred& p : du.pred_writes) s.insert(pred_key(p));
-    }
-    return s;
-  };
   while (!work.empty()) {
     const std::uint32_t b = work.front();
     work.pop_front();
-    const KeySet s = block_out(b);
+    queued[b] = false;
+    KeySet s = in[b];
+    for (std::uint32_t i = du.write_at[blocks[b].first];
+         i < du.write_at[blocks[b].last]; ++i) {
+      s.add(du.writes[i]);
+    }
     for (const std::uint32_t succ : blocks[b].succs) {
       if (succ == cfg.exit_id()) continue;
-      // Union join, tracked as "new keys only shrink nothing": the
-      // may-set at entry is the union over predecessors, so merging
-      // adds keys monotonically.
-      KeySet next = in[succ].has_value() ? *in[succ] : s;
-      if (in[succ].has_value()) {
-        next.insert(s.begin(), s.end());
+      // Union join: the may-set at entry is the union over
+      // predecessors, so merging adds keys monotonically.
+      const bool grew = in[succ].merge(s);
+      if ((grew || !reached[succ]) && !queued[succ]) {
+        queued[succ] = true;
+        work.push_back(succ);
       }
-      if (!in[succ].has_value() || next != *in[succ]) {
-        in[succ] = std::move(next);
-        if (std::find(work.begin(), work.end(), succ) == work.end()) {
-          work.push_back(succ);
-        }
-      }
+      reached[succ] = true;
     }
   }
 
-  std::set<std::pair<std::uint32_t, std::uint32_t>> reported;  // (pc, key)
+  std::vector<std::uint32_t> reported;  // keys reported at this pc
   for (std::uint32_t b = 0; b < blocks.size(); ++b) {
-    if (!in[b].has_value()) continue;  // unreachable
-    KeySet live = *in[b];
+    if (!reached[b]) continue;
+    KeySet live = in[b];
     for (std::uint32_t pc = blocks[b].first; pc < blocks[b].last; ++pc) {
-      const ptx::DefUse du = ptx::def_use(prg.code()[pc]);
-      auto report = [&](std::uint32_t key, const std::string& name) {
-        if (live.count(key) == 0 && reported.emplace(pc, key).second) {
-          out.push_back(Finding{
-              Pass::UninitRegister, Severity::Error, pc, loc_of(locs, pc),
-              name + " is read but never written on any path to pc " +
-                  std::to_string(pc)});
+      reported.clear();
+      for (std::uint32_t i = du.read_at[pc]; i < du.read_at[pc + 1]; ++i) {
+        const std::uint32_t key = du.reads[i];
+        if (live.has(key) ||
+            std::find(reported.begin(), reported.end(), key) !=
+                reported.end()) {
+          continue;
         }
-      };
-      for (const ptx::Reg& r : du.reads) report(r.key(), to_string(r));
-      for (const ptx::Pred& p : du.pred_reads) {
-        report(pred_key(p), to_string(p));
+        reported.push_back(key);
+        out.push_back(Finding{
+            Pass::UninitRegister, Severity::Error, pc, loc_of(locs, pc),
+            key_name(du.keys[key]) +
+                " is read but never written on any path to pc " +
+                std::to_string(pc),
+            {}});
       }
-      for (const ptx::Reg& r : du.writes) live.insert(r.key());
-      for (const ptx::Pred& p : du.pred_writes) live.insert(pred_key(p));
+      for (std::uint32_t i = du.write_at[pc]; i < du.write_at[pc + 1]; ++i) {
+        live.add(du.writes[i]);
+      }
     }
   }
 }

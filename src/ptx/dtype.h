@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "support/diag.h"
 
@@ -49,6 +50,6 @@ std::string to_string(Space ss);
 
 /// Parse a PTX type suffix such as "u32", "s64", "b8", "pred".
 /// Throws PtxError on an unknown suffix.
-DType dtype_from_suffix(const std::string& suffix);
+DType dtype_from_suffix(std::string_view suffix);
 
 }  // namespace cac::ptx

@@ -4,6 +4,9 @@
 // with dotted directives (`.reg`, `.u32`), register references
 // (`%rd4`, `%tid.x`), integer literals, labels and a small punctuation
 // set.  Comments (`//` and `/* */`) are stripped here.
+//
+// Tokens are views: `Token::text` points into the scanned source, so a
+// token must not outlive the text it was scanned from.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +29,7 @@ enum class TokKind : std::uint8_t {
 
 struct Token {
   TokKind kind = TokKind::End;
-  std::string text;         // normalized token text (see kind comments)
+  std::string_view text;    // the token's bytes in the source (see kinds)
   std::int64_t value = 0;   // for Int
   SourceLoc loc;
 
@@ -38,8 +41,32 @@ struct Token {
   }
 };
 
-/// Tokenize a complete PTX source text.  Throws PtxError on malformed
-/// input (unterminated comment, stray character, bad literal).
+/// Pull tokenizer over a source text: each next() scans one token.
+/// After the last token it returns End, at the end-of-input location,
+/// on every call.  Throws PtxError on malformed input (unterminated
+/// comment or string, stray character, bad literal) and stays at the
+/// bad token, so a further next() throws the same error.
+class Scanner {
+ public:
+  explicit Scanner(std::string_view source) : src_(source) {}
+
+  Token next();
+
+ private:
+  [[nodiscard]] SourceLoc loc_at(std::size_t pos) const {
+    return {line_, static_cast<std::uint32_t>(pos - line_start_ + 1)};
+  }
+  void skip_space_and_comments();
+  std::size_t skip_ident(std::size_t pos) const;
+  Token scan_int(std::size_t start);
+
+  std::string_view src_;
+  std::size_t pos_ = 0;
+  std::size_t line_start_ = 0;  // offset of the current line's first byte
+  std::uint32_t line_ = 1;
+};
+
+/// Tokenize a complete PTX source text; the last token is End.
 std::vector<Token> lex(std::string_view source);
 
 std::string to_string(TokKind k);

@@ -1,41 +1,67 @@
 #include "ptx/lower.h"
 
 #include <algorithm>
-#include <cctype>
-#include <map>
+#include <array>
+#include <bit>
 #include <optional>
 #include <set>
 
 #include "ptx/cfg.h"
 #include "ptx/defuse.h"
-#include "support/strings.h"
 
 namespace cac::ptx {
 
 namespace {
 
-/// Split a dotted opcode like "ld.global.u32" into its pieces.
-std::vector<std::string> opcode_pieces(const std::string& opcode) {
-  std::vector<std::string> out;
-  for (std::string_view piece : split(opcode, '.')) {
-    out.emplace_back(piece);
-  }
-  return out;
-}
+/// A dotted opcode like "ld.global.u32" split into views of its pieces;
+/// piece 0 is the mnemonic.  Bounded: no modeled opcode has more than
+/// five pieces, and one with more than kMax is rejected as a whole.
+class OpcodePieces {
+ public:
+  static constexpr std::size_t kMax = 16;
 
-bool is_type_piece(const std::string& p) {
+  explicit OpcodePieces(std::string_view opcode) {
+    for (;;) {
+      const std::size_t dot = opcode.find('.');
+      if (n_ == kMax) {
+        overflow_ = true;
+        return;
+      }
+      piece_[n_++] = opcode.substr(0, dot);
+      if (dot == std::string_view::npos) return;
+      opcode.remove_prefix(dot + 1);
+    }
+  }
+
+  [[nodiscard]] bool overflow() const { return overflow_; }
+  [[nodiscard]] std::size_t size() const { return n_; }
+  [[nodiscard]] std::string_view operator[](std::size_t i) const {
+    return piece_[i];
+  }
+  [[nodiscard]] const std::string_view* begin() const { return piece_.data(); }
+  [[nodiscard]] const std::string_view* end() const {
+    return piece_.data() + n_;
+  }
+  [[nodiscard]] bool has(std::string_view p) const {
+    return std::find(begin(), end(), p) != end();
+  }
+
+ private:
+  std::array<std::string_view, kMax> piece_{};
+  std::size_t n_ = 0;
+  bool overflow_ = false;
+};
+
+bool is_type_piece(std::string_view p) {
   if (p.size() < 2) return false;
   if (p[0] != 'u' && p[0] != 's' && p[0] != 'b') return false;
-  for (std::size_t i = 1; i < p.size(); ++i) {
-    if (!std::isdigit(static_cast<unsigned char>(p[i]))) return false;
-  }
-  const std::string w = p.substr(1);
+  const std::string_view w = p.substr(1);
   return w == "8" || w == "16" || w == "32" || w == "64";
 }
 
 /// dtype_from_suffix with the source position attached: a bad type
 /// suffix reports where it was written, not a bare message.
-DType typed_suffix(const std::string& suffix, SourceLoc loc) {
+DType typed_suffix(std::string_view suffix, SourceLoc loc) {
   try {
     return dtype_from_suffix(suffix);
   } catch (const PtxError& e) {
@@ -43,7 +69,7 @@ DType typed_suffix(const std::string& suffix, SourceLoc loc) {
   }
 }
 
-std::optional<Space> space_piece(const std::string& p) {
+std::optional<Space> space_piece(std::string_view p) {
   if (p == "global") return Space::Global;
   if (p == "shared") return Space::Shared;
   if (p == "const") return Space::Const;
@@ -51,11 +77,11 @@ std::optional<Space> space_piece(const std::string& p) {
   return std::nullopt;
 }
 
-std::optional<Sreg> sreg_from_name(const std::string& name) {
+std::optional<Sreg> sreg_from_name(std::string_view name) {
   const auto dot = name.find('.');
-  if (dot == std::string::npos) return std::nullopt;
-  const std::string base = name.substr(0, dot);
-  const std::string dim_s = name.substr(dot + 1);
+  if (dot == std::string_view::npos) return std::nullopt;
+  const std::string_view base = name.substr(0, dot);
+  const std::string_view dim_s = name.substr(dot + 1);
   SregKind kind;
   if (base == "tid") kind = SregKind::Tid;
   else if (base == "ctaid") kind = SregKind::CtaId;
@@ -70,75 +96,182 @@ std::optional<Sreg> sreg_from_name(const std::string& name) {
   return Sreg{kind, dim};
 }
 
-/// Register naming environment built from the kernel's .reg decls.
+/// The kernel's `.reg` declarations as a flat table.  `%r<n>` declares
+/// %r0..%r(n-1) and a bare `%x` the one register %x; a name resolves
+/// only if it is exactly one that a declaration declares.  Each
+/// declaration owns a range of model indices in its (class, width)
+/// space — all predicates share one space — so distinct declared names
+/// never alias: the first declaration of a space starts at index 0
+/// (%r7 is index 7, as nvcc's numbering reads), and each later one at
+/// the next free index.
 class RegEnv {
  public:
   void declare(const AstRegDecl& d) {
-    if (d.type_suffix == "pred") {
-      pred_prefixes_.insert(d.prefix);
-      return;
+    Decl decl{d.prefix, d.count, 0, DType{}};
+    std::uint64_t* next = &next_pred_;
+    if (d.type_suffix != "pred") {
+      const DType t = typed_suffix(d.type_suffix, d.loc);
+      // BD registers are stored as UI of the same width: the model's reg
+      // domain is {UI, SI} x N x N (paper Table I) and PTX b-typed
+      // registers carry uninterpreted bits.
+      decl.type = DType{t.cls == TypeClass::BD ? TypeClass::UI : t.cls,
+                        t.width};
+      // Widths are 8, 16, 32 or 64: slots 0 to 3.
+      next = &next_reg_[decl.type.cls == TypeClass::SI]
+                       [std::countr_zero(unsigned{t.width}) - 3];
     }
-    const DType t = typed_suffix(d.type_suffix, d.loc);
-    // BD registers are stored as UI of the same width: the model's reg
-    // domain is {UI, SI} x N x N (paper Table I) and PTX b-typed
-    // registers carry uninterpreted bits.
-    const TypeClass cls = t.cls == TypeClass::BD ? TypeClass::UI : t.cls;
-    prefixes_[d.prefix] = DType{cls, t.width};
+    decl.base = *next;
+    *next += std::max<std::uint32_t>(d.count, 1);
+    (d.type_suffix == "pred" ? preds_ : regs_).push_back(decl);
   }
 
-  [[nodiscard]] Pred pred(const std::string& name, SourceLoc loc) const {
-    auto [prefix, index] = split_name(name, loc);
-    if (!pred_prefixes_.count(prefix)) {
-      throw PtxError(loc, "'%" + name + "' is not a declared predicate");
-    }
-    return Pred{index};
+  [[nodiscard]] Pred pred(std::string_view name, SourceLoc loc) const {
+    return Pred{resolve(preds_, name, loc, "predicate").second};
   }
 
-  [[nodiscard]] Reg reg(const std::string& name, SourceLoc loc) const {
-    auto [prefix, index] = split_name(name, loc);
-    auto it = prefixes_.find(prefix);
-    if (it == prefixes_.end()) {
-      throw PtxError(loc, "'%" + name + "' is not a declared register");
-    }
-    return Reg{it->second.cls, it->second.width, index};
-  }
-
-  [[nodiscard]] bool is_pred(const std::string& name) const {
-    std::size_t i = 0;
-    while (i < name.size() &&
-           !std::isdigit(static_cast<unsigned char>(name[i]))) {
-      ++i;
-    }
-    return pred_prefixes_.count(name.substr(0, i)) > 0;
+  [[nodiscard]] Reg reg(std::string_view name, SourceLoc loc) const {
+    const auto [decl, index] = resolve(regs_, name, loc, "register");
+    return Reg{decl->type.cls, decl->type.width, index};
   }
 
  private:
-  static std::pair<std::string, std::uint16_t> split_name(
-      const std::string& name, SourceLoc loc) {
-    std::size_t i = 0;
-    while (i < name.size() &&
-           !std::isdigit(static_cast<unsigned char>(name[i]))) {
-      ++i;
+  struct Decl {
+    std::string_view prefix;  // views the AST's declaration
+    std::uint32_t count = 0;  // 0: the single register named `prefix`
+    std::uint64_t base = 0;   // model index of the first name
+    DType type;               // registers only
+  };
+
+  /// A decimal index as %r<n> spells it: no sign, no leading zero.
+  static bool decimal_index(std::string_view s, std::uint64_t& out) {
+    if (s.empty() || s.size() > 10 || (s[0] == '0' && s.size() > 1)) {
+      return false;
     }
-    if (i == name.size()) return {name, 0};
-    try {
-      const unsigned long idx = std::stoul(name.substr(i));
-      if (idx > 0xffff) {
-        throw PtxError(loc, "register index out of range '%" + name + "'");
-      }
-      return {name.substr(0, i), static_cast<std::uint16_t>(idx)};
-    } catch (const PtxError&) {
-      throw;
-    } catch (const std::exception&) {
-      // stoul overflow/garbage: a diagnostic, never a crash or a
-      // silently truncated register index.
-      throw PtxError(loc, "bad register name '%" + name + "'");
+    out = 0;
+    for (const char c : s) {
+      if (c < '0' || c > '9') return false;
+      out = out * 10 + static_cast<unsigned>(c - '0');
     }
+    return true;
   }
 
-  std::map<std::string, DType> prefixes_;
-  std::set<std::string> pred_prefixes_;
+  /// The declaration that declares `name`, and its model index.
+  static std::pair<const Decl*, std::uint16_t> resolve(
+      const std::vector<Decl>& decls, std::string_view name, SourceLoc loc,
+      const char* what) {
+    const Decl* found = nullptr;
+    const Decl* outside = nullptr;  // %r7 against %r<2>
+    std::uint64_t index = 0;
+    for (const Decl& d : decls) {
+      if (!name.starts_with(d.prefix)) continue;
+      const std::string_view suffix = name.substr(d.prefix.size());
+      std::uint64_t i = 0;
+      if (d.count == 0 ? !suffix.empty() : !decimal_index(suffix, i)) continue;
+      if (d.count != 0 && i >= d.count) {
+        outside = &d;
+        continue;
+      }
+      if (found) {
+        throw PtxError(loc, "'%" + std::string(name) +
+                                "' is declared more than once");
+      }
+      found = &d;
+      index = d.base + i;
+    }
+    if (!found && outside) {
+      throw PtxError(loc, "'%" + std::string(name) +
+                              "' is out of the declared range %" +
+                              std::string(outside->prefix) + "<" +
+                              std::to_string(outside->count) + ">");
+    }
+    if (!found) {
+      throw PtxError(loc, "'%" + std::string(name) + "' is not a declared " +
+                              what);
+    }
+    if (index > 0xffff) {
+      throw PtxError(loc, "register index out of range '%" +
+                              std::string(name) + "'");
+    }
+    return {found, static_cast<std::uint16_t>(index)};
+  }
+
+  std::vector<Decl> regs_;
+  std::vector<Decl> preds_;
+  std::uint64_t next_reg_[2][4] = {};  // next free index: [signed][width]
+  std::uint64_t next_pred_ = 0;
 };
+
+/// How a mnemonic lowers; `op` picks the operator within a form.
+enum class Form : std::uint8_t {
+  Bra, Exit, Nop, Sync, Bar, Ld, St, Mov, Cvt, Uop, Setp, Selp, Mad, Mul,
+  Vote, Shfl, Atom, Bop,
+};
+
+struct Mnemonic {
+  std::string_view name;
+  Form form;
+  std::uint8_t op = 0;
+};
+
+template <typename E>
+constexpr std::uint8_t op_of(E e) {
+  return static_cast<std::uint8_t>(e);
+}
+
+/// Every modeled mnemonic, sorted by name.
+constexpr Mnemonic kMnemonics[] = {
+    {"abs", Form::Uop, op_of(UnOp::Abs)},
+    {"add", Form::Bop, op_of(BinOp::Add)},
+    {"and", Form::Bop, op_of(BinOp::And)},
+    {"atom", Form::Atom},
+    {"bar", Form::Bar},  // bar.sync 0: only the whole-block barrier
+    {"barrier", Form::Bar},
+    {"bra", Form::Bra},
+    {"brev", Form::Uop, op_of(UnOp::Brev)},
+    {"clz", Form::Uop, op_of(UnOp::Clz)},
+    {"cvt", Form::Cvt},
+    // cvta.to.global.u64 d, s: state spaces are explicit on every Ld/St
+    // of the model, so address-space conversion is the identity (paper
+    // §IV) and lowers to Mov.
+    {"cvta", Form::Mov},
+    {"div", Form::Bop, op_of(BinOp::Div)},
+    {"exit", Form::Exit},
+    {"ld", Form::Ld},
+    {"mad", Form::Mad},
+    {"max", Form::Bop, op_of(BinOp::Max)},
+    {"min", Form::Bop, op_of(BinOp::Min)},
+    {"mov", Form::Mov},
+    {"mul", Form::Mul},
+    {"neg", Form::Uop, op_of(UnOp::Neg)},
+    {"nop", Form::Nop},
+    {"not", Form::Uop, op_of(UnOp::Not)},
+    {"or", Form::Bop, op_of(BinOp::Or)},
+    {"popc", Form::Uop, op_of(UnOp::Popc)},
+    {"rem", Form::Bop, op_of(BinOp::Rem)},
+    {"ret", Form::Exit},
+    {"selp", Form::Selp},
+    {"setp", Form::Setp},
+    {"shfl", Form::Shfl},
+    {"shl", Form::Bop, op_of(BinOp::Shl)},
+    {"shr", Form::Bop, op_of(BinOp::Shr)},
+    {"ssy", Form::Sync},  // explicit reconvergence point
+    {"st", Form::St},
+    {"sub", Form::Bop, op_of(BinOp::Sub)},
+    {"sync", Form::Sync},
+    {"vote", Form::Vote},
+    {"xor", Form::Bop, op_of(BinOp::Xor)},
+};
+static_assert(std::is_sorted(std::begin(kMnemonics), std::end(kMnemonics),
+                             [](const Mnemonic& a, const Mnemonic& b) {
+                               return a.name < b.name;
+                             }));
+
+const Mnemonic* find_mnemonic(std::string_view m) {
+  const auto* it = std::lower_bound(
+      std::begin(kMnemonics), std::end(kMnemonics), m,
+      [](const Mnemonic& e, std::string_view key) { return e.name < key; });
+  return it != std::end(kMnemonics) && it->name == m ? it : nullptr;
+}
 
 class KernelLowerer {
  public:
@@ -152,6 +285,8 @@ class KernelLowerer {
     for (const auto& stmt : kernel_.body) {
       if (const auto* d = std::get_if<AstRegDecl>(&stmt)) env_.declare(*d);
     }
+    code_.reserve(kernel_.body.size());
+    locs_.reserve(kernel_.body.size());
     for (const auto& stmt : kernel_.body) {
       std::visit([this](const auto& s) { emit_stmt(s); }, stmt);
     }
@@ -179,7 +314,7 @@ class KernelLowerer {
   void emit_stmt(const AstRegDecl&) {}  // handled in run()
 
   void emit_stmt(const AstLabel& l) {
-    labels_[l.name] = static_cast<std::uint32_t>(code_.size());
+    labels_.emplace_back(l.name, static_cast<std::uint32_t>(code_.size()));
   }
 
   void emit_stmt(const AstInstr& ins) { lower_instr(ins); }
@@ -279,11 +414,11 @@ class KernelLowerer {
     throw PtxError(op.loc, "bad vector address");
   }
 
-  static void check_vector_arity(const std::vector<std::string>& pieces,
+  static void check_vector_arity(const OpcodePieces& pieces,
                                  const AstOperand& op, SourceLoc loc) {
     std::size_t expected = 0;
-    if (has_piece(pieces, "v2")) expected = 2;
-    else if (has_piece(pieces, "v4")) expected = 4;
+    if (pieces.has("v2")) expected = 2;
+    else if (pieces.has("v4")) expected = 4;
     if (expected == 0) {
       throw PtxError(loc, "vector operand on a non-vector access");
     }
@@ -296,25 +431,18 @@ class KernelLowerer {
 
   // ---- instruction lowering --------------------------------------------
 
-  static DType type_of(const std::vector<std::string>& pieces,
-                       SourceLoc loc) {
-    for (auto it = pieces.rbegin(); it != pieces.rend(); ++it) {
-      if (is_type_piece(*it)) return typed_suffix(*it, loc);
+  static DType type_of(const OpcodePieces& pieces, SourceLoc loc) {
+    for (std::size_t i = pieces.size(); i-- > 0;) {
+      if (is_type_piece(pieces[i])) return typed_suffix(pieces[i], loc);
     }
     throw PtxError(loc, "opcode has no type suffix");
   }
 
-  static Space space_of(const std::vector<std::string>& pieces,
-                        Space fallback) {
-    for (const auto& p : pieces) {
+  static Space space_of(const OpcodePieces& pieces, Space fallback) {
+    for (const std::string_view p : pieces) {
       if (auto s = space_piece(p)) return *s;
     }
     return fallback;
-  }
-
-  static bool has_piece(const std::vector<std::string>& pieces,
-                        std::string_view piece) {
-    return std::find(pieces.begin(), pieces.end(), piece) != pieces.end();
   }
 
   void require_ops(const AstInstr& ins, std::size_t n) const {
@@ -332,253 +460,237 @@ class KernelLowerer {
 
   void lower_instr(const AstInstr& ins) {
     cur_loc_ = ins.loc;
-    const auto pieces = opcode_pieces(ins.opcode);
-    const std::string& m = pieces[0];
+    const OpcodePieces pieces(ins.opcode);
+    const Mnemonic* mn = find_mnemonic(pieces[0]);
 
     // The model predicates branches only (paper §III-3): a guard on any
     // other instruction is outside the modeled subset.
-    if (ins.guard && m != "bra") {
+    if (ins.guard && (!mn || mn->form != Form::Bra)) {
       throw PtxError(ins.loc,
                      "predicated '" + ins.opcode +
                          "': the model supports guards on bra only");
     }
+    if (!mn) {
+      throw PtxError(ins.loc, "unsupported opcode '" + ins.opcode + "'");
+    }
+    if (pieces.overflow()) {
+      throw PtxError(ins.loc,
+                     "too many modifiers in opcode '" + ins.opcode + "'");
+    }
 
-    if (m == "bra") {
-      require_ops(ins, 1);
-      if (ins.ops[0].kind != AstOperand::Kind::Sym) {
-        throw PtxError(ins.loc, "bra expects a label");
-      }
-      const std::string& label = ins.ops[0].symbol;
-      if (ins.guard) {
-        fixups_.emplace_back(code_.size(), label);
-        push(IPBra{env_.pred(ins.guard->pred, ins.loc), ins.guard->negated,
-                   0});
-      } else {
-        fixups_.emplace_back(code_.size(), label);
-        push(IBra{0});
-      }
-      return;
-    }
-    if (m == "ret" || m == "exit") {
-      push(IExit{});
-      return;
-    }
-    if (m == "nop") {
-      push(INop{});
-      return;
-    }
-    if (m == "sync" || m == "ssy") {  // explicit reconvergence point
-      push(ISync{});
-      return;
-    }
-    if (m == "bar" || m == "barrier") {
-      // bar.sync 0 — only the whole-block barrier is modeled.
-      push(IBar{});
-      return;
-    }
-    if (m == "ld") {
-      require_ops(ins, 2);
-      const Space ss = space_of(pieces, Space::Global);
-      const DType t = type_of(pieces, ins.loc);
-      if (ins.ops[0].kind == AstOperand::Kind::RegVec) {
-        // ld.v2/.v4: one scalar load per element at successive offsets.
-        check_vector_arity(pieces, ins.ops[0], ins.loc);
-        for (std::size_t k = 0; k < ins.ops[0].vec.size(); ++k) {
-          push(ILd{ss, t, env_.reg(ins.ops[0].vec[k], ins.loc),
-                   offset_address(ins.ops[1], ss,
-                                  static_cast<std::int64_t>(k) * t.bytes())});
+    switch (mn->form) {
+      case Form::Bra: {
+        require_ops(ins, 1);
+        if (ins.ops[0].kind != AstOperand::Kind::Sym) {
+          throw PtxError(ins.loc, "bra expects a label");
+        }
+        fixups_.emplace_back(code_.size(), ins.ops[0].symbol);
+        if (ins.guard) {
+          push(IPBra{env_.pred(ins.guard->pred, ins.loc), ins.guard->negated,
+                     0});
+        } else {
+          push(IBra{0});
         }
         return;
       }
-      push(ILd{ss, t, as_reg(ins.ops[0]), as_address(ins.ops[1], ss)});
-      return;
-    }
-    if (m == "st") {
-      require_ops(ins, 2);
-      const Space ss = space_of(pieces, Space::Global);
-      const DType t = type_of(pieces, ins.loc);
-      if (ins.ops[1].kind == AstOperand::Kind::RegVec) {
-        check_vector_arity(pieces, ins.ops[1], ins.loc);
-        for (std::size_t k = 0; k < ins.ops[1].vec.size(); ++k) {
-          push(ISt{ss, t,
-                   offset_address(ins.ops[0], ss,
-                                  static_cast<std::int64_t>(k) * t.bytes()),
-                   env_.reg(ins.ops[1].vec[k], ins.loc)});
+      case Form::Exit:
+        push(IExit{});
+        return;
+      case Form::Nop:
+        push(INop{});
+        return;
+      case Form::Sync:
+        push(ISync{});
+        return;
+      case Form::Bar:
+        push(IBar{});
+        return;
+      case Form::Ld: {
+        require_ops(ins, 2);
+        const Space ss = space_of(pieces, Space::Global);
+        const DType t = type_of(pieces, ins.loc);
+        if (ins.ops[0].kind == AstOperand::Kind::RegVec) {
+          // ld.v2/.v4: one scalar load per element at successive offsets.
+          check_vector_arity(pieces, ins.ops[0], ins.loc);
+          for (std::size_t k = 0; k < ins.ops[0].vec.size(); ++k) {
+            push(ILd{ss, t, env_.reg(ins.ops[0].vec[k], ins.loc),
+                     offset_address(ins.ops[1], ss,
+                                    static_cast<std::int64_t>(k) * t.bytes())});
+          }
+          return;
         }
+        push(ILd{ss, t, as_reg(ins.ops[0]), as_address(ins.ops[1], ss)});
         return;
       }
-      push(ISt{ss, t, as_address(ins.ops[0], ss), as_reg(ins.ops[1])});
-      return;
-    }
-    if (m == "mov") {
-      require_ops(ins, 2);
-      push(IMov{as_reg(ins.ops[0]), as_value(ins.ops[1])});
-      return;
-    }
-    if (m == "cvta") {
-      // cvta.to.global.u64 d, s: state spaces are explicit on every
-      // Ld/St of the model, so address-space conversion is the identity
-      // (paper §IV) and lowers to Mov.
-      require_ops(ins, 2);
-      push(IMov{as_reg(ins.ops[0]), as_value(ins.ops[1])});
-      return;
-    }
-    if (m == "cvt") {
-      // cvt.<dst type>.<src type> d, a — `type` records the source
-      // interpretation; the destination width comes from the register.
-      require_ops(ins, 2);
-      if (pieces.size() < 3 || !is_type_piece(pieces[2])) {
-        throw PtxError(ins.loc, "cvt needs destination and source types");
-      }
-      push(IUop{UnOp::Cvt, typed_suffix(pieces[2], ins.loc), as_reg(ins.ops[0]),
-                as_value(ins.ops[1])});
-      return;
-    }
-    static const std::map<std::string, UnOp> kUops = {
-        {"not", UnOp::Not},   {"neg", UnOp::Neg},  {"abs", UnOp::Abs},
-        {"popc", UnOp::Popc}, {"clz", UnOp::Clz},  {"brev", UnOp::Brev},
-    };
-    if (auto uit = kUops.find(m); uit != kUops.end()) {
-      require_ops(ins, 2);
-      push(IUop{uit->second, type_of(pieces, ins.loc), as_reg(ins.ops[0]),
-                as_value(ins.ops[1])});
-      return;
-    }
-    if (m == "setp") {
-      require_ops(ins, 3);
-      if (pieces.size() < 2) throw PtxError(ins.loc, "setp needs a cmp op");
-      CmpOp cmp;
-      const std::string& c = pieces[1];
-      if (c == "eq") cmp = CmpOp::Eq;
-      else if (c == "ne") cmp = CmpOp::Ne;
-      else if (c == "lt" || c == "lo") cmp = CmpOp::Lt;
-      else if (c == "le" || c == "ls") cmp = CmpOp::Le;
-      else if (c == "gt" || c == "hi") cmp = CmpOp::Gt;
-      else if (c == "ge" || c == "hs") cmp = CmpOp::Ge;
-      else throw PtxError(ins.loc, "unsupported setp comparison ." + c);
-      push(ISetp{cmp, type_of(pieces, ins.loc), as_pred(ins.ops[0]),
-                 as_value(ins.ops[1]), as_value(ins.ops[2])});
-      return;
-    }
-    if (m == "selp") {
-      require_ops(ins, 4);
-      push(ISelp{type_of(pieces, ins.loc), as_reg(ins.ops[0]),
-                 as_value(ins.ops[1]), as_value(ins.ops[2]),
-                 as_pred(ins.ops[3])});
-      return;
-    }
-    if (m == "mad") {
-      require_ops(ins, 4);
-      const TerOp op = has_piece(pieces, "wide") ? TerOp::MadWide
-                                                 : TerOp::MadLo;
-      push(ITop{op, type_of(pieces, ins.loc), as_reg(ins.ops[0]),
-                as_value(ins.ops[1]), as_value(ins.ops[2]),
-                as_value(ins.ops[3])});
-      return;
-    }
-    if (m == "mul") {
-      require_ops(ins, 3);
-      BinOp op = BinOp::Mul;
-      if (has_piece(pieces, "wide")) op = BinOp::MulWide;
-      else if (has_piece(pieces, "hi")) op = BinOp::MulHi;
-      push(IBop{op, type_of(pieces, ins.loc), as_reg(ins.ops[0]),
-                as_value(ins.ops[1]), as_value(ins.ops[2])});
-      return;
-    }
-    if (m == "vote") {
-      require_ops(ins, 2);
-      if (has_piece(pieces, "ballot")) {
-        push(IVote{VoteMode::Ballot, Pred{}, as_reg(ins.ops[0]),
-                   as_pred(ins.ops[1])});
-      } else if (has_piece(pieces, "all")) {
-        push(IVote{VoteMode::All, as_pred(ins.ops[0]), Reg{},
-                   as_pred(ins.ops[1])});
-      } else if (has_piece(pieces, "any")) {
-        push(IVote{VoteMode::Any, as_pred(ins.ops[0]), Reg{},
-                   as_pred(ins.ops[1])});
-      } else {
-        throw PtxError(ins.loc, "unsupported vote mode");
-      }
-      return;
-    }
-    if (m == "shfl") {
-      // shfl[.sync].<mode>.b32 d, a, b[, c[, membermask]] — the clamp
-      // and membermask operands are accepted and ignored (the model's
-      // warps are whole).
-      if (ins.ops.size() < 3) {
-        throw PtxError(ins.loc, "shfl expects at least 3 operands");
-      }
-      ShflMode mode;
-      if (has_piece(pieces, "idx")) mode = ShflMode::Idx;
-      else if (has_piece(pieces, "up")) mode = ShflMode::Up;
-      else if (has_piece(pieces, "down")) mode = ShflMode::Down;
-      else if (has_piece(pieces, "bfly")) mode = ShflMode::Bfly;
-      else throw PtxError(ins.loc, "unsupported shfl mode");
-      push(IShfl{mode, type_of(pieces, ins.loc), as_reg(ins.ops[0]),
-                 as_reg(ins.ops[1]), as_value(ins.ops[2])});
-      return;
-    }
-    if (m == "atom") {
-      const Space ss = space_of(pieces, Space::Global);
-      AtomOp op;
-      std::string opn;
-      for (const auto& p : pieces) {
-        if (p == "add" || p == "exch" || p == "min" || p == "max" ||
-            p == "and" || p == "or" || p == "xor" || p == "cas") {
-          opn = p;
+      case Form::St: {
+        require_ops(ins, 2);
+        const Space ss = space_of(pieces, Space::Global);
+        const DType t = type_of(pieces, ins.loc);
+        if (ins.ops[1].kind == AstOperand::Kind::RegVec) {
+          check_vector_arity(pieces, ins.ops[1], ins.loc);
+          for (std::size_t k = 0; k < ins.ops[1].vec.size(); ++k) {
+            push(ISt{ss, t,
+                     offset_address(ins.ops[0], ss,
+                                    static_cast<std::int64_t>(k) * t.bytes()),
+                     env_.reg(ins.ops[1].vec[k], ins.loc)});
+          }
+          return;
         }
+        push(ISt{ss, t, as_address(ins.ops[0], ss), as_reg(ins.ops[1])});
+        return;
       }
-      if (opn == "add") op = AtomOp::Add;
-      else if (opn == "exch") op = AtomOp::Exch;
-      else if (opn == "min") op = AtomOp::Min;
-      else if (opn == "max") op = AtomOp::Max;
-      else if (opn == "and") op = AtomOp::And;
-      else if (opn == "or") op = AtomOp::Or;
-      else if (opn == "xor") op = AtomOp::Xor;
-      else if (opn == "cas") op = AtomOp::Cas;
-      else throw PtxError(ins.loc, "unsupported atomic '" + ins.opcode + "'");
-      if (op == AtomOp::Cas) {
-        require_ops(ins, 4);
-        push(IAtom{op, ss, type_of(pieces, ins.loc), as_reg(ins.ops[0]),
-                   as_address(ins.ops[1], ss), as_value(ins.ops[2]),
-                   as_value(ins.ops[3])});
-      } else {
+      case Form::Mov:
+        require_ops(ins, 2);
+        push(IMov{as_reg(ins.ops[0]), as_value(ins.ops[1])});
+        return;
+      case Form::Cvt:
+        // cvt.<dst type>.<src type> d, a — `type` records the source
+        // interpretation; the destination width comes from the register.
+        require_ops(ins, 2);
+        if (pieces.size() < 3 || !is_type_piece(pieces[2])) {
+          throw PtxError(ins.loc, "cvt needs destination and source types");
+        }
+        push(IUop{UnOp::Cvt, typed_suffix(pieces[2], ins.loc),
+                  as_reg(ins.ops[0]), as_value(ins.ops[1])});
+        return;
+      case Form::Uop:
+        require_ops(ins, 2);
+        push(IUop{static_cast<UnOp>(mn->op), type_of(pieces, ins.loc),
+                  as_reg(ins.ops[0]), as_value(ins.ops[1])});
+        return;
+      case Form::Setp: {
         require_ops(ins, 3);
-        push(IAtom{op, ss, type_of(pieces, ins.loc), as_reg(ins.ops[0]),
-                   as_address(ins.ops[1], ss), as_value(ins.ops[2]),
-                   Operand{Imm{0}}});
+        if (pieces.size() < 2) throw PtxError(ins.loc, "setp needs a cmp op");
+        CmpOp cmp;
+        const std::string_view c = pieces[1];
+        if (c == "eq") cmp = CmpOp::Eq;
+        else if (c == "ne") cmp = CmpOp::Ne;
+        else if (c == "lt" || c == "lo") cmp = CmpOp::Lt;
+        else if (c == "le" || c == "ls") cmp = CmpOp::Le;
+        else if (c == "gt" || c == "hi") cmp = CmpOp::Gt;
+        else if (c == "ge" || c == "hs") cmp = CmpOp::Ge;
+        else {
+          throw PtxError(ins.loc,
+                         "unsupported setp comparison ." + std::string(c));
+        }
+        push(ISetp{cmp, type_of(pieces, ins.loc), as_pred(ins.ops[0]),
+                   as_value(ins.ops[1]), as_value(ins.ops[2])});
+        return;
       }
-      return;
+      case Form::Selp:
+        require_ops(ins, 4);
+        push(ISelp{type_of(pieces, ins.loc), as_reg(ins.ops[0]),
+                   as_value(ins.ops[1]), as_value(ins.ops[2]),
+                   as_pred(ins.ops[3])});
+        return;
+      case Form::Mad:
+        require_ops(ins, 4);
+        push(ITop{pieces.has("wide") ? TerOp::MadWide : TerOp::MadLo,
+                  type_of(pieces, ins.loc), as_reg(ins.ops[0]),
+                  as_value(ins.ops[1]), as_value(ins.ops[2]),
+                  as_value(ins.ops[3])});
+        return;
+      case Form::Mul: {
+        require_ops(ins, 3);
+        BinOp op = BinOp::Mul;
+        if (pieces.has("wide")) op = BinOp::MulWide;
+        else if (pieces.has("hi")) op = BinOp::MulHi;
+        push(IBop{op, type_of(pieces, ins.loc), as_reg(ins.ops[0]),
+                  as_value(ins.ops[1]), as_value(ins.ops[2])});
+        return;
+      }
+      case Form::Vote:
+        require_ops(ins, 2);
+        if (pieces.has("ballot")) {
+          push(IVote{VoteMode::Ballot, Pred{}, as_reg(ins.ops[0]),
+                     as_pred(ins.ops[1])});
+        } else if (pieces.has("all")) {
+          push(IVote{VoteMode::All, as_pred(ins.ops[0]), Reg{},
+                     as_pred(ins.ops[1])});
+        } else if (pieces.has("any")) {
+          push(IVote{VoteMode::Any, as_pred(ins.ops[0]), Reg{},
+                     as_pred(ins.ops[1])});
+        } else {
+          throw PtxError(ins.loc, "unsupported vote mode");
+        }
+        return;
+      case Form::Shfl: {
+        // shfl[.sync].<mode>.b32 d, a, b[, c[, membermask]] — the clamp
+        // and membermask operands are accepted and ignored (the model's
+        // warps are whole).
+        if (ins.ops.size() < 3) {
+          throw PtxError(ins.loc, "shfl expects at least 3 operands");
+        }
+        ShflMode mode;
+        if (pieces.has("idx")) mode = ShflMode::Idx;
+        else if (pieces.has("up")) mode = ShflMode::Up;
+        else if (pieces.has("down")) mode = ShflMode::Down;
+        else if (pieces.has("bfly")) mode = ShflMode::Bfly;
+        else throw PtxError(ins.loc, "unsupported shfl mode");
+        push(IShfl{mode, type_of(pieces, ins.loc), as_reg(ins.ops[0]),
+                   as_reg(ins.ops[1]), as_value(ins.ops[2])});
+        return;
+      }
+      case Form::Atom: {
+        const Space ss = space_of(pieces, Space::Global);
+        // The last operation piece names the operation.
+        static constexpr std::pair<std::string_view, AtomOp> kAtomOps[] = {
+            {"add", AtomOp::Add}, {"exch", AtomOp::Exch},
+            {"min", AtomOp::Min}, {"max", AtomOp::Max},
+            {"and", AtomOp::And}, {"or", AtomOp::Or},
+            {"xor", AtomOp::Xor}, {"cas", AtomOp::Cas},
+        };
+        std::optional<AtomOp> op;
+        for (const std::string_view p : pieces) {
+          for (const auto& [name, o] : kAtomOps) {
+            if (p == name) op = o;
+          }
+        }
+        if (!op) {
+          throw PtxError(ins.loc, "unsupported atomic '" + ins.opcode + "'");
+        }
+        if (*op == AtomOp::Cas) {
+          require_ops(ins, 4);
+          push(IAtom{*op, ss, type_of(pieces, ins.loc), as_reg(ins.ops[0]),
+                     as_address(ins.ops[1], ss), as_value(ins.ops[2]),
+                     as_value(ins.ops[3])});
+        } else {
+          require_ops(ins, 3);
+          push(IAtom{*op, ss, type_of(pieces, ins.loc), as_reg(ins.ops[0]),
+                     as_address(ins.ops[1], ss), as_value(ins.ops[2]),
+                     Operand{Imm{0}}});
+        }
+        return;
+      }
+      case Form::Bop:
+        require_ops(ins, 3);
+        push(IBop{static_cast<BinOp>(mn->op), type_of(pieces, ins.loc),
+                  as_reg(ins.ops[0]), as_value(ins.ops[1]),
+                  as_value(ins.ops[2])});
+        return;
     }
-
-    static const std::map<std::string, BinOp> kBops = {
-        {"add", BinOp::Add}, {"sub", BinOp::Sub}, {"div", BinOp::Div},
-        {"rem", BinOp::Rem}, {"min", BinOp::Min}, {"max", BinOp::Max},
-        {"and", BinOp::And}, {"or", BinOp::Or},   {"xor", BinOp::Xor},
-        {"shl", BinOp::Shl}, {"shr", BinOp::Shr},
-    };
-    if (auto it = kBops.find(m); it != kBops.end()) {
-      require_ops(ins, 3);
-      push(IBop{it->second, type_of(pieces, ins.loc), as_reg(ins.ops[0]),
-                as_value(ins.ops[1]), as_value(ins.ops[2])});
-      return;
-    }
-
-    throw PtxError(ins.loc, "unsupported opcode '" + ins.opcode + "'");
   }
 
   // ---- label resolution and sync insertion ------------------------------
 
   void resolve_labels() {
+    // A label defined twice resolves to its last definition.
+    const auto by_name = [](const auto& a, const auto& b) {
+      return a.first < b.first;
+    };
+    std::stable_sort(labels_.begin(), labels_.end(), by_name);
     for (const auto& [idx, label] : fixups_) {
-      auto it = labels_.find(label);
-      if (it == labels_.end()) {
-        throw PtxError("undefined label '" + label + "' in kernel '" +
-                       kernel_.name + "'");
+      const auto it = std::upper_bound(
+          labels_.begin(), labels_.end(),
+          std::pair<std::string_view, std::uint32_t>{label, 0}, by_name);
+      if (it == labels_.begin() || std::prev(it)->first != label) {
+        throw PtxError("undefined label '" + std::string(label) +
+                       "' in kernel '" + kernel_.name + "'");
       }
-      if (auto* b = std::get_if<IBra>(&code_[idx])) b->target = it->second;
+      const std::uint32_t target = std::prev(it)->second;
+      if (auto* b = std::get_if<IBra>(&code_[idx])) b->target = target;
       else if (auto* pb = std::get_if<IPBra>(&code_[idx])) {
-        pb->target = it->second;
+        pb->target = target;
       }
     }
   }
@@ -668,8 +780,9 @@ class KernelLowerer {
   std::vector<SourceLoc> locs_;  // parallel to code_
   SourceLoc cur_loc_;
   std::vector<ParamSlot> params_;
-  std::map<std::string, std::uint32_t> labels_;
-  std::vector<std::pair<std::size_t, std::string>> fixups_;
+  // Both view the AST's names, which outlive the lowerer.
+  std::vector<std::pair<std::string_view, std::uint32_t>> labels_;
+  std::vector<std::pair<std::size_t, std::string_view>> fixups_;
 };
 
 }  // namespace

@@ -1,28 +1,29 @@
 #include "ptx/parser.h"
 
-#include <cctype>
-
 namespace cac::ptx {
 
 namespace {
 
-bool all_digits(const std::string& s) {
+bool all_digits(std::string_view s) {
   if (s.empty()) return false;
   for (char c : s) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) return false;
+    if (c < '0' || c > '9') return false;
   }
   return true;
 }
 
+/// Recursive-descent parser pulling tokens from a Scanner through a
+/// one-token lookahead; no token vector is built.
 class Parser {
  public:
-  explicit Parser(std::vector<Token> toks) : toks_(std::move(toks)) {}
+  explicit Parser(std::string_view source)
+      : scan_(source), cur_(scan_.next()) {}
 
   AstModule run() {
     AstModule m;
     while (!at(TokKind::End)) {
       if (at(TokKind::Directive)) {
-        const std::string d = cur().text;
+        const std::string_view d = cur().text;
         if (d == "version") {
           advance();
           m.version = parse_version_number();
@@ -42,34 +43,36 @@ class Parser {
           advance();
           skip_loose_tail();
         } else {
-          throw PtxError(cur().loc, "unexpected directive ." + d);
+          throw PtxError(cur().loc,
+                         "unexpected directive ." + std::string(d));
         }
       } else {
-        throw PtxError(cur().loc,
-                       "unexpected token at module scope: " + cur().text);
+        throw PtxError(cur().loc, "unexpected token at module scope: " +
+                                      std::string(cur().text));
       }
     }
     return m;
   }
 
  private:
-  // The lexer always terminates the stream with an End token; cur()
-  // and advance() saturate there, so no input — however malformed —
-  // can index past the token vector (a structured PtxError is the
-  // only way out of the parser, never undefined behavior).
-  [[nodiscard]] const Token& cur() const {
-    return pos_ < toks_.size() ? toks_[pos_] : toks_.back();
+  // The scanner returns End forever once the input is exhausted, so
+  // cur(), peek() and advance() saturate there: a structured PtxError
+  // is the only way out of the parser.
+  [[nodiscard]] const Token& cur() const { return cur_; }
+  const Token& peek() {
+    if (!have_ahead_) {
+      ahead_ = scan_.next();
+      have_ahead_ = true;
+    }
+    return ahead_;
   }
-  [[nodiscard]] const Token& peek(std::size_t ahead = 1) const {
-    const std::size_t i = pos_ + ahead;
-    return i < toks_.size() ? toks_[i] : toks_.back();
-  }
-  [[nodiscard]] bool at(TokKind k) const { return cur().kind == k; }
-  [[nodiscard]] bool at_punct(char c) const { return cur().is_punct(c); }
+  [[nodiscard]] bool at(TokKind k) const { return cur_.kind == k; }
+  [[nodiscard]] bool at_punct(char c) const { return cur_.is_punct(c); }
 
-  const Token& advance() {
-    const Token& t = cur();
-    if (pos_ < toks_.size()) ++pos_;
+  Token advance() {
+    const Token t = cur_;
+    cur_ = have_ahead_ ? ahead_ : scan_.next();
+    have_ahead_ = false;
     return t;
   }
 
@@ -77,15 +80,16 @@ class Parser {
   /// an oversized literal is a diagnostic, not a silent truncation.
   static std::uint32_t to_u32(const Token& t, const char* what) {
     if (t.value < 0 || t.value > 0xffffffffll) {
-      throw PtxError(t.loc, std::string(what) + " out of range: " + t.text);
+      throw PtxError(t.loc, std::string(what) + " out of range: " +
+                                std::string(t.text));
     }
     return static_cast<std::uint32_t>(t.value);
   }
 
-  const Token& expect(TokKind k) {
+  Token expect(TokKind k) {
     if (!at(k)) {
       throw PtxError(cur().loc, "expected " + to_string(k) + ", found '" +
-                                    cur().text + "'");
+                                    std::string(cur().text) + "'");
     }
     return advance();
   }
@@ -93,7 +97,8 @@ class Parser {
   void expect_punct(char c) {
     if (!at_punct(c)) {
       throw PtxError(cur().loc, std::string("expected '") + c +
-                                    "', found '" + cur().text + "'");
+                                    "', found '" + std::string(cur().text) +
+                                    "'");
     }
     advance();
   }
@@ -110,7 +115,8 @@ class Parser {
     std::string v = std::to_string(expect(TokKind::Int).value);
     // "6.0" lexes as Int 6 followed by directive "0".
     if (at(TokKind::Directive) && all_digits(cur().text)) {
-      v += "." + advance().text;
+      v += '.';
+      v += advance().text;
     }
     return v;
   }
@@ -127,8 +133,8 @@ class Parser {
     expect(TokKind::Directive);  // "shared"
     std::uint32_t elem_bytes = 1;
     while (at(TokKind::Directive)) {
-      const Token& tok = advance();
-      const std::string& t = tok.text;
+      const Token tok = advance();
+      const std::string_view t = tok.text;
       if (t == "align") {
         d.align = to_u32(expect(TokKind::Int), "alignment");
       } else if (t.size() >= 2 && all_digits(t.substr(1))) {
@@ -140,7 +146,8 @@ class Parser {
         for (char c : t.substr(1)) {
           bits = bits * 10 + static_cast<std::uint64_t>(c - '0');
           if (bits > 1024) {
-            throw PtxError(tok.loc, "implausible type width ." + t);
+            throw PtxError(tok.loc,
+                           "implausible type width ." + std::string(t));
           }
         }
         elem_bytes = static_cast<std::uint32_t>(bits) / 8;
@@ -148,11 +155,12 @@ class Parser {
     }
     d.name = expect(TokKind::Ident).text;
     if (eat_punct('[')) {
-      const Token& n = expect(TokKind::Int);
+      const Token n = expect(TokKind::Int);
       const std::uint64_t total =
           static_cast<std::uint64_t>(elem_bytes) * to_u32(n, "array length");
       if (total > 0xffffffffull) {
-        throw PtxError(n.loc, "shared declaration too large: " + n.text);
+        throw PtxError(n.loc, "shared declaration too large: " +
+                                  std::string(n.text));
       }
       d.bytes = static_cast<std::uint32_t>(total);
       expect_punct(']');
@@ -203,7 +211,7 @@ class Parser {
     }
     advance();
     while (at(TokKind::Directive)) {
-      const std::string t = advance().text;
+      const std::string_view t = advance().text;
       if (t == "align") {
         expect(TokKind::Int);
       } else if (t == "ptr") {
@@ -229,7 +237,7 @@ class Parser {
 
   void parse_body_stmt(AstKernel& k) {
     if (at(TokKind::Directive)) {
-      const std::string d = cur().text;
+      const std::string_view d = cur().text;
       if (d == "reg") {
         k.body.push_back(parse_reg_decl());
       } else if (d == "shared") {
@@ -239,17 +247,20 @@ class Parser {
         advance();
         skip_loose_tail();
       } else {
-        throw PtxError(cur().loc, "unsupported directive in body: ." + d);
+        throw PtxError(cur().loc,
+                       "unsupported directive in body: ." + std::string(d));
       }
       return;
     }
     if (at(TokKind::Ident) && peek().is_punct(':')) {
-      AstLabel lbl{advance().text, cur().loc};
+      AstLabel lbl{std::string(advance().text), cur().loc};
       expect_punct(':');
       k.body.push_back(std::move(lbl));
       return;
     }
-    k.body.push_back(parse_instr());
+    // Built in place: an instruction is most of a kernel body.
+    parse_instr(std::get<AstInstr>(
+        k.body.emplace_back(std::in_place_type<AstInstr>)));
   }
 
   AstRegDecl parse_reg_decl() {
@@ -266,59 +277,58 @@ class Parser {
     return d;
   }
 
-  AstInstr parse_instr() {
-    AstInstr ins;
+  void parse_instr(AstInstr& ins) {
     ins.loc = cur().loc;
     if (eat_punct('@')) {
       AstGuard g;
       g.negated = eat_punct('!');
       g.pred = expect(TokKind::RegRef).text;
-      ins.guard = g;
+      ins.guard = std::move(g);
     }
     ins.opcode = expect(TokKind::Ident).text;
     while (at(TokKind::Directive)) {
-      ins.opcode += "." + advance().text;
+      ins.opcode += '.';
+      ins.opcode += advance().text;
     }
     if (!at_punct(';')) {
+      ins.ops.reserve(4);
       do {
-        ins.ops.push_back(parse_operand());
+        parse_operand(ins.ops.emplace_back());
       } while (eat_punct(','));
     }
     expect_punct(';');
-    return ins;
   }
 
-  AstOperand parse_operand() {
-    AstOperand op;
+  void parse_operand(AstOperand& op) {
     op.loc = cur().loc;
     if (at(TokKind::RegRef)) {
       op.kind = AstOperand::Kind::Reg;
       op.reg = advance().text;
-      return op;
+      return;
     }
     if (at_punct('-')) {
       advance();
       op.kind = AstOperand::Kind::Imm;
       op.imm = -expect(TokKind::Int).value;
-      return op;
+      return;
     }
     if (at(TokKind::Int)) {
       op.kind = AstOperand::Kind::Imm;
       op.imm = advance().value;
-      return op;
+      return;
     }
     if (at(TokKind::Ident)) {
       op.kind = AstOperand::Kind::Sym;
       op.symbol = advance().text;
-      return op;
+      return;
     }
     if (eat_punct('{')) {  // vector operand of a v2/v4 ld/st
       op.kind = AstOperand::Kind::RegVec;
       do {
-        op.vec.push_back(expect(TokKind::RegRef).text);
+        op.vec.emplace_back(expect(TokKind::RegRef).text);
       } while (eat_punct(','));
       expect_punct('}');
-      return op;
+      return;
     }
     if (eat_punct('[')) {
       op.kind = AstOperand::Kind::Mem;
@@ -327,7 +337,7 @@ class Parser {
       } else if (at(TokKind::Int)) {
         op.imm = advance().value;  // absolute address
         expect_punct(']');
-        return op;
+        return;
       } else {
         op.symbol = expect(TokKind::Ident).text;
       }
@@ -338,24 +348,40 @@ class Parser {
         op.imm = neg ? -v : v;
       }
       expect_punct(']');
-      return op;
+      return;
     }
-    throw PtxError(cur().loc, "expected operand, found '" + cur().text + "'");
+    throw PtxError(cur().loc, "expected operand, found '" +
+                                  std::string(cur().text) + "'");
   }
 
  public:
+  /// Scan the rest of the source: a lexical error anywhere in it is
+  /// reported before a syntax error.
+  void scan_rest() {
+    while (scan_.next().kind != TokKind::End) {
+    }
+  }
+
   std::vector<AstSharedDecl> shared_out_;
 
  private:
-  std::vector<Token> toks_;
-  std::size_t pos_ = 0;
+  Scanner scan_;
+  Token cur_;
+  Token ahead_;
+  bool have_ahead_ = false;
 };
 
 }  // namespace
 
 AstModule parse_module(std::string_view source) {
-  Parser p(lex(source));
-  AstModule m = p.run();
+  Parser p(source);
+  AstModule m;
+  try {
+    m = p.run();
+  } catch (const PtxError&) {
+    p.scan_rest();  // throws the first lexical error, if there is one
+    throw;
+  }
   for (auto& s : p.shared_out_) m.shared.push_back(std::move(s));
   return m;
 }

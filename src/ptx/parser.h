@@ -81,7 +81,9 @@ struct AstModule {
   std::vector<AstKernel> kernels;
 };
 
-/// Parse a complete PTX module.  Throws PtxError on syntax errors.
+/// Parse a complete PTX module; the result owns its strings.  Throws
+/// PtxError on lexical or syntax errors, a lexical error anywhere in
+/// the source before a syntax error.
 AstModule parse_module(std::string_view source);
 
 }  // namespace cac::ptx

@@ -4,6 +4,7 @@
 // checkpoint round-trips and be policy-checked on resume.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <set>
 #include <vector>
@@ -155,6 +156,58 @@ TEST(PorOracle, OracleNeverFlipsARacyVerdict) {
     if (slot.name == "out") env.params[slot.offset] = 0;
   }
   const std::vector<std::uint32_t> pcs = independent_access_pcs(prg, env);
+
+  ExploreOptions oracle = por_opts();
+  oracle.por_independent_pcs = pcs;
+  const sem::Machine init = launch.machine();
+  const Outcome full =
+      summarize(sched::explore(prg, kc, init, ExploreOptions{}));
+  const Outcome reduced = summarize(sched::explore(prg, kc, init, oracle));
+  expect_same_verdict(full, reduced);
+  EXPECT_GT(full.final_memory_hashes.size(), 1u);
+}
+
+TEST(PorOracle, ModuloAddressIsNotConstant) {
+  // buf = 0x100, out = 0x200.  Thread t loads buf[2] as its first
+  // instruction, then stores t+1 to buf + 4*(t % 4): thread 2's store
+  // writes the loaded word.  Reading that address as the constant buf
+  // (dropping its modulo component) would prove the load independent,
+  // so the explorer would commit every load before any store and lose
+  // each schedule where thread 2 stores first.
+  const ptx::Program prg = ptx::load_ptx(R"(
+.version 6.0
+.target sm_30
+.address_size 64
+.visible .entry modstore()
+{
+  .reg .u32 %r<5>;
+  .reg .u64 %rd<7>;
+  ld.global.u32 %r4, [0x108];
+  mov.u32 %r1, %tid.x;
+  rem.u32 %r2, %r1, 4;
+  mul.wide.u32 %rd3, %r2, 4;
+  add.u64 %rd4, %rd3, 0x100;
+  add.u32 %r3, %r1, 1;
+  st.global.u32 [%rd4], %r3;
+  mul.wide.u32 %rd5, %r1, 4;
+  add.u64 %rd6, %rd5, 0x200;
+  st.global.u32 [%rd6], %r4;
+  ret;
+}
+)").kernel("modstore");
+  const sem::KernelConfig kc{{1, 1, 1}, {4, 1, 1}, 1};
+  sem::Launch launch(prg, kc, mem::MemSizes{0x400, 0, 0, 0, 1});
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    launch.global_u32(0x100 + 4 * i, 0);
+    launch.global_u32(0x200 + 4 * i, 0);
+  }
+  LaunchEnv env;
+  env.known = true;
+  env.ntid[0] = 4;
+  const std::uint32_t load_pc = 0;
+  ASSERT_TRUE(std::holds_alternative<ptx::ILd>(prg.fetch(load_pc)));
+  const std::vector<std::uint32_t> pcs = independent_access_pcs(prg, env);
+  EXPECT_EQ(std::count(pcs.begin(), pcs.end(), load_pc), 0);
 
   ExploreOptions oracle = por_opts();
   oracle.por_independent_pcs = pcs;

@@ -17,11 +17,20 @@ TEST_P(FrontEndFuzzTest, MutatedSourcesNeverCrash) {
   const std::string sources[] = {
       programs::vector_add_ptx(),    programs::reduce_shared_ptx(),
       programs::scan_signature_ptx(), programs::atomic_sum_ptx(),
+      programs::unrolled_ptx(12),
+  };
+  // Literal, comment and line-ending edge cases of the scanner (the
+  // malformed inputs of front_end_pin_test.cc), spliced in whole.
+  static const char* kSplices[] = {
+      "0x",   "0xU", "12ab", "1_000", "123456789012345678901",
+      "18446744073709551615", "18446744073709551616", "0x0x1F",
+      "`",    "/*",  "*/",   "// c",  "\r\n", "\t", "\"", "%", ".",
+      "%r01",
   };
   for (const std::string& original : sources) {
     for (int round = 0; round < 24; ++round) {
       std::string src = original;
-      // 1-4 random byte edits: overwrite, delete, or insert.
+      // 1-4 random edits: overwrite, delete, insert, or splice.
       const int edits = 1 + static_cast<int>(rng.below(4));
       for (int e = 0; e < edits; ++e) {
         const std::size_t pos = rng.below(static_cast<std::uint32_t>(
@@ -29,10 +38,13 @@ TEST_P(FrontEndFuzzTest, MutatedSourcesNeverCrash) {
         static constexpr char kChars[] =
             "abcxyz0189%.;,[]{}()@!<>+- _\t\n\"";
         const char c = kChars[rng.below(sizeof kChars - 1)];
-        switch (rng.below(3)) {
+        switch (rng.below(4)) {
           case 0: src[pos] = c; break;
           case 1: src.erase(pos, 1); break;
-          default: src.insert(pos, 1, c); break;
+          case 2: src.insert(pos, 1, c); break;
+          default:
+            src.insert(pos, kSplices[rng.below(std::size(kSplices))]);
+            break;
         }
       }
       try {

@@ -74,6 +74,42 @@ TEST(Lexer, Errors) {
   EXPECT_THROW(lex("0xzz"), cac::PtxError);
 }
 
+TEST(Lexer, LiteralsDecodeInPlace) {
+  const auto toks = lex("0XfF 0u 18446744073709551615 007");
+  EXPECT_EQ(toks[0].value, 0xff);
+  EXPECT_EQ(toks[0].text, "0XfF");
+  EXPECT_EQ(toks[1].value, 0);
+  EXPECT_EQ(toks[2].value, -1);  // 2^64 - 1 wraps
+  EXPECT_EQ(toks[3].value, 7);
+  // One 0x prefix only; overflow is an error, not a wrap.
+  EXPECT_THROW(lex("0x0x1F"), cac::PtxError);
+  EXPECT_THROW(lex("0x10000000000000000"), cac::PtxError);
+  EXPECT_THROW(lex("18446744073709551616"), cac::PtxError);
+}
+
+TEST(Lexer, TokensViewTheSource) {
+  const std::string src = "ld.global.u32 %r6, [%rd8+4];";
+  for (const Token& t : lex(src)) {
+    if (t.kind == TokKind::End) continue;
+    EXPECT_GE(t.text.data(), src.data());
+    EXPECT_LE(t.text.data() + t.text.size(), src.data() + src.size());
+  }
+}
+
+TEST(Lexer, ScannerRepeatsAnErrorAndEndsAtEnd) {
+  Scanner s("ret `");
+  EXPECT_EQ(s.next().text, "ret");
+  EXPECT_THROW(s.next(), cac::PtxError);
+  EXPECT_THROW(s.next(), cac::PtxError);  // still at the bad byte
+  Scanner t("ret;\n");
+  (void)t.next();
+  (void)t.next();
+  const Token end = t.next();
+  EXPECT_EQ(end.kind, TokKind::End);
+  EXPECT_EQ(end.loc, (SourceLoc{2, 1}));
+  EXPECT_EQ(t.next().kind, TokKind::End);
+}
+
 TEST(Lexer, StringLiteralBecomesIdent) {
   const auto toks = lex("\"file.cu\"");
   EXPECT_EQ(toks[0].kind, TokKind::Ident);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "programs/corpus.h"
+#include "sched/scheduler.h"
+#include "sem/launch.h"
 
 namespace cac::ptx {
 namespace {
@@ -155,6 +157,137 @@ TEST(Lower, UndeclaredRegisterRejected) {
   ret;
 })"),
                cac::PtxError);
+}
+
+// Register resolution: each declared name is its own model register.
+// The first declaration of a (class, width) keeps nvcc's numbering
+// (%r7 is index 7); a later one takes the next free indices.
+
+const ILd& first_load(const Program& p) {
+  for (const Instr& i : p.code()) {
+    if (const auto* ld = std::get_if<ILd>(&i)) return *ld;
+  }
+  throw PtxError("no load");
+}
+
+TEST(Lower, TwoPrefixesOfOneTypeDoNotAlias) {
+  const Program p = load_ptx(R"(
+.visible .entry f() {
+  .reg .u32 %r<4>;
+  .reg .u32 %q<4>;
+  add.u32 %r2, %r1, %q1;
+  ret;
+})").kernel("f");
+  const auto* add = std::get_if<IBop>(&p.fetch(0));
+  ASSERT_NE(add, nullptr);
+  EXPECT_EQ(add->dst, (Reg{TypeClass::UI, 32, 2}));
+  EXPECT_EQ(add->a, Operand{(Reg{TypeClass::UI, 32, 1})});
+  EXPECT_EQ(add->b, Operand{(Reg{TypeClass::UI, 32, 5})});  // %q0 is 4
+}
+
+TEST(Lower, TwoPredicatePrefixesDoNotAlias) {
+  const Program p = load_ptx(R"(
+.visible .entry f() {
+  .reg .pred %p<2>;
+  .reg .pred %q<2>;
+  .reg .u32 %r<2>;
+  setp.eq.u32 %p1, %r1, 0;
+  setp.ne.u32 %q1, %r1, 0;
+  ret;
+})").kernel("f");
+  EXPECT_EQ(std::get<ISetp>(p.fetch(0)).dst, Pred{1});
+  EXPECT_EQ(std::get<ISetp>(p.fetch(1)).dst, Pred{3});
+}
+
+TEST(Lower, SingleRegisterIsNotAPrefix) {
+  // %a1 is its own u64 register, not the 32-bit %a with index 1.
+  const Program p = load_ptx(R"(
+.visible .entry f() {
+  .reg .u32 %a;
+  .reg .u64 %a1;
+  mov.u32 %a, 1;
+  mov.u64 %a1, 2;
+  ret;
+})").kernel("f");
+  EXPECT_EQ(std::get<IMov>(p.fetch(0)).dst, (Reg{TypeClass::UI, 32, 0}));
+  EXPECT_EQ(std::get<IMov>(p.fetch(1)).dst, (Reg{TypeClass::UI, 64, 0}));
+}
+
+TEST(Lower, LoneRegisterWithDigitsAccepted) {
+  const Program p = load_ptx(R"(
+.visible .entry f() {
+  .reg .u64 %x1;
+  ld.global.u64 %x1, [%x1];
+  ret;
+})").kernel("f");
+  EXPECT_EQ(first_load(p).dst, (Reg{TypeClass::UI, 64, 0}));
+}
+
+TEST(Lower, IndexOutsideDeclaredRangeRejected) {
+  try {
+    (void)load_ptx(R"(
+.visible .entry f() {
+  .reg .u32 %r<2>;
+  mov.u32 %r7, 0;
+  ret;
+})");
+    FAIL() << "%r7 under %r<2> lowered";
+  } catch (const PtxError& e) {
+    EXPECT_STREQ(e.what(),
+                 "4:11: '%r7' is out of the declared range %r<2>");
+  }
+}
+
+TEST(Lower, BarePrefixOfARangeRejected) {
+  // %r<4> declares %r0..%r3, not %r (nor %r00 or %r01).
+  for (const char* name : {"%r", "%r00", "%r01"}) {
+    EXPECT_THROW(load_ptx(std::string(R"(
+.visible .entry f() {
+  .reg .u32 %r<4>;
+  mov.u32 )") + name + R"(, 0;
+  ret;
+})"),
+                 cac::PtxError)
+        << name;
+  }
+}
+
+TEST(Lower, RedeclaredNameRejectedWhereUsed) {
+  EXPECT_THROW(load_ptx(R"(
+.visible .entry f() {
+  .reg .u32 %r<4>;
+  .reg .u32 %r<4>;
+  mov.u32 %r1, 0;
+  ret;
+})"),
+               cac::PtxError);
+}
+
+TEST(Lower, DistinctPrefixesHoldDistinctValues) {
+  // %r1 = 1 and %q1 = 2 in one u32 space: the sum is 3.  Aliased,
+  // the write to %q1 overwrote %r1 and the sum was 4.
+  const Program p = load_ptx(R"(
+.visible .entry f(
+  .param .u64 out
+)
+{
+  .reg .u32 %r<4>;
+  .reg .u32 %q<4>;
+  .reg .u64 %rd<2>;
+  ld.param.u64 %rd1, [out];
+  mov.u32 %r1, 1;
+  mov.u32 %q1, 2;
+  add.u32 %r2, %r1, %q1;
+  st.global.u32 [%rd1], %r2;
+  ret;
+})").kernel("f");
+  const sem::KernelConfig kc{{1, 1, 1}, {1, 1, 1}, 1};
+  sem::Launch launch(p, kc, mem::MemSizes{64, 0, 0, 0, 1});
+  launch.param("out", 16);
+  sem::Machine m = launch.machine();
+  sched::RoundRobinScheduler s;
+  ASSERT_TRUE(sched::run(p, kc, m, s).terminated());
+  EXPECT_EQ(m.memory.load(mem::Space::Global, 16, 4), 3u);
 }
 
 TEST(Lower, UndefinedLabelRejected) {
