@@ -1,8 +1,10 @@
 // The verification service itself as the benchmark subject: what a
 // client pays for a cold verification round trip, what the
-// content-addressed verdict cache collapses that to on resubmission,
-// and how many requests/sec the daemon sustains as concurrent clients
-// pile on (1/4/16).
+// content-addressed verdict cache collapses that to on resubmission
+// (an exact copy through the memo of request texts, an edited copy
+// through the key), what the key itself costs, and how many
+// requests/sec the daemon sustains as concurrent clients pile on
+// (1/4/16).
 //
 // Everything runs in-process but over a real AF_UNIX socket with the
 // real frame protocol, so the measured path is exactly what
@@ -23,6 +25,7 @@
 
 #include "front/cache.h"
 #include "front/serve.h"
+#include "programs/corpus.h"
 #include "support/fault.h"
 
 namespace {
@@ -110,9 +113,10 @@ void BM_ServeColdSubmission(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeColdSubmission)->Unit(benchmark::kMicrosecond);
 
-/// Cached resubmission of one verdict: the round trip collapses to
-/// frame + key + LRU hit + verbatim replay.  The cold/cached ratio is
-/// the service's headline number (CI asserts >=100x end to end in
+/// Cached resubmission of one verdict, byte for byte: the round trip
+/// collapses to frame + memo lookup + LRU hit + verbatim replay, with
+/// no JSON parse and no lowering.  The cold/cached ratio is the
+/// service's headline number (CI asserts >=100x end to end in
 /// tools/serve_crash_drill.py).
 void BM_ServeCachedSubmission(benchmark::State& state) {
   BenchServer bs;
@@ -129,6 +133,57 @@ void BM_ServeCachedSubmission(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ServeCachedSubmission)->Unit(benchmark::kMicrosecond);
+
+/// Cached resubmission of an edited copy: each request prepends a
+/// different comment line to the warm request's source, so its text
+/// misses the memo and the round trip pays parse + lower + key before
+/// the LRU hit.
+void BM_ServeVariantSubmission(benchmark::State& state) {
+  BenchServer bs;
+  front::Client client = bs.connect();
+  front::CheckRequest req = tiny_request(0);
+  client.call(front::to_json(front::Request{req}));  // warm the cache
+  // The payload with "// variant N" in front of the source, split
+  // around N.
+  req.source = std::string("// variant #\n") + kTinyKernel;
+  const std::string payload = front::to_json(front::Request{req});
+  const std::size_t at = payload.find('#');
+  const std::string head = payload.substr(0, at);
+  const std::string tail = payload.substr(at + 1);
+  std::uint64_t n = 0;
+  for (auto _ : state) {
+    const front::Client::Reply r =
+        client.call(head + std::to_string(n++) + tail);
+    if (!r.doc.bool_or("cached", false)) {
+      throw std::runtime_error("expected a cache hit: " + r.raw);
+    }
+  }
+  if (bs.server->stats().memo_hits != 0) {
+    throw std::runtime_error("a variant hit the memo");
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ServeVariantSubmission)->Unit(benchmark::kMicrosecond);
+
+/// front::cache_key of a lint request over programs::unrolled_ptx(n):
+/// lower the module and hash its canonical text, the work a request
+/// that misses the memo pays before the cache lookup.
+void BM_ServeKey(benchmark::State& state) {
+  front::LintRequest req;
+  req.file = "unrolled.ptx";
+  req.source = programs::unrolled_ptx(static_cast<unsigned>(state.range(0)));
+  const front::Request r{req};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(front::cache_key(r));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ServeKey)
+    ->Arg(12)
+    ->Arg(40)
+    ->Arg(85)
+    ->Arg(400)
+    ->Unit(benchmark::kMicrosecond);
 
 /// Sustained request throughput at N concurrent clients, each its own
 /// connection, all resubmitting warm verdicts round-robin across a

@@ -3,11 +3,11 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "front/json.h"
 #include "ptx/lower.h"
-#include "support/hash.h"
 #include "support/io.h"
 
 namespace cac::front {
@@ -20,11 +20,11 @@ namespace {
 // both simultaneously.
 
 void put_u64(std::string& s, std::uint64_t v) {
-  s += std::to_string(v);
+  ptx::append_decimal(s, v);
   s += '\x1f';
 }
 
-void put_str(std::string& s, const std::string& v) {
+void put_str(std::string& s, std::string_view v) {
   put_u64(s, v.size());
   s += v;
   s += '\x1f';
@@ -34,14 +34,23 @@ void put_bool(std::string& s, bool v) { put_u64(s, v ? 1 : 0); }
 
 /// The canonical form of a module: the printed representation of each
 /// lowered kernel plus the shared layout.  Comments, whitespace, and
-/// declaration order of unrelated directives all wash out here.
+/// declaration order of unrelated directives all wash out here.  Each
+/// kernel prints straight into `s`; its length prefix goes in front
+/// afterwards, so the bytes are put_str's.
 void put_module(std::string& s, const std::string& source,
                 bool insert_syncs) {
   ptx::LowerOptions lopts;
   lopts.insert_syncs = insert_syncs;
   const ptx::LoweredModule mod = ptx::load_ptx(source, lopts);
   put_u64(s, mod.kernels.size());
-  for (const ptx::Program& k : mod.kernels) put_str(s, ptx::to_string(k));
+  for (const ptx::Program& k : mod.kernels) {
+    const std::size_t at = s.size();
+    ptx::append_text(s, k);
+    std::string len;
+    put_u64(len, s.size() - at);
+    s.insert(at, len);
+    s += '\x1f';
+  }
   put_u64(s, mod.shared_bytes);
 }
 
@@ -146,9 +155,12 @@ CacheKey cache_key(const Request& req) {
   } else {
     s = canonical(std::get<EquivRequest>(req));
   }
-  CacheKey key;
-  key.hi = fnv1a(s);
-  key.lo = fnv1a(s, 0x9ae16a3b2f90404full);
+  // Both FNV-1a streams in one pass: two independent multiply chains.
+  CacheKey key{0xcbf29ce484222325ull, 0x9ae16a3b2f90404full};
+  for (const unsigned char c : s) {
+    key.hi = (key.hi ^ c) * 0x100000001b3ull;
+    key.lo = (key.lo ^ c) * 0x100000001b3ull;
+  }
   return key;
 }
 
@@ -176,7 +188,7 @@ std::string VerdictCache::path_for(const CacheKey& key) const {
 
 std::optional<VerdictCache::Entry> VerdictCache::get(const CacheKey& key) {
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = index_.find(key.hex());
+  const auto it = index_.find(key);
   if (it != index_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
     ++stats_.hits;
@@ -197,7 +209,7 @@ std::optional<VerdictCache::Entry> VerdictCache::get(const CacheKey& key) {
         e.results_json =
             text.substr(at + tag.size(), text.size() - at - tag.size() - 1);
         lru_.push_front(Node{key, e});
-        index_[key.hex()] = lru_.begin();
+        index_[key] = lru_.begin();
         resident_bytes_ += e.results_json.size();
         evict_locked();
         ++stats_.hits;
@@ -215,7 +227,7 @@ std::optional<VerdictCache::Entry> VerdictCache::get(const CacheKey& key) {
 
 void VerdictCache::put(const CacheKey& key, Entry entry) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (index_.find(key.hex()) != index_.end()) return;  // idempotent
+  if (index_.find(key) != index_.end()) return;  // idempotent
   if (!opts_.dir.empty()) {
     // Atomic publish: never let a reader (or a crash) observe a torn
     // entry.  Persistence is best-effort — a failed write costs only
@@ -229,7 +241,7 @@ void VerdictCache::put(const CacheKey& key, Entry entry) {
   }
   resident_bytes_ += entry.results_json.size();
   lru_.push_front(Node{key, std::move(entry)});
-  index_[key.hex()] = lru_.begin();
+  index_[key] = lru_.begin();
   ++stats_.insertions;
   evict_locked();
 }
@@ -239,7 +251,10 @@ void VerdictCache::evict_locked() {
                            resident_bytes_ > opts_.max_bytes)) {
     const Node& victim = lru_.back();
     resident_bytes_ -= victim.entry.results_json.size();
-    index_.erase(victim.key.hex());
+    // The persisted copy goes with it, so the directory stays bounded
+    // too.  Best effort: a file left behind is still a correct verdict.
+    if (!opts_.dir.empty()) std::remove(path_for(victim.key).c_str());
+    index_.erase(victim.key);
     lru_.pop_back();
     ++stats_.evictions;
   }
@@ -253,6 +268,34 @@ std::size_t VerdictCache::size() const {
 VerdictCache::Stats VerdictCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
+}
+
+std::optional<CacheKey> KeyMemo::find(std::string_view text) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = index_.find(text);
+  if (it == index_.end()) return std::nullopt;
+  lru_.splice(lru_.begin(), lru_, it->second);
+  ++hits_;
+  return it->second->key;
+}
+
+void KeyMemo::put(std::string_view text, const CacheKey& key) {
+  if (text.size() > max_bytes_ || max_entries_ == 0) return;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (index_.find(text) != index_.end()) return;
+  lru_.push_front(Node{std::string(text), key});
+  index_.emplace(lru_.front().text, lru_.begin());
+  bytes_ += text.size();
+  while (lru_.size() > max_entries_ || bytes_ > max_bytes_) {
+    bytes_ -= lru_.back().text.size();
+    index_.erase(lru_.back().text);
+    lru_.pop_back();
+  }
+}
+
+KeyMemo::Stats KeyMemo::stats() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return Stats{hits_, lru_.size(), bytes_};
 }
 
 }  // namespace cac::front

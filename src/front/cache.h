@@ -21,6 +21,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -37,6 +38,13 @@ struct CacheKey {
   friend bool operator==(const CacheKey&, const CacheKey&) = default;
   /// 32 hex digits; the on-disk file stem.
   [[nodiscard]] std::string hex() const;
+};
+
+/// The key is already a hash: one of its halves indexes a table.
+struct CacheKeyHash {
+  std::size_t operator()(const CacheKey& k) const {
+    return static_cast<std::size_t>(k.lo);
+  }
 };
 
 /// Derive the key for a request.  Lowers the PTX source(s) to reach the
@@ -59,7 +67,9 @@ class VerdictCache {
     std::uint64_t max_bytes = 64ull << 20;
     /// When nonempty, entries persist here (one "<hex>.json" per key,
     /// written atomically via rename) and survive restarts; get() falls
-    /// back to disk on a memory miss.
+    /// back to disk on a memory miss.  Evicting an entry deletes its
+    /// file, so the directory holds at most max_entries files written
+    /// since start, plus older ones until they are loaded and evicted.
     std::string dir;
   };
 
@@ -105,9 +115,50 @@ class VerdictCache {
   Options opts_;
   mutable std::mutex mu_;
   std::list<Node> lru_;  // front = most recent
-  std::unordered_map<std::string, std::list<Node>::iterator> index_;
+  std::unordered_map<CacheKey, std::list<Node>::iterator, CacheKeyHash>
+      index_;
   std::uint64_t resident_bytes_ = 0;
   Stats stats_;
+};
+
+/// The server's memo from the exact bytes of a request to the key
+/// computed for them, so an exact resubmission skips parsing and
+/// lowering.  A lookup hashes the text and then compares every byte: a
+/// text finds only the key computed from that very text.  A bounded
+/// LRU by entries and by bytes of text; thread-safe.
+class KeyMemo {
+ public:
+  struct Stats {
+    std::uint64_t hits = 0;
+    std::uint64_t entries = 0;
+    std::uint64_t bytes = 0;  // summed text bytes held
+  };
+
+  KeyMemo(std::size_t max_entries, std::uint64_t max_bytes)
+      : max_entries_(max_entries), max_bytes_(max_bytes) {}
+
+  /// The key memoized for exactly `text`; a hit refreshes recency.
+  std::optional<CacheKey> find(std::string_view text);
+  /// Remember `key` for `text` (a no-op if present or too large),
+  /// evicting the least recently used texts past the bounds.
+  void put(std::string_view text, const CacheKey& key);
+
+  [[nodiscard]] Stats stats() const;
+
+ private:
+  struct Node {
+    std::string text;
+    CacheKey key;
+  };
+
+  std::size_t max_entries_;
+  std::uint64_t max_bytes_;
+  mutable std::mutex mu_;
+  std::list<Node> lru_;  // front = most recent
+  /// Views of the nodes' texts, which a list node never moves.
+  std::unordered_map<std::string_view, std::list<Node>::iterator> index_;
+  std::uint64_t bytes_ = 0;
+  std::uint64_t hits_ = 0;
 };
 
 }  // namespace cac::front

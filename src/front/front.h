@@ -79,6 +79,9 @@ std::string to_json(const std::vector<Result>& results);
 /// identical verdict.
 std::string to_json(const Request& req);
 Request request_from_json(std::string_view text);
+/// The same, from a document the caller has already parsed (the server
+/// reads the command and `progress` from it first).  Same errors.
+Request request_from_json(const JsonValue& doc);
 
 // --- classic text rendering (front/render.cc) ------------------------
 // The CLI's human-readable output, reproduced from the structured

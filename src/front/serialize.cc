@@ -395,7 +395,10 @@ std::string to_json(const Request& req) {
 }
 
 Request request_from_json(std::string_view text) {
-  const JsonValue v = json_parse(text);
+  return request_from_json(json_parse(text));
+}
+
+Request request_from_json(const JsonValue& v) {
   if (!v.is_obj()) throw JsonError("json: request must be an object");
   const std::string command = v.str_or("command", "");
   if (command == "check") return parse_check(v, false);

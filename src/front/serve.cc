@@ -165,7 +165,9 @@ VerdictCache make_cache(const ServeOptions& opts) {
 }  // namespace
 
 Server::Server(ServeOptions opts)
-    : opts_(std::move(opts)), cache_(make_cache(opts_)) {}
+    : opts_(std::move(opts)),
+      cache_(make_cache(opts_)),
+      memo_(opts_.cache_entries, opts_.cache_bytes) {}
 
 Server::~Server() { stop(); }
 
@@ -255,6 +257,10 @@ ServeStats Server::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   ServeStats s = stats_;
   s.cache = cache_.stats();
+  const KeyMemo::Stats m = memo_.stats();
+  s.memo_hits = m.hits;
+  s.memo_entries = m.entries;
+  s.memo_bytes = m.bytes;
   const dist::TransportCounters tc = dist::transport_counters();
   s.send_retries = tc.send_retries;
   s.connect_retries = tc.connect_retries;
@@ -324,6 +330,20 @@ void Server::handle_connection(int fd) {
 std::string Server::handle_request(int fd, std::mutex& write_mu,
                                    const std::string& text) {
   const Clock::time_point t0 = Clock::now();
+  // An exact resubmission: its key is memoized, so it is neither
+  // parsed nor lowered.  The verdict still comes through the cache
+  // (recency, hit and miss counts); if it was evicted, the full path
+  // below runs with the known key.
+  const std::optional<CacheKey> known = memo_.find(text);
+  if (known) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++stats_.requests;
+    }
+    if (std::optional<VerdictCache::Entry> hit = cache_.get(*known)) {
+      return make_response(true, *known, elapsed_us(t0), *hit);
+    }
+  }
   JsonValue doc;
   try {
     doc = json_parse(text);
@@ -354,6 +374,9 @@ std::string Server::handle_request(int fd, std::mutex& write_mu,
         .key("journal_failures").value(s.journal_failures)
         .key("send_retries").value(s.send_retries)
         .key("connect_retries").value(s.connect_retries)
+        .key("memo_hits").value(s.memo_hits)
+        .key("memo_entries").value(s.memo_entries)
+        .key("memo_bytes").value(s.memo_bytes)
         .key("cache_hits").value(s.cache.hits)
         .key("cache_misses").value(s.cache.misses)
         .key("cache_insertions").value(s.cache.insertions)
@@ -375,20 +398,23 @@ std::string Server::handle_request(int fd, std::mutex& write_mu,
   Request req;
   CacheKey key;
   try {
-    req = request_from_json(text);
-    key = cache_key(req);  // lowers the source: PtxError on bad input
+    req = request_from_json(doc);
+    // cache_key lowers the source: PtxError on bad input.
+    key = known ? *known : cache_key(req);
   } catch (const std::exception& e) {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.errors;
     return make_error(e.what(), kExitUsage);
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.requests;
-  }
-
-  if (std::optional<VerdictCache::Entry> hit = cache_.get(key)) {
-    return make_response(true, key, elapsed_us(t0), *hit);
+  if (!known) {
+    memo_.put(text, key);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++stats_.requests;
+    }
+    if (std::optional<VerdictCache::Entry> hit = cache_.get(key)) {
+      return make_response(true, key, elapsed_us(t0), *hit);
+    }
   }
 
   const std::uint64_t progress_every = doc.u64_or("progress", 0);

@@ -8,7 +8,9 @@
 //
 //  * every request is content-addressed (front/cache.h); a repeated
 //    submission replays the original response bytes from the verdict
-//    cache without re-running anything,
+//    cache without re-running anything, and an exact resubmission
+//    finds its key in a memo of request texts without being parsed or
+//    lowered,
 //  * concurrent submissions of the *same* job share one execution
 //    (in-flight dedup) and each receives the response,
 //  * distinct jobs run on a bounded worker pool behind a bounded
@@ -87,6 +89,11 @@ struct ServeStats {
   /// Snapshot of the process-wide transport retry counters.
   std::uint64_t send_retries = 0;
   std::uint64_t connect_retries = 0;
+  /// The exact-text memo (KeyMemo): lookups that found the request's
+  /// bytes, and the texts and text bytes it holds.
+  std::uint64_t memo_hits = 0;
+  std::uint64_t memo_entries = 0;
+  std::uint64_t memo_bytes = 0;
   VerdictCache::Stats cache;
 };
 
@@ -134,6 +141,9 @@ class Server {
 
   ServeOptions opts_;
   VerdictCache cache_;
+  /// Exact request text -> key, bounded like the cache: cache_entries
+  /// texts, cache_bytes bytes of text.
+  KeyMemo memo_;
 
   std::atomic<bool> stopping_{false};
   bool started_ = false;

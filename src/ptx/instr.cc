@@ -6,7 +6,9 @@ bool is_bar(const Instr& i) { return std::holds_alternative<IBar>(i); }
 bool is_exit(const Instr& i) { return std::holds_alternative<IExit>(i); }
 bool is_sync(const Instr& i) { return std::holds_alternative<ISync>(i); }
 
-std::string to_string(const BinOp op) {
+namespace {
+
+const char* op_name(const BinOp op) {
   switch (op) {
     case BinOp::Add: return "add";
     case BinOp::Sub: return "sub";
@@ -26,7 +28,7 @@ std::string to_string(const BinOp op) {
   return "?";
 }
 
-std::string to_string(const TerOp op) {
+const char* op_name(const TerOp op) {
   switch (op) {
     case TerOp::MadLo: return "mad.lo";
     case TerOp::MadWide: return "mad.wide";
@@ -34,7 +36,7 @@ std::string to_string(const TerOp op) {
   return "?";
 }
 
-std::string to_string(const UnOp op) {
+const char* op_name(const UnOp op) {
   switch (op) {
     case UnOp::Not: return "not";
     case UnOp::Neg: return "neg";
@@ -47,7 +49,7 @@ std::string to_string(const UnOp op) {
   return "?";
 }
 
-std::string to_string(const CmpOp op) {
+const char* op_name(const CmpOp op) {
   switch (op) {
     case CmpOp::Eq: return "eq";
     case CmpOp::Ne: return "ne";
@@ -59,7 +61,7 @@ std::string to_string(const CmpOp op) {
   return "?";
 }
 
-std::string to_string(const AtomOp op) {
+const char* op_name(const AtomOp op) {
   switch (op) {
     case AtomOp::Add: return "atom.add";
     case AtomOp::Exch: return "atom.exch";
@@ -73,72 +75,78 @@ std::string to_string(const AtomOp op) {
   return "?";
 }
 
-namespace {
-
-std::string type_suffix(const DType& t) {
-  const char c = t.cls == TypeClass::UI ? 'u'
-               : t.cls == TypeClass::SI ? 's'
-                                        : 'b';
-  return std::string(".") + c + std::to_string(t.width);
-}
-
+/// Appends each instruction's text in place: the one printer behind
+/// `to_string(Instr)`, `to_string(Program)` and the cache key.
 struct Printer {
-  std::string operator()(const INop&) const { return "nop"; }
-  std::string operator()(const IBop& i) const {
-    return to_string(i.op) + type_suffix(i.type) + " " + to_string(i.dst) +
-           ", " + to_string(i.a) + ", " + to_string(i.b);
+  std::string& out;
+
+  /// A type suffix such as `.u32`.
+  struct Suffix {
+    const DType& t;
+  };
+
+  void put1(const char* s) const { out += s; }
+  void put1(const std::string& s) const { out += s; }
+  void put1(char c) const { out += c; }
+  void put1(std::uint32_t v) const { append_decimal(out, v); }
+  void put1(const Reg& r) const { append_text(out, r); }
+  void put1(const Pred& p) const { append_text(out, p); }
+  void put1(const Operand& op) const { append_text(out, op); }
+  void put1(Suffix s) const {
+    const TypeClass c = s.t.cls;
+    put('.', c == TypeClass::UI ? 'u' : c == TypeClass::SI ? 's' : 'b',
+        std::uint32_t{s.t.width});
   }
-  std::string operator()(const ITop& i) const {
-    return to_string(i.op) + type_suffix(i.type) + " " + to_string(i.dst) +
-           ", " + to_string(i.a) + ", " + to_string(i.b) + ", " +
-           to_string(i.c);
+  template <class... Ts>
+  void put(const Ts&... xs) const {
+    (put1(xs), ...);
   }
-  std::string operator()(const IUop& i) const {
-    return to_string(i.op) + type_suffix(i.type) + " " + to_string(i.dst) +
-           ", " + to_string(i.a);
+
+  void operator()(const INop&) const { put("nop"); }
+  void operator()(const IBop& i) const {
+    put(op_name(i.op), Suffix{i.type}, ' ', i.dst, ", ", i.a, ", ", i.b);
   }
-  std::string operator()(const IMov& i) const {
-    return "mov " + to_string(i.dst) + ", " + to_string(i.src);
+  void operator()(const ITop& i) const {
+    put(op_name(i.op), Suffix{i.type}, ' ', i.dst, ", ", i.a, ", ", i.b,
+        ", ", i.c);
   }
-  std::string operator()(const ILd& i) const {
-    return "ld." + to_string(i.space) + type_suffix(i.type) + " " +
-           to_string(i.dst) + ", [" + to_string(i.addr) + "]";
+  void operator()(const IUop& i) const {
+    put(op_name(i.op), Suffix{i.type}, ' ', i.dst, ", ", i.a);
   }
-  std::string operator()(const ISt& i) const {
-    return "st." + to_string(i.space) + type_suffix(i.type) + " [" +
-           to_string(i.addr) + "], " + to_string(i.src);
+  void operator()(const IMov& i) const { put("mov ", i.dst, ", ", i.src); }
+  void operator()(const ILd& i) const {
+    put("ld.", to_string(i.space), Suffix{i.type}, ' ', i.dst, ", [", i.addr,
+        ']');
   }
-  std::string operator()(const IBra& i) const {
-    return "bra " + std::to_string(i.target);
+  void operator()(const ISt& i) const {
+    put("st.", to_string(i.space), Suffix{i.type}, " [", i.addr, "], ",
+        i.src);
   }
-  std::string operator()(const ISetp& i) const {
-    return "setp." + to_string(i.cmp) + type_suffix(i.type) + " " +
-           to_string(i.dst) + ", " + to_string(i.a) + ", " + to_string(i.b);
+  void operator()(const IBra& i) const { put("bra ", i.target); }
+  void operator()(const ISetp& i) const {
+    put("setp.", op_name(i.cmp), Suffix{i.type}, ' ', i.dst, ", ", i.a, ", ",
+        i.b);
   }
-  std::string operator()(const IPBra& i) const {
-    return std::string("@") + (i.negated ? "!" : "") + to_string(i.pred) +
-           " bra " + std::to_string(i.target);
+  void operator()(const IPBra& i) const {
+    put(i.negated ? "@!" : "@", i.pred, " bra ", i.target);
   }
-  std::string operator()(const ISelp& i) const {
-    return "selp" + type_suffix(i.type) + " " + to_string(i.dst) + ", " +
-           to_string(i.a) + ", " + to_string(i.b) + ", " + to_string(i.pred);
+  void operator()(const ISelp& i) const {
+    put("selp", Suffix{i.type}, ' ', i.dst, ", ", i.a, ", ", i.b, ", ",
+        i.pred);
   }
-  std::string operator()(const ISync&) const { return "sync"; }
-  std::string operator()(const IBar&) const { return "bar.sync 0"; }
-  std::string operator()(const IExit&) const { return "exit"; }
-  std::string operator()(const IVote& i) const {
+  void operator()(const ISync&) const { put("sync"); }
+  void operator()(const IBar&) const { put("bar.sync 0"); }
+  void operator()(const IExit&) const { put("exit"); }
+  void operator()(const IVote& i) const {
     switch (i.mode) {
-      case VoteMode::All:
-        return "vote.all.pred " + to_string(i.dst) + ", " + to_string(i.src);
-      case VoteMode::Any:
-        return "vote.any.pred " + to_string(i.dst) + ", " + to_string(i.src);
+      case VoteMode::All: return put("vote.all.pred ", i.dst, ", ", i.src);
+      case VoteMode::Any: return put("vote.any.pred ", i.dst, ", ", i.src);
       case VoteMode::Ballot:
-        return "vote.ballot.b32 " + to_string(i.dst_ballot) + ", " +
-               to_string(i.src);
+        return put("vote.ballot.b32 ", i.dst_ballot, ", ", i.src);
     }
-    return "vote?";
+    put("vote?");
   }
-  std::string operator()(const IShfl& i) const {
+  void operator()(const IShfl& i) const {
     const char* m = "";
     switch (i.mode) {
       case ShflMode::Idx: m = "idx"; break;
@@ -146,21 +154,25 @@ struct Printer {
       case ShflMode::Down: m = "down"; break;
       case ShflMode::Bfly: m = "bfly"; break;
     }
-    return std::string("shfl.") + m + type_suffix(i.type) + " " +
-           to_string(i.dst) + ", " + to_string(i.src) + ", " +
-           to_string(i.lane);
+    put("shfl.", m, Suffix{i.type}, ' ', i.dst, ", ", i.src, ", ", i.lane);
   }
-  std::string operator()(const IAtom& i) const {
-    std::string s = to_string(i.op) + "." + to_string(i.space) +
-                    type_suffix(i.type) + " " + to_string(i.dst) + ", [" +
-                    to_string(i.addr) + "], " + to_string(i.b);
-    if (i.op == AtomOp::Cas) s += ", " + to_string(i.c);
-    return s;
+  void operator()(const IAtom& i) const {
+    put(op_name(i.op), '.', to_string(i.space), Suffix{i.type}, ' ', i.dst,
+        ", [", i.addr, "], ", i.b);
+    if (i.op == AtomOp::Cas) put(", ", i.c);
   }
 };
 
 }  // namespace
 
-std::string to_string(const Instr& i) { return std::visit(Printer{}, i); }
+void append_text(std::string& out, const Instr& i) {
+  std::visit(Printer{out}, i);
+}
+
+std::string to_string(const Instr& i) {
+  std::string s;
+  append_text(s, i);
+  return s;
+}
 
 }  // namespace cac::ptx

@@ -197,11 +197,8 @@ bool is_bar(const Instr& i);
 bool is_exit(const Instr& i);
 bool is_sync(const Instr& i);
 
-std::string to_string(const BinOp op);
-std::string to_string(const TerOp op);
-std::string to_string(const UnOp op);
-std::string to_string(const CmpOp op);
-std::string to_string(const AtomOp op);
+/// Append the text `to_string(i)` returns to `out` (see operand.h).
+void append_text(std::string& out, const Instr& i);
 std::string to_string(const Instr& i);
 
 }  // namespace cac::ptx

@@ -25,29 +25,56 @@ char dim_name(Dim d) {
 
 }  // namespace
 
-std::string to_string(const Reg& r) {
-  const char* prefix = r.cls == TypeClass::SI ? "%s" : "%r";
-  const std::string wide = r.width == 64 ? "d" : (r.width == 16 ? "h" : "");
-  return prefix + wide + std::to_string(r.index);
+void append_text(std::string& out, const Reg& r) {
+  out += r.cls == TypeClass::SI ? "%s" : "%r";
+  if (r.width == 64) out += 'd';
+  if (r.width == 16) out += 'h';
+  append_decimal(out, r.index);
 }
 
-std::string to_string(const Pred& p) { return "%p" + std::to_string(p.index); }
-
-std::string to_string(const Sreg& s) {
-  return std::string("%") + sreg_name(s.kind) + "." + dim_name(s.dim);
+void append_text(std::string& out, const Pred& p) {
+  out += "%p";
+  append_decimal(out, p.index);
 }
 
-std::string to_string(const Operand& op) {
+void append_text(std::string& out, const Sreg& s) {
+  out += '%';
+  out += sreg_name(s.kind);
+  out += '.';
+  out += dim_name(s.dim);
+}
+
+void append_text(std::string& out, const Operand& op) {
   struct Visitor {
-    std::string operator()(const Reg& r) const { return to_string(r); }
-    std::string operator()(const Sreg& s) const { return to_string(s); }
-    std::string operator()(const Imm& i) const { return std::to_string(i.value); }
-    std::string operator()(const RegImm& ri) const {
-      return "[" + to_string(ri.reg) +
-             (ri.offset >= 0 ? "+" : "") + std::to_string(ri.offset) + "]";
+    std::string& out;
+    void operator()(const Reg& r) const { append_text(out, r); }
+    void operator()(const Sreg& s) const { append_text(out, s); }
+    void operator()(const Imm& i) const { append_decimal(out, i.value); }
+    void operator()(const RegImm& ri) const {
+      out += '[';
+      append_text(out, ri.reg);
+      if (ri.offset >= 0) out += '+';
+      append_decimal(out, ri.offset);
+      out += ']';
     }
   };
-  return std::visit(Visitor{}, op);
+  std::visit(Visitor{out}, op);
 }
+
+namespace {
+
+template <class T>
+std::string printed(const T& v) {
+  std::string s;
+  append_text(s, v);
+  return s;
+}
+
+}  // namespace
+
+std::string to_string(const Reg& r) { return printed(r); }
+std::string to_string(const Pred& p) { return printed(p); }
+std::string to_string(const Sreg& s) { return printed(s); }
+std::string to_string(const Operand& op) { return printed(op); }
 
 }  // namespace cac::ptx

@@ -5,6 +5,7 @@
 //   op       : reg + sreg + Z + reg x Z     -- the four operand kinds
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <string>
 #include <variant>
@@ -70,6 +71,24 @@ struct RegImm {
 
 /// An instruction operand: one of the four kinds of paper Table I.
 using Operand = std::variant<Reg, Sreg, Imm, RegImm>;
+
+/// Append the decimal form of an integer (the bytes std::to_string
+/// writes) without a temporary string.
+template <class Int>
+void append_decimal(std::string& out, Int v) {
+  char buf[24];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, r.ptr);
+}
+
+// The appending printer: each overload writes the text `to_string`
+// returns onto the end of `out`.  The instruction and program printers
+// (instr.h, program.h) are built from these, so a whole kernel prints
+// into one buffer.
+void append_text(std::string& out, const Reg& r);
+void append_text(std::string& out, const Pred& p);
+void append_text(std::string& out, const Sreg& s);
+void append_text(std::string& out, const Operand& op);
 
 std::string to_string(const Reg& r);
 std::string to_string(const Pred& p);

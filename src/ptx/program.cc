@@ -85,16 +85,25 @@ InstrHistogram histogram(const Program& prg) {
   return h;
 }
 
-std::string to_string(const Program& prg) {
-  std::string out = ".kernel " + prg.name() + "\n";
+void append_text(std::string& out, const Program& prg) {
+  out += ".kernel " + prg.name() + "\n";
   for (const auto& p : prg.params()) {
     out += "  .param " + to_string(p.type) + " " + p.name + " @" +
            std::to_string(p.offset) + "\n";
   }
   std::uint32_t pc = 0;
   for (const auto& i : prg.code()) {
-    out += "  [" + std::to_string(pc++) + "] " + to_string(i) + "\n";
+    out += "  [";
+    append_decimal(out, pc++);
+    out += "] ";
+    append_text(out, i);
+    out += '\n';
   }
+}
+
+std::string to_string(const Program& prg) {
+  std::string out;
+  append_text(out, prg);
   return out;
 }
 

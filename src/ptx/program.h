@@ -77,6 +77,11 @@ struct InstrHistogram {
 };
 InstrHistogram histogram(const Program& prg);
 
+/// The canonical listing of a kernel: its name, parameter slots and
+/// one numbered line per instruction.  `append_text` writes the same
+/// bytes onto the end of `out` (the verdict cache's key is built that
+/// way, and `sched::program_fingerprint` hashes them).
+void append_text(std::string& out, const Program& prg);
 std::string to_string(const Program& prg);
 
 }  // namespace cac::ptx

@@ -4,10 +4,12 @@
 #include "front/cache.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 
 #include "support/fault.h"
 
@@ -221,6 +223,38 @@ TEST(VerdictCache, PersistsAcrossInstances) {
   EXPECT_EQ(hit->results_json, body);  // byte-for-byte replay
   EXPECT_EQ(hit->exit_code, 1);
   EXPECT_EQ(fresh.stats().disk_hits, 1u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(VerdictCache, EvictionRemovesThePersistedFile) {
+  // The directory is bounded by the LRU too: an evicted verdict's file
+  // goes with it.
+  const std::string dir = std::filesystem::temp_directory_path() /
+                          ("cac_cache_test_evict_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  VerdictCache::Options opts;
+  opts.dir = dir;
+  opts.max_entries = 2;
+  {
+    VerdictCache cache(opts);
+    cache.put(key_of(1), entry_of(0, "[1]"));
+    cache.put(key_of(2), entry_of(0, "[2]"));
+    cache.put(key_of(3), entry_of(0, "[3]"));  // evicts 1
+    EXPECT_EQ(cache.stats().evictions, 1u);
+  }
+  std::set<std::string> files;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    files.insert(e.path().filename().string());
+  }
+  EXPECT_EQ(files, (std::set<std::string>{key_of(2).hex() + ".json",
+                                          key_of(3).hex() + ".json"}));
+  VerdictCache fresh(opts);
+  EXPECT_TRUE(fresh.get(key_of(2)).has_value());
+  EXPECT_TRUE(fresh.get(key_of(3)).has_value());
+  EXPECT_FALSE(fresh.get(key_of(1)).has_value());
+  EXPECT_EQ(fresh.stats().disk_hits, 2u);
+  EXPECT_EQ(fresh.stats().misses, 1u);
   std::filesystem::remove_all(dir);
 }
 

@@ -59,7 +59,8 @@ CheckRequest pinning_check() {
 /// tears itself down.
 struct TestServer {
   explicit TestServer(bool persistent, std::uint32_t workers = 2,
-                      std::size_t queue_limit = 64) {
+                      std::size_t queue_limit = 64,
+                      std::size_t cache_entries = 1024) {
     dir = std::filesystem::temp_directory_path() /
           ("cac_serve_test_" + std::to_string(::getpid()) + "_" +
            std::to_string(counter++));
@@ -68,6 +69,7 @@ struct TestServer {
     opts.unix_path = dir / "sock";
     opts.workers = workers;
     opts.queue_limit = queue_limit;
+    opts.cache_entries = cache_entries;
     if (persistent) opts.state_dir = dir / "state";
     server = std::make_unique<Server>(std::move(opts));
     server->start();
@@ -162,6 +164,169 @@ TEST(Serve, EquivalentSourcesShareACacheEntry) {
   const Client::Reply warm = client.call(to_json(Request{b}));
   EXPECT_TRUE(warm.doc.bool_or("cached", false));
   EXPECT_EQ(ts.server->stats().jobs_run, 1u);
+}
+
+/// The `results` bytes of a response envelope (its last member).
+std::string results_of(const std::string& raw) {
+  const std::string tag = "\"results\":";
+  const std::size_t at = raw.find(tag);
+  if (at == std::string::npos) return raw;
+  return raw.substr(at + tag.size(), raw.size() - at - tag.size() - 1);
+}
+
+/// racy_check(2) with a distinct initial cell: a fresh key, the same
+/// small exploration.
+CheckRequest salted_check(std::uint64_t salt) {
+  CheckRequest r = racy_check(2);
+  r.launch.inits = {{32, salt}};
+  return r;
+}
+
+TEST(Serve, ExactResubmitIsAMemoHit) {
+  TestServer ts(false);
+  Client client = ts.connect();
+  const std::string payload = to_json(Request{racy_check(2)});
+  const Client::Reply cold = client.call(payload);
+  ASSERT_EQ(cold.doc.str_or("status", ""), "ok");
+  const ServeStats before = ts.server->stats();
+  EXPECT_EQ(before.memo_hits, 0u);
+  EXPECT_EQ(before.memo_entries, 1u);
+  EXPECT_EQ(before.memo_bytes, payload.size());
+
+  const Client::Reply warm = client.call(payload);
+  EXPECT_TRUE(warm.doc.bool_or("cached", false));
+  EXPECT_EQ(results_of(warm.raw), results_of(cold.raw));
+  const ServeStats after = ts.server->stats();
+  EXPECT_EQ(after.memo_hits, before.memo_hits + 1);
+  EXPECT_EQ(after.cache.hits, before.cache.hits + 1);
+  EXPECT_EQ(after.cache.misses, before.cache.misses);
+  EXPECT_EQ(after.jobs_run, before.jobs_run);
+  EXPECT_EQ(after.requests, before.requests + 1);
+
+  const Client::Reply stats = client.call(R"({"command":"stats"})");
+  const JsonValue* st = stats.doc.get("stats");
+  ASSERT_NE(st, nullptr);
+  EXPECT_EQ(st->u64_or("memo_hits", 99), 1u);
+  EXPECT_EQ(st->u64_or("memo_entries", 99), 1u);
+  EXPECT_EQ(st->u64_or("memo_bytes", 0), payload.size());
+}
+
+TEST(Serve, NearCopiesMissTheMemoAndHitTheCache) {
+  TestServer ts(false);
+  Client client = ts.connect();
+  CheckRequest req = racy_check(2);
+  const std::string payload = to_json(Request{req});
+  const Client::Reply cold = client.call(payload);
+  ASSERT_EQ(cold.doc.str_or("status", ""), "ok");
+  req.file = "racz.ptx";  // one byte of `file`
+  std::string progress = payload;
+  progress.insert(progress.size() - 1, ",\"progress\":50");
+  for (const std::string& copy : {to_json(Request{req}), progress}) {
+    const ServeStats before = ts.server->stats();
+    const Client::Reply r = client.call(copy);
+    EXPECT_TRUE(r.doc.bool_or("cached", false)) << copy;
+    EXPECT_EQ(results_of(r.raw), results_of(cold.raw));
+    const ServeStats after = ts.server->stats();
+    EXPECT_EQ(after.memo_hits, before.memo_hits);
+    EXPECT_EQ(after.cache.hits, before.cache.hits + 1);
+    EXPECT_EQ(after.jobs_run, before.jobs_run);
+    EXPECT_EQ(after.memo_entries, before.memo_entries + 1);
+  }
+}
+
+TEST(Serve, ErrorsAndControlCommandsAreNeverMemoized) {
+  TestServer ts(false);
+  Client client = ts.connect();
+  CheckRequest bad = racy_check(2);
+  bad.source = "definitely not ptx";
+  for (const std::string& payload :
+       {std::string("{not json"), to_json(Request{bad})}) {
+    const Client::Reply first = client.call(payload);
+    const Client::Reply second = client.call(payload);
+    EXPECT_EQ(first.doc.str_or("status", ""), "error") << first.raw;
+    EXPECT_EQ(first.doc.u64_or("exit_code", 0), 2u);
+    EXPECT_EQ(second.raw, first.raw);
+  }
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(client.call(R"({"command":"ping"})").doc.str_or("status", ""),
+              "ok");
+    EXPECT_EQ(client.call(R"({"command":"stats"})").doc.str_or("status", ""),
+              "ok");
+  }
+  ServeStats s = ts.server->stats();
+  EXPECT_EQ(s.errors, 4u);
+  EXPECT_EQ(s.requests, 0u);
+  EXPECT_EQ(s.memo_entries, 0u);
+  EXPECT_EQ(s.memo_bytes, 0u);
+  EXPECT_EQ(s.memo_hits, 0u);
+  EXPECT_EQ(client.call(R"({"command":"shutdown"})").doc.str_or("status", ""),
+            "ok");
+  EXPECT_TRUE(ts.server->shutdown_requested());
+  EXPECT_EQ(ts.server->stats().memo_entries, 0u);
+}
+
+TEST(Serve, MemoIsBoundedByCacheEntries) {
+  TestServer ts(false, 2, 64, /*cache_entries=*/2);
+  Client client = ts.connect();
+  std::vector<std::string> payloads;
+  std::string first_results;
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    payloads.push_back(to_json(Request{salted_check(i)}));
+    const Client::Reply r = client.call(payloads.back());
+    ASSERT_EQ(r.doc.str_or("status", ""), "ok") << r.raw;
+    if (i == 0) first_results = results_of(r.raw);
+  }
+  EXPECT_LE(ts.server->stats().memo_entries, 2u);
+  EXPECT_EQ(ts.server->stats().jobs_run, 10u);
+  // Both the text and the verdict are gone: the exact resubmission
+  // runs again, to the same bytes.
+  const Client::Reply again = client.call(payloads[0]);
+  EXPECT_FALSE(again.doc.bool_or("cached", true));
+  EXPECT_EQ(results_of(again.raw), first_results);
+  const ServeStats s = ts.server->stats();
+  EXPECT_EQ(s.jobs_run, 11u);
+  EXPECT_EQ(s.memo_hits, 0u);
+  EXPECT_LE(s.memo_entries, 2u);
+}
+
+TEST(Serve, ConcurrentExactCopiesAndNovelRequestsGetTheirVerdicts) {
+  TestServer ts(false, 4);
+  constexpr int kClients = 4;
+  constexpr int kRounds = 6;
+  std::vector<std::string> warm_payloads;
+  std::vector<std::string> warm_local;
+  {
+    Client client = ts.connect();
+    for (std::uint64_t i = 0; i < kClients; ++i) {
+      const Request req{salted_check(i)};
+      warm_payloads.push_back(to_json(req));
+      warm_local.push_back(to_json(run(req)));
+      ASSERT_EQ(client.call(warm_payloads.back()).doc.str_or("status", ""),
+                "ok");
+    }
+  }
+  std::atomic<int> wrong{0};
+  {
+    std::vector<std::thread> threads;
+    for (int c = 0; c < kClients; ++c) {
+      threads.emplace_back([&, c] {
+        Client client = ts.connect();
+        for (int round = 0; round < kRounds; ++round) {
+          const int w = (c + round) % kClients;
+          const Client::Reply exact = client.call(warm_payloads[w]);
+          if (results_of(exact.raw) != warm_local[w]) ++wrong;
+          const Request novel{salted_check(100 + c * kRounds + round)};
+          const Client::Reply fresh = client.call(to_json(novel));
+          if (results_of(fresh.raw) != to_json(run(novel))) ++wrong;
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+  }
+  EXPECT_EQ(wrong.load(), 0);
+  const ServeStats s = ts.server->stats();
+  EXPECT_EQ(s.memo_hits, static_cast<std::uint64_t>(kClients * kRounds));
+  EXPECT_EQ(s.jobs_run, static_cast<std::uint64_t>(kClients + kClients * kRounds));
 }
 
 TEST(Serve, ConcurrentIdenticalSubmissionsRunOnce) {

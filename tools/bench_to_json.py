@@ -214,15 +214,19 @@ def store_tiers_summary(benchmarks: list[dict]) -> list[dict]:
 
 def serve_summary(benchmarks: list[dict]) -> list[dict]:
     """Summarize BM_Serve* instances (bench_serve): cold round-trip
-    latency vs cached replay, the derived cache speedup, and sustained
-    requests/sec at each concurrent-client count."""
-    cold = cached = None
+    latency vs cached replay of an exact copy (BM_ServeCachedSubmission)
+    and of an edited one (BM_ServeVariantSubmission), each with its
+    derived cache speedup, the key alone per kernel size (BM_ServeKey/N),
+    and sustained requests/sec at each concurrent-client count."""
+    cold = None
+    replays = []
     for b in benchmarks:
         name = b.get("name", "")
         if name.startswith("BM_ServeColdSubmission"):
             cold = b
-        elif name.startswith("BM_ServeCachedSubmission"):
-            cached = b
+        elif name.startswith(("BM_ServeCachedSubmission",
+                              "BM_ServeVariantSubmission")):
+            replays.append(b)
     out = []
     for b in benchmarks:
         name = b.get("name", "")
@@ -233,7 +237,7 @@ def serve_summary(benchmarks: list[dict]) -> list[dict]:
                   "time_unit", "shed_requests", "reaped_clients"):
             if k in b:
                 entry[k] = b[k]
-        if (b is cached and cold and cold.get("real_time")
+        if (any(b is r for r in replays) and cold and cold.get("real_time")
                 and b.get("real_time")):
             entry["cache_speedup"] = round(
                 cold["real_time"] / b["real_time"], 1)
